@@ -4,7 +4,9 @@ Two potentials, driven by the coordinate functions on the controlled arc,
 are combined into the symmetric matrix field with entries
 sigma * grad(u_i) . grad(u_j).  This module evaluates that field and its
 determinant diagnostics, extracts the gradient angle of the first
-potential, and moves nodal fields between meshes of different resolution.
+potential, and moves nodal fields between meshes of different resolution:
+by prefix restriction onto a mesh that `refine` nested in the source, by
+interpolation between unrelated meshes.
 """
 from __future__ import annotations
 
@@ -204,6 +206,23 @@ def _barycentric(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
     b1 = (v2[..., 0] * v1[..., 1] - v2[..., 1] * v1[..., 0]) / denom
     b2 = (v0[..., 0] * v2[..., 1] - v0[..., 1] * v2[..., 0]) / denom
     return np.stack([1.0 - b1 - b2, b1, b2], axis=-1)
+
+
+def restrict(source: ScalarField, target: Mesh) -> ScalarField:
+    """Nodal values of `source` at the vertices of a mesh nested in its own.
+
+    `refine` keeps the parent vertices first and in order, so a coarse mesh's
+    nodes are the first nodes of every refinement of it and restriction is an
+    exact pickup of a value prefix.  Raises ContractError unless the target's
+    vertices are exactly that prefix of the source mesh's vertices.
+    """
+    n = target.n_vertices
+    if not np.array_equal(source.mesh.vertices[:n], target.vertices):
+        raise ContractError(
+            f"target mesh ({n} vertices) is not an index prefix of the source "
+            f"mesh ({source.mesh.n_vertices} vertices)")
+    # a copy, so the result does not keep the whole source array alive
+    return ScalarField(target, source.values[:n].copy())
 
 
 def transfer(source: ScalarField, target: Mesh) -> ScalarField:

@@ -12,12 +12,16 @@ from typing import NamedTuple
 
 from .errors import ContractError
 from .noise import NoiseSpec
-from .pipeline import PipelineResult, RunConfig, run_pipeline
+from .pipeline import PipelineResult, RunConfig, run_sweep
 
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One pipeline run flattened to the numbers the tables report."""
+    """One pipeline run flattened to the numbers the tables report.
+
+    In a sweep, a run that reused the previous run's forward stage reports
+    `forward_seconds` 0.0.
+    """
 
     case: str
     gamma: str
@@ -91,15 +95,15 @@ def record_from_run(config: RunConfig, result: PipelineResult) -> ExperimentReco
         recon_seconds=result.recon_seconds)
 
 
+def _sweep_records(configs: list[RunConfig]) -> list[ExperimentRecord]:
+    return [record_from_run(c, r) for c, r in zip(configs, run_sweep(configs))]
+
+
 def table_gamma_sweep(config: RunConfig) -> list[ExperimentRecord]:
     """Both cases against shrinking control arcs, noiseless."""
-    records = []
-    for case in ("case1", "case2"):
-        for gamma in ("large", "medium", "small"):
-            cfg = replace(config, case=case, gamma=gamma, gamma_arcs=None,
-                          noise=NoiseSpec())
-            records.append(record_from_run(cfg, run_pipeline(cfg)))
-    return records
+    return _sweep_records([
+        replace(config, case=case, gamma=gamma, gamma_arcs=None, noise=NoiseSpec())
+        for case in ("case1", "case2") for gamma in ("large", "medium", "small")])
 
 
 def table_mesh_sweep(config: RunConfig) -> list[ExperimentRecord]:
@@ -108,23 +112,23 @@ def table_mesh_sweep(config: RunConfig) -> list[ExperimentRecord]:
     Each level reuses the previous level's data mesh as its reconstruction
     mesh, which is what stepping refine_levels does here.
     """
-    records = []
-    for step in range(3):
-        cfg = replace(config, case="case1", gamma="medium", gamma_arcs=None,
-                      refine_levels=config.refine_levels + step, noise=NoiseSpec())
-        records.append(record_from_run(cfg, run_pipeline(cfg)))
-    return records
+    return _sweep_records([
+        replace(config, case="case1", gamma="medium", gamma_arcs=None,
+                refine_levels=config.refine_levels + step, noise=NoiseSpec())
+        for step in range(3)])
 
 
 def noise_sweep(config: RunConfig) -> list[ExperimentRecord]:
-    """Case 2 over the medium arc at the published noise/floor ladder."""
-    records = []
-    for alpha, floor in NOISE_LADDER:
-        cfg = replace(config, case="case2", gamma="medium", gamma_arcs=None,
-                      noise=NoiseSpec(alpha_percent=alpha, seed=config.noise.seed,
-                                      eig_floor=floor))
-        records.append(record_from_run(cfg, run_pipeline(cfg)))
-    return records
+    """Case 2 over the medium arc at the published noise/floor ladder.
+
+    Only the noise changes along the ladder, so all points share one
+    forward stage.
+    """
+    return _sweep_records([
+        replace(config, case="case2", gamma="medium", gamma_arcs=None,
+                noise=NoiseSpec(alpha_percent=alpha, seed=config.noise.seed,
+                                eig_floor=floor))
+        for alpha, floor in NOISE_LADDER])
 
 
 CSV_HEADER = ("case,gamma,n_data,n_recon,min_det,cos2theta_error,"

@@ -82,17 +82,6 @@ def perturb(H: PowerDensity, spec: NoiseSpec) -> PowerDensity:
     return replace(H, h11=noisy[0], h12=noisy[1], h22=noisy[2])
 
 
-def symmetrize(H: PowerDensity) -> PowerDensity:
-    """Symmetry enforcement stage.
-
-    The matrix is stored by three fields with one off-diagonal, so
-    averaging with the transpose is the identity here.  The stage is kept
-    explicit so the pipeline reads measure -> perturb -> symmetrize ->
-    floor, and a future full-matrix representation has one place to do it.
-    """
-    return H
-
-
 def floor_symmetric_2x2(a: np.ndarray, b: np.ndarray, c: np.ndarray,
                         floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Raise eigenvalues of symmetric matrices [[a, b], [b, c]] to `floor`.

@@ -21,6 +21,7 @@ from aet2d import (
     true_theta,
 )
 from aet2d.errors import ContractError, DomainError, ParameterError
+from aet2d.forward import restrict
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +223,28 @@ def test_transfer_nested_fine_to_coarse_exact():
     out = transfer(f, coarse)
     # parent vertices keep their indices under refinement
     assert np.array_equal(out.values, f.values[:coarse.n_vertices])
+
+
+@pytest.mark.parametrize("levels", [1, 2])
+def test_restrict_equals_transfer_on_refined_meshes(levels):
+    coarse = tag_boundary(build_disk_mesh(0.2), GAMMA_SMALL)
+    fine = coarse
+    for _ in range(levels):
+        fine = refine(fine)
+    xf, yf = fine.vertices[:, 0], fine.vertices[:, 1]
+    f = ScalarField(fine, np.exp(xf) * np.cos(3.0 * yf))
+    out = restrict(f, coarse)
+    assert out.mesh is coarse
+    assert np.array_equal(out.values, transfer(f, coarse).values)
+
+
+@pytest.mark.parametrize("src_h, dst_h", [(0.2, 0.25), (0.25, 0.2)])
+def test_restrict_rejects_meshes_not_nested_by_prefix(src_h, dst_h):
+    src, dst = build_disk_mesh(src_h), build_disk_mesh(dst_h)
+    f = ScalarField(src, np.ones(src.n_vertices))
+    with pytest.raises(ContractError,
+                       match=f"{dst.n_vertices} vertices.*{src.n_vertices} vertices"):
+        restrict(f, dst)
 
 
 def test_transfer_linear_exact_between_unrelated_meshes():

@@ -1,6 +1,7 @@
 """Sweep tables, record invariants, and the CSV/text renderings."""
 import pytest
 
+import aet2d.pipeline
 from aet2d import (
     ExperimentRecord,
     NoiseSpec,
@@ -107,6 +108,33 @@ class TestNoiseSweep:
         assert all((r.case, r.gamma) == ("case2", "medium") for r in records)
         assert all(r.noise_seed == 50 for r in records)
         assert all(r.sigma_error > 0.0 for r in records)
+
+
+class TestSweepRunner:
+    @pytest.mark.parametrize("sweep, forwards", [
+        (noise_sweep, 1), (table_gamma_sweep, 6), (table_mesh_sweep, 3)])
+    def test_forward_shared_without_changing_records(self, monkeypatch, sweep,
+                                                     forwards):
+        forward_calls, configs = [], []
+        forward_stage, recon_stage = aet2d.pipeline.forward_stage, aet2d.pipeline.recon_stage
+
+        def counting_forward(config):
+            forward_calls.append(config)
+            return forward_stage(config)
+
+        def recording_recon(config, fwd):
+            configs.append(config)
+            return recon_stage(config, fwd)
+
+        monkeypatch.setattr(aet2d.pipeline, "forward_stage", counting_forward)
+        monkeypatch.setattr(aet2d.pipeline, "recon_stage", recording_recon)
+        records = sweep(RunConfig(target_h=0.3, noise=NoiseSpec(seed=50)))
+        assert len(forward_calls) == forwards
+        # only runs that solved the forward problem report forward time
+        assert sum(r.forward_seconds > 0.0 for r in records) == forwards
+        monkeypatch.undo()
+        alone = [record_from_run(c, run_pipeline(c)) for c in configs]
+        assert records_to_csv(records) == records_to_csv(alone)
 
 
 class TestReferenceMetadata:

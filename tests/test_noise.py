@@ -9,7 +9,6 @@ from aet2d.noise import (
     clamp_eigenvalues,
     floor_symmetric_2x2,
     perturb,
-    symmetrize,
 )
 
 
@@ -110,14 +109,6 @@ def test_perturb_keeps_eps_d(disk):
     x = np.ones(disk.n_vertices)
     H = matrix_field(disk, 2.0 * x, 0.0 * x, 2.0 * x, eps_d=1e-9)
     assert perturb(H, NoiseSpec(alpha_percent=1.0, seed=1)).eps_d == 1e-9
-
-
-# -- symmetrize ------------------------------------------------------------------
-
-def test_symmetrize_identity(disk):
-    H = smooth_data(disk)
-    assert symmetrize(H) is H
-    assert symmetrize(symmetrize(H)) is H
 
 
 # -- eigenvalue floor ------------------------------------------------------------
