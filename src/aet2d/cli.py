@@ -16,7 +16,9 @@ import os
 import re
 import sys
 import time
+import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -160,69 +162,119 @@ def _atomic_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _field_csv(field: ScalarField) -> str:
-    mesh = field.mesh
+class _MeshText:
+    """The node and cell text of one mesh, formatted once for all its fields."""
+
+    def __init__(self, mesh: Mesh):
+        self.mesh = mesh
+
+    @cached_property
+    def csv_prefixes(self) -> list[str]:
+        """`node_id,x,y,` of every node."""
+        return [f"{i},{x:.17g},{y:.17g},"
+                for i, (x, y) in enumerate(self.mesh.vertices.tolist())]
+
+    @cached_property
+    def vtk_geometry(self) -> str:
+        """The POINTS, CELLS and CELL_TYPES blocks, without a final newline."""
+        mesh = self.mesh
+        lines = [f"POINTS {mesh.n_vertices} double"]
+        lines += [f"{x:.17g} {y:.17g} 0" for x, y in mesh.vertices.tolist()]
+        lines.append(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}")
+        lines += [f"3 {i} {j} {k}" for i, j, k in mesh.triangles.tolist()]
+        lines.append(f"CELL_TYPES {mesh.n_triangles}")
+        lines += ["5"] * mesh.n_triangles
+        return "\n".join(lines)
+
+
+def _field_csv(field: ScalarField, text: _MeshText) -> str:
     lines = ["node_id,x,y,value"]
-    lines += [f"{i},{x:.17g},{y:.17g},{v:.17g}"
-              for i, ((x, y), v) in enumerate(zip(mesh.vertices, field.values))]
+    lines += [f"{prefix}{v:.17g}"
+              for prefix, v in zip(text.csv_prefixes, field.values.tolist())]
     return "\n".join(lines) + "\n"
 
 
-def _vtk_text(field: ScalarField, name: str) -> str:
-    mesh = field.mesh
+def _vtk_text(field: ScalarField, name: str, text: _MeshText) -> str:
     lines = ["# vtk DataFile Version 3.0", name, "ASCII",
-             "DATASET UNSTRUCTURED_GRID",
-             f"POINTS {mesh.n_vertices} double"]
-    lines += [f"{x:.17g} {y:.17g} 0" for x, y in mesh.vertices]
-    lines.append(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}")
-    lines += [f"3 {i} {j} {k}" for i, j, k in mesh.triangles]
-    lines.append(f"CELL_TYPES {mesh.n_triangles}")
-    lines += ["5"] * mesh.n_triangles
-    lines += [f"POINT_DATA {mesh.n_vertices}", f"SCALARS {name} double 1",
-              "LOOKUP_TABLE default"]
-    lines += [f"{v:.17g}" for v in field.values]
+             "DATASET UNSTRUCTURED_GRID", text.vtk_geometry,
+             f"POINT_DATA {field.mesh.n_vertices}", f"SCALARS {name} double 1",
+             "LOOKUP_TABLE default"]
+    lines += [f"{v:.17g}" for v in field.values.tolist()]
     return "\n".join(lines) + "\n"
 
 
 def export_field(field: ScalarField, path, fmt: str = "csv", *,
-                 name: str = "value") -> None:
-    """One nodal field to disk, as `node_id,x,y,value` CSV or legacy VTK."""
+                 name: str = "value", mesh_text: _MeshText | None = None) -> None:
+    """One nodal field to disk, as `node_id,x,y,value` CSV or legacy VTK.
+
+    `mesh_text` carries the mesh's formatted nodes and cells from an earlier
+    call on the same mesh, so writing several fields formats them once.
+    """
+    if mesh_text is None:
+        mesh_text = _MeshText(field.mesh)
+    elif mesh_text.mesh is not field.mesh:
+        raise ContractError("mesh_text belongs to another mesh")
     if fmt == "csv":
-        _atomic_text(Path(path), _field_csv(field))
+        _atomic_text(Path(path), _field_csv(field, mesh_text))
     elif fmt == "vtk":
-        _atomic_text(Path(path), _vtk_text(field, name))
+        _atomic_text(Path(path), _vtk_text(field, name, mesh_text))
     else:
         raise ParameterError(f"unknown export format {fmt!r}")
 
 
+def _read_ascii(path: Path) -> str:
+    try:
+        return path.read_text(encoding="ascii")
+    except UnicodeDecodeError:
+        raise ContractError(f"{path}: not ASCII text") from None
+
+
 def read_field_csv(path, mesh: Mesh) -> ScalarField:
-    """Read a field export back onto the mesh it came from, bit exact."""
-    lines = Path(path).read_text(encoding="ascii").splitlines()
-    if not lines or lines[0] != "node_id,x,y,value":
-        raise ContractError(f"{path}: not a field export")
-    if len(lines) - 1 != mesh.n_vertices:
-        raise ContractError(f"{path}: {len(lines) - 1} rows for a mesh with "
-                            f"{mesh.n_vertices} nodes")
-    values = np.empty(mesh.n_vertices)
-    for row, line in enumerate(lines[1:]):
-        try:
-            node, x, y, value = line.split(",")
-            node = int(node)
-            x, y, values[row] = float(x), float(y), float(value)
-        except ValueError:
-            raise ContractError(f"{path}: malformed row {row}") from None
-        if node != row:
-            raise ContractError(f"{path}: node ids out of order at row {row}")
-        if x != mesh.vertices[row, 0] or y != mesh.vertices[row, 1]:
-            raise ContractError(f"{path}: node {row} coordinates do not match "
-                                "the mesh")
+    """Read a field export back onto the mesh it came from, bit exact.
+
+    Raises
+    ------
+    ContractError
+        Naming the file, and the row where one is known, if the text is not
+        an export of a finite field on `mesh`.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            if f.readline() != "node_id,x,y,value\n":
+                raise ContractError(f"{path}: not a field export")
+            with warnings.catch_warnings():
+                # an export without rows is reported below, not warned about
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:  # UnicodeDecodeError included
+        # loadtxt's message names the row; drop its advice after the ';'
+        raise ContractError(f"{path}: {str(exc).split(';')[0]}") from None
+    n = mesh.n_vertices
+    if rows.shape[0] != n:
+        raise ContractError(f"{path}: {rows.shape[0]} rows for a mesh with {n} nodes")
+    if rows.shape[1] != 4:
+        raise ContractError(f"{path}: {rows.shape[1]} columns, expected 4")
+    bad = np.flatnonzero(rows[:, 0] != np.arange(n))
+    if bad.size:
+        raise ContractError(f"{path}: node ids out of order at row {bad[0]}")
+    bad = np.flatnonzero((rows[:, 1:3] != mesh.vertices).any(axis=1))
+    if bad.size:
+        raise ContractError(f"{path}: node {bad[0]} coordinates do not match "
+                            "the mesh")
+    values = rows[:, 3].copy()
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ContractError(f"{path}: node {bad[0]} value is not finite")
     return ScalarField(mesh, values)
 
 
 def _write_fields(job: Job, fields: dict[str, ScalarField]) -> None:
+    """Every field on one mesh, in every format of the job."""
+    mesh_text = _MeshText(next(iter(fields.values())).mesh)
     for name, field in fields.items():
         for fmt in job.formats:
-            export_field(field, job.out_dir / f"{name}.{fmt}", fmt, name=name)
+            export_field(field, job.out_dir / f"{name}.{fmt}", fmt, name=name,
+                         mesh_text=mesh_text)
 
 
 def _write_results(job: Job, fwd: ForwardData, recon: ReconResult,
@@ -266,12 +318,18 @@ def _cmd_forward(job: Job, quiet: bool) -> int:
 def _read_meta(path: Path) -> tuple[int, np.ndarray]:
     n_data = None
     flagged = np.empty(0, dtype=np.intp)
-    for line in path.read_text(encoding="ascii").splitlines():
+    for lineno, line in enumerate(_read_ascii(path).splitlines(), 1):
         name, _, rest = line.partition(" ")
-        if name == "n_data":
-            n_data = int(rest)
-        elif name == "flagged":
-            flagged = np.array([int(t) for t in rest.split()], dtype=np.intp)
+        try:
+            if name == "n_data":
+                n_data = int(rest)
+            elif name == "flagged":
+                flagged = np.array([int(t) for t in rest.split()], dtype=np.intp)
+            elif line.strip():
+                raise ContractError(f"{path}: line {lineno}: unknown entry {name!r}")
+        except ValueError:
+            raise ContractError(f"{path}: line {lineno}: {name} expects integers, "
+                                f"got {rest!r}") from None
     if n_data is None:
         raise ContractError(f"{path}: missing n_data")
     return n_data, flagged
@@ -362,7 +420,7 @@ def _build_parser() -> _Parser:
 
 
 def _load_job(args) -> Job:
-    job = parse_config(Path(args.config).read_text(encoding="ascii"))
+    job = parse_config(_read_ascii(Path(args.config)))
     if args.out is not None:
         job = replace(job, out_dir=Path(args.out))
     if args.seed is not None:

@@ -4,7 +4,9 @@ Gradients of P1 functions are constant per triangle, so vector data lives on
 elements and scalar data on vertices. The conductivity enters assembly through
 vertex quadrature, which is exact for P1 sigma against the constant gradient
 products. Dirichlet conditions are eliminated symmetrically so the free block
-stays positive definite for conjugate gradients.
+stays positive definite for conjugate gradients; a `ConstrainedOperator` does
+that split once and then serves every right-hand side with the same matrix
+and fixed nodes.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import (
     NumericalError,
     SingularSystemError,
 )
-from .mesh import Mesh, triangle_areas
+from .mesh import Mesh
 
 # Below this many free unknowns a sparse direct factorization is cheaper and
 # exact; above it the diagonally preconditioned CG takes over.
@@ -62,30 +64,11 @@ class VectorField:
         object.__setattr__(self, "vectors", v)
 
 
-@dataclass
-class SparseSpdSystem:
-    """Symmetric stiffness matrix with optional Dirichlet constraints."""
-
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-    constrained: np.ndarray
-    constrained_values: np.ndarray
-
-
 @dataclass(frozen=True)
 class SolveInfo:
     method: str
     iterations: int
     relative_residual: float
-
-
-def _basis_geometry(mesh: Mesh):
-    """Per-triangle areas and the (b, c) coefficients with grad phi_i = (b_i, c_i)/(2A)."""
-    p = mesh.vertices[mesh.triangles]
-    x, y = p[..., 0], p[..., 1]
-    b = np.stack((y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]), axis=1)
-    c = np.stack((x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]), axis=1)
-    return triangle_areas(mesh), b, c
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +95,19 @@ def local_stiffness(coords: np.ndarray, sigma_vertices: np.ndarray) -> np.ndarra
     c = np.stack((x[..., 2] - x[..., 1], x[..., 0] - x[..., 2], x[..., 1] - x[..., 0]), axis=-1)
     area = 0.5 * ((x[..., 1] - x[..., 0]) * (y[..., 2] - y[..., 0])
                   - (x[..., 2] - x[..., 0]) * (y[..., 1] - y[..., 0]))
+    return _stiffness(b, c, area, sigma_vertices)
+
+
+def _stiffness(b, c, area, sigma_vertices) -> np.ndarray:
+    # (b b^T + c c^T) * scale, accumulated in place to hold one temporary
     scale = sigma_vertices.mean(axis=-1) / (4.0 * area)
-    return (b[..., :, None] * b[..., None, :]
-            + c[..., :, None] * c[..., None, :]) * scale[..., None, None]
+    K = b[..., :, None] * b[..., None, :]
+    K += c[..., :, None] * c[..., None, :]
+    K *= scale[..., None, None]
+    return K
 
 
-def assemble_conductivity(mesh: Mesh, sigma: ScalarField) -> SparseSpdSystem:
+def assemble_conductivity(mesh: Mesh, sigma: ScalarField) -> sp.csr_matrix:
     """Assemble the stiffness matrix of -div(sigma grad u).
 
     Entries are integral sigma grad(phi_i).grad(phi_j) with sigma interpolated
@@ -134,23 +124,19 @@ def assemble_conductivity(mesh: Mesh, sigma: ScalarField) -> SparseSpdSystem:
     if np.any(sigma.values <= 0.0):
         bad = np.flatnonzero(sigma.values <= 0.0)
         raise DomainError(f"sigma must be positive; offending nodes {bad[:10].tolist()}")
-    local = local_stiffness(mesh.vertices[mesh.triangles], sigma.values[mesh.triangles])
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    local = _stiffness(*mesh.basis, mesh.areas, sigma.values[mesh.triangles])
     n = mesh.n_vertices
-    matrix = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    return SparseSpdSystem(matrix, np.zeros(n), np.empty(0, dtype=np.int64), np.empty(0))
+    # scipy keeps indices below 2**31 as int32; building them so from the
+    # start spares the int64 index arrays at the assembly's memory peak
+    tri = mesh.triangles.astype(np.int32 if n < 2**31 else np.int64)
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
-    """Consistent P1 mass matrix (exact for products of P1 functions)."""
-    areas = triangle_areas(mesh)
-    local = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    local = local[None, :, :] * areas[:, None, None]
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    n = mesh.n_vertices
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    """Consistent P1 mass matrix, built once per mesh (read-only)."""
+    return mesh.mass
 
 
 # ---------------------------------------------------------------------------
@@ -170,64 +156,115 @@ def _pcg(A: sp.csr_matrix, rhs: np.ndarray, tol: float, max_iter: int):
     r = rhs.copy()
     z = inv_diag * r
     p = z.copy()
+    step = np.empty_like(rhs)
     rz = float(r @ z)
+    # the updates run in place, each the textbook operation in the textbook
+    # order, so the iterates equal the allocating form's bit for bit
     for it in range(1, max_iter + 1):
         Ap = A @ p
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             raise SingularSystemError("matrix is not positive definite")
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, Ap, out=step)
         if np.linalg.norm(r) <= tol * bnorm:
             return x, it
-        z = inv_diag * r
+        np.multiply(inv_diag, r, out=z)
         rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
+        p *= rz_next / rz
+        p += z
         rz = rz_next
     raise NumericalError(
         f"conjugate gradients stalled: residual {np.linalg.norm(r) / bnorm:.3e} "
         f"(target {tol:.1e}) after {max_iter} iterations")
 
 
-def _solve_constrained(system: SparseSpdSystem, tol: float, max_iter: int):
-    """Eliminate constraints symmetrically, solve the free block, reassemble."""
-    A, b = system.matrix, system.rhs
-    n = A.shape[0]
-    fixed, g = system.constrained, system.constrained_values
+@dataclass(frozen=True)
+class ConstrainedOperator:
+    """A symmetric stiffness matrix split once around its Dirichlet nodes.
+
+    Holds the free block A_ff and the coupling A_fc to the sorted `fixed`
+    nodes.  Every solve with the same matrix and fixed nodes (both forward
+    potentials; the angle and log-conductivity solves) shares one operator;
+    build it with `constrain`.
+    """
+
+    n: int
+    fixed: np.ndarray
+    free: np.ndarray
+    free_block: sp.csr_matrix
+    coupling: sp.csr_matrix
+
+    def solve(self, fixed_values: np.ndarray, load: np.ndarray | None = None,
+              *, tol: float = 1e-10, max_iter: int = 20_000):
+        """All nodal values, given values at `fixed` (in its order) and an
+        optional load vector over all nodes (zero when None).
+
+        Constraints are eliminated symmetrically; the free block is solved
+        directly below DIRECT_SOLVE_LIMIT unknowns, by Jacobi PCG above.
+        Returns (values, SolveInfo).
+        """
+        x = np.zeros(self.n)
+        x[self.fixed] = fixed_values
+        if len(self.free) == 0:
+            return x, SolveInfo("trivial", 0, 0.0)
+        b = np.zeros(self.n) if load is None else load
+        b_f = b[self.free] - self.coupling @ fixed_values
+        A_ff = self.free_block
+
+        if len(self.free) < DIRECT_SOLVE_LIMIT:
+            x_f = spla.spsolve(A_ff.tocsc(), b_f)
+            iterations = 0
+            method = "direct"
+        else:
+            x_f, iterations = _pcg(A_ff, b_f, tol, max_iter)
+            method = "pcg"
+        if not np.all(np.isfinite(x_f)):
+            raise NumericalError("linear solve produced non-finite values")
+
+        bnorm = np.linalg.norm(b_f)
+        res = np.linalg.norm(A_ff @ x_f - b_f) / (bnorm if bnorm > 0 else 1.0)
+        if res > 100.0 * max(tol, 1e-14):
+            raise NumericalError(f"linear solve inaccurate: relative residual {res:.3e}")
+        x[self.free] = x_f
+        return x, SolveInfo(method, iterations, float(res))
+
+
+def constrain(matrix: sp.csr_matrix, fixed) -> ConstrainedOperator:
+    """Split `matrix` around the node ids `fixed` (sorted and deduplicated)."""
+    n = matrix.shape[0]
+    fixed = np.unique(np.asarray(fixed, dtype=np.int64))
     free_mask = np.ones(n, dtype=bool)
     free_mask[fixed] = False
     free = np.flatnonzero(free_mask)
+    rows = matrix[free]
+    for a in (fixed, free):
+        a.setflags(write=False)
+    return ConstrainedOperator(n, fixed, free, rows[:, free].tocsr(), rows[:, fixed])
 
-    x = np.zeros(n)
-    x[fixed] = g
-    if len(free) == 0:
-        return x, SolveInfo("trivial", 0, 0.0)
 
-    A_ff = A[free][:, free].tocsr()
-    b_f = b[free] - A[free][:, fixed] @ g
+def laplacian_operator(mesh: Mesh) -> ConstrainedOperator:
+    """The unit-conductivity stiffness matrix with every boundary node fixed."""
+    ones = ScalarField(mesh, np.ones(mesh.n_vertices))
+    return constrain(assemble_conductivity(mesh, ones), mesh.boundary_nodes)
 
-    if len(free) < DIRECT_SOLVE_LIMIT:
-        x_f = spla.spsolve(A_ff.tocsc(), b_f)
-        iterations = 0
-        method = "direct"
-    else:
-        x_f, iterations = _pcg(A_ff, b_f, tol, max_iter)
-        method = "pcg"
-    if not np.all(np.isfinite(x_f)):
-        raise NumericalError("linear solve produced non-finite values")
 
-    bnorm = np.linalg.norm(b_f)
-    res = np.linalg.norm(A_ff @ x_f - b_f) / (bnorm if bnorm > 0 else 1.0)
-    if res > 100.0 * max(tol, 1e-14):
-        raise NumericalError(f"linear solve inaccurate: relative residual {res:.3e}")
-    x[free] = x_f
-    return x, SolveInfo(method, iterations, float(res))
+def _solve(mesh: Mesh, operator: ConstrainedOperator, nodes, vals, load,
+           tol: float, max_iter: int, return_info: bool):
+    if operator.n != mesh.n_vertices or not np.array_equal(operator.fixed, nodes):
+        raise ContractError("operator was built for other Dirichlet nodes")
+    x, info = operator.solve(vals, load, tol=tol, max_iter=max_iter)
+    field = ScalarField(mesh, x)
+    return (field, info) if return_info else field
 
 
 def _check_boundary_map(mesh: Mesh, values: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The map's nodes, sorted, and their values."""
     nodes = np.fromiter(values.keys(), dtype=np.int64, count=len(values))
     vals = np.fromiter(values.values(), dtype=np.float64, count=len(values))
+    order = np.argsort(nodes)
+    nodes, vals = nodes[order], vals[order]
     if not np.all(np.isfinite(vals)):
         raise ContractError("boundary values must be finite")
     rim = mesh.boundary_nodes
@@ -239,7 +276,8 @@ def _check_boundary_map(mesh: Mesh, values: dict) -> tuple[np.ndarray, np.ndarra
 
 
 def solve_mixed(mesh: Mesh, sigma: ScalarField, dirichlet_values: dict,
-                *, tol: float = 1e-10, max_iter: int = 20_000,
+                *, operator: ConstrainedOperator | None = None,
+                tol: float = 1e-10, max_iter: int = 20_000,
                 return_info: bool = False):
     """Solve -div(sigma grad u) = 0 with u prescribed on part of the boundary.
 
@@ -250,6 +288,10 @@ def solve_mixed(mesh: Mesh, sigma: ScalarField, dirichlet_values: dict,
     ----------
     dirichlet_values : dict
         Map from boundary node index to prescribed value. Must be non-empty.
+    operator : ConstrainedOperator, optional
+        ``constrain(assemble_conductivity(mesh, sigma), nodes)`` built once
+        and shared by solves with the same sigma and Dirichlet nodes;
+        assembled here when omitted.
 
     Returns
     -------
@@ -259,21 +301,21 @@ def solve_mixed(mesh: Mesh, sigma: ScalarField, dirichlet_values: dict,
         raise SingularSystemError(
             "no Dirichlet nodes: the pure-Neumann problem is singular")
     nodes, vals = _check_boundary_map(mesh, dirichlet_values)
-    system = assemble_conductivity(mesh, sigma)
-    system.constrained = nodes
-    system.constrained_values = vals
-    x, info = _solve_constrained(system, tol, max_iter)
-    field = ScalarField(mesh, x)
-    return (field, info) if return_info else field
+    if operator is None:
+        operator = constrain(assemble_conductivity(mesh, sigma), nodes)
+    return _solve(mesh, operator, nodes, vals, None, tol, max_iter, return_info)
 
 
 def solve_poisson_weak_div(mesh: Mesh, F: VectorField, boundary_values: dict,
-                           *, tol: float = 1e-10, max_iter: int = 20_000,
+                           *, operator: ConstrainedOperator | None = None,
+                           tol: float = 1e-10, max_iter: int = 20_000,
                            return_info: bool = False):
     """Solve lap(w) = div(F) weakly with w given on the whole boundary.
 
     The right-hand side uses integral F.grad(v) per element, so F is never
     differentiated. `boundary_values` must cover every boundary node.
+    `operator` is `laplacian_operator(mesh)`, shared between solves on one
+    mesh; it is built here when omitted.
     """
     if F.mesh is not mesh:
         raise ContractError("F lives on a different mesh")
@@ -283,20 +325,14 @@ def solve_poisson_weak_div(mesh: Mesh, F: VectorField, boundary_values: dict,
         raise ContractError(
             f"boundary values missing for nodes {missing[:10].tolist()}")
 
-    areas, b, c = _basis_geometry(mesh)
+    b, c = mesh.basis
     # integral over K of F.grad(phi_i) = (b_i Fx + c_i Fy)/2
     contrib = 0.5 * (b * F.vectors[:, 0, None] + c * F.vectors[:, 1, None])
     rhs = np.zeros(mesh.n_vertices)
     np.add.at(rhs, mesh.triangles.ravel(), contrib.ravel())
-
-    ones = ScalarField(mesh, np.ones(mesh.n_vertices))
-    system = assemble_conductivity(mesh, ones)
-    system.rhs = rhs
-    system.constrained = nodes
-    system.constrained_values = vals
-    x, info = _solve_constrained(system, tol, max_iter)
-    field = ScalarField(mesh, x)
-    return (field, info) if return_info else field
+    if operator is None:
+        operator = laplacian_operator(mesh)
+    return _solve(mesh, operator, nodes, vals, rhs, tol, max_iter, return_info)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +343,7 @@ def element_gradient(mesh: Mesh, field: ScalarField) -> VectorField:
     """Exact gradient of the P1 interpolant, constant per triangle."""
     if field.mesh is not mesh:
         raise ContractError("field lives on a different mesh")
-    areas, b, c = _basis_geometry(mesh)
+    areas, (b, c) = mesh.areas, mesh.basis
     u = field.values[mesh.triangles]
     gx = (u * b).sum(axis=1) / (2.0 * areas)
     gy = (u * c).sum(axis=1) / (2.0 * areas)
@@ -325,7 +361,7 @@ def project_to_nodes(mesh: Mesh, element_values: np.ndarray) -> np.ndarray:
         vals = np.asarray(element_values, dtype=np.float64)
     if vals.shape[0] != mesh.n_triangles:
         raise ContractError("expected one value per triangle")
-    areas = triangle_areas(mesh)
+    areas = mesh.areas
     idx = mesh.triangles.ravel()
     den = np.bincount(idx, weights=np.repeat(areas, 3), minlength=mesh.n_vertices)
     if vals.ndim == 1:
@@ -360,5 +396,5 @@ def l2_relative_error(a: ScalarField, b: ScalarField) -> float:
 
 def l2_norm_vector(field: VectorField) -> float:
     """L2(Omega) norm of a piecewise-constant vector field."""
-    areas = triangle_areas(field.mesh)
+    areas = field.mesh.areas
     return float(np.sqrt((areas * (field.vectors ** 2).sum(axis=1)).sum()))

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ContractError, DomainError, ParameterError
-from .fem import ScalarField, _basis_geometry, element_gradient, project_to_nodes
+from .fem import ScalarField, element_gradient, project_to_nodes
 from .mesh import Mesh
 
 # barycentric slack below which a point counts as inside a triangle
@@ -177,7 +177,7 @@ def true_theta(mesh: Mesh, u1: ScalarField) -> tuple[ScalarField, np.ndarray]:
     norms = np.hypot(g[:, 0], g[:, 1])
     # a gradient below the roundoff bound of its own assembly has no
     # trustworthy direction; the bound scales with the nodal magnitudes
-    areas, b, c = _basis_geometry(mesh)
+    areas, (b, c) = mesh.areas, mesh.basis
     mags = np.abs(u1.values[mesh.triangles])
     noise_floor = 1e-13 * (mags * np.hypot(b, c)).sum(axis=1) / (2.0 * areas)
     degenerate = norms <= noise_floor

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ContractError, ParameterError
 
@@ -119,10 +121,12 @@ class Mesh:
     triangles       (T, 3) vertex indices, counterclockwise
     boundary_edges  (K, 2) vertex pairs walking the boundary counterclockwise
     boundary_tags   (K,)   DIRICHLET/NEUMANN per edge
+    areas           (T,)   triangle areas (not a field)
 
-    Derived per-edge geometry (midpoint angle, outward normal, tangent) is
-    computed on construction. All arrays are read-only; operations return new
-    meshes.
+    Derived per-edge geometry (midpoint angle, outward normal, tangent) and
+    the triangle areas are computed on construction; the P1 basis
+    coefficients and the mass matrix on first use, once per mesh. All arrays
+    are read-only; operations return new meshes, which compute their own.
     """
 
     vertices: np.ndarray
@@ -138,7 +142,7 @@ class Mesh:
         t = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
         be = np.asarray(self.boundary_edges, dtype=np.int64).reshape(-1, 2)
         tags = np.asarray(self.boundary_tags, dtype=np.uint8).reshape(-1)
-        self._validate(v, t, be, tags)
+        areas = self._validate(v, t, be, tags)
 
         mid = 0.5 * (v[be[:, 0]] + v[be[:, 1]])
         angles = canonical_angle(np.arctan2(mid[:, 1], mid[:, 0]))
@@ -155,15 +159,22 @@ class Mesh:
         object.__setattr__(self, "edge_angles", _frozen(angles))
         object.__setattr__(self, "edge_normals", _frozen(normals))
         object.__setattr__(self, "edge_tangents", _frozen(tangents))
+        # not a field, so `replace` builds a mesh that computes its own
+        object.__setattr__(self, "areas", _frozen(areas))
 
     @staticmethod
-    def _validate(v, t, be, tags):
+    def _validate(v, t, be, tags) -> np.ndarray:
+        """Check the triangulation; returns the triangle areas it computed."""
         if tags.shape[0] != be.shape[0]:
             raise ContractError("one tag per boundary edge required")
         if tags.size and not np.all((tags == NEUMANN) | (tags == DIRICHLET)):
             raise ContractError("tags must be DIRICHLET or NEUMANN")
+        if not np.all(np.isfinite(v)):
+            raise ContractError("vertex coordinates must be finite")
         if t.min(initial=0) < 0 or t.max(initial=-1) >= len(v):
             raise ContractError("triangle indices out of range")
+        if be.min(initial=0) < 0 or be.max(initial=-1) >= len(v):
+            raise ContractError("boundary edge indices out of range")
         areas = signed_areas(v, t)
         if np.any(areas <= 0.0):
             bad = int(np.argmin(areas))
@@ -190,6 +201,7 @@ class Mesh:
             raise ContractError("boundary edge shared by more than one triangle")
         if np.sum(counts == 1) != len(rim):
             raise ContractError("triangulation has untagged boundary edges")
+        return areas
 
     # -- simple accessors ---------------------------------------------------
 
@@ -216,6 +228,27 @@ class Mesh:
         """Sorted endpoints of DIRICHLET-tagged edges."""
         return np.unique(self.boundary_edges[self.boundary_tags == DIRICHLET])
 
+    # -- geometry computed once per mesh --------------------------------------
+
+    @cached_property
+    def basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-triangle (b, c) with grad phi_i = (b_i, c_i) / (2 * area)."""
+        b, c = basis_coefficients(self.vertices, self.triangles)
+        return _frozen(b), _frozen(c)
+
+    @cached_property
+    def mass(self) -> sp.csr_matrix:
+        """Consistent P1 mass matrix (exact for products of P1 functions)."""
+        local = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+        local = local[None, :, :] * self.areas[:, None, None]
+        rows = np.repeat(self.triangles, 3, axis=1).ravel()
+        cols = np.tile(self.triangles, (1, 3)).ravel()
+        n = self.n_vertices
+        M = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        for a in (M.data, M.indices, M.indptr):
+            a.setflags(write=False)
+        return M
+
 
 def signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Signed area of each triangle (positive for counterclockwise)."""
@@ -224,8 +257,17 @@ def signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
                   - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 
 
+def basis_coefficients(vertices: np.ndarray, triangles: np.ndarray):
+    """P1 gradient coefficients (b, c), each (T, 3), of every triangle."""
+    p = vertices[triangles]
+    x, y = p[..., 0], p[..., 1]
+    b = np.stack((y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]), axis=1)
+    c = np.stack((x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]), axis=1)
+    return b, c
+
+
 def triangle_areas(mesh: Mesh) -> np.ndarray:
-    return signed_areas(mesh.vertices, mesh.triangles)
+    return mesh.areas
 
 
 def triangle_quality(mesh: Mesh) -> np.ndarray:
@@ -359,41 +401,67 @@ def refine(mesh: Mesh) -> Mesh:
 
 def write_mesh(mesh: Mesh, path) -> None:
     """Write a mesh in the plain-text exchange format (17 significant digits)."""
+    edges = np.column_stack((mesh.boundary_edges, mesh.boundary_tags)).tolist()
     with open(path, "w", encoding="ascii") as f:
         f.write(f"vertices {mesh.n_vertices}\n")
-        for x, y in mesh.vertices:
-            f.write(f"{x:.17g} {y:.17g}\n")
+        f.writelines([f"{x:.17g} {y:.17g}\n" for x, y in mesh.vertices.tolist()])
         f.write(f"triangles {mesh.n_triangles}\n")
-        for i, j, k in mesh.triangles:
-            f.write(f"{i} {j} {k}\n")
-        f.write(f"boundary_edges {len(mesh.boundary_edges)}\n")
-        for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-            f.write(f"{a} {b} {tag}\n")
+        f.writelines([f"{i} {j} {k}\n" for i, j, k in mesh.triangles.tolist()])
+        f.write(f"boundary_edges {len(edges)}\n")
+        f.writelines([f"{a} {b} {tag}\n" for a, b, tag in edges])
+
+
+def _parse_block(path, lines: list[str], first: int, width: int, dtype) -> np.ndarray:
+    """`lines`, numbered from `first` in the file, as a (rows, width) array."""
+    try:
+        values = np.array(" ".join(lines).split(), dtype=dtype)
+    except (ValueError, OverflowError):
+        values = None
+    if values is not None and values.size == width * len(lines):
+        return values.reshape(len(lines), width)
+    for lineno, line in enumerate(lines, first):  # name the offending line
+        try:
+            ok = np.array(line.split(), dtype=dtype).size == width
+        except (ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ContractError(f"{path}: line {lineno}: expected {width} "
+                                f"{np.dtype(dtype).name} values, got {line!r}")
 
 
 def read_mesh(path) -> Mesh:
-    """Read a mesh written by `write_mesh`."""
-    with open(path, "r", encoding="ascii") as f:
-        tokens = f.read().split()
+    """Read a mesh written by `write_mesh`.
+
+    Raises
+    ------
+    ContractError
+        Naming the file, and the line where one is known, if the text is not
+        a well-formed mesh.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError:
+        raise ContractError(f"{path}: not an ASCII mesh file") from None
     pos = 0
-
-    def expect(word: str) -> int:
-        nonlocal pos
-        if pos + 1 >= len(tokens) + 1 or tokens[pos] != word:
-            raise ContractError(f"malformed mesh file: expected '{word}' header")
-        count = int(tokens[pos + 1])
-        pos += 2
-        return count
-
-    nv = expect("vertices")
-    vertices = np.array(tokens[pos:pos + 2 * nv], dtype=np.float64).reshape(nv, 2)
-    pos += 2 * nv
-    nt = expect("triangles")
-    triangles = np.array(tokens[pos:pos + 3 * nt], dtype=np.int64).reshape(nt, 3)
-    pos += 3 * nt
-    nb = expect("boundary_edges")
-    rows = np.array(tokens[pos:pos + 3 * nb], dtype=np.int64).reshape(nb, 3)
-    pos += 3 * nb
-    if pos != len(tokens):
-        raise ContractError("trailing data in mesh file")
-    return Mesh(vertices, triangles, rows[:, :2], rows[:, 2].astype(np.uint8))
+    blocks = []
+    for word, width, dtype in (("vertices", 2, np.float64),
+                               ("triangles", 3, np.int64),
+                               ("boundary_edges", 3, np.int64)):
+        head = lines[pos].split() if pos < len(lines) else []
+        if len(head) != 2 or head[0] != word or not head[1].isdigit():
+            raise ContractError(f"{path}: line {pos + 1}: expected '{word} <count>'")
+        count = int(head[1])
+        rows = lines[pos + 1:pos + 1 + count]
+        if len(rows) < count:
+            raise ContractError(f"{path}: file ends after {len(rows)} of {count} "
+                                f"{word} rows")
+        blocks.append(_parse_block(path, rows, pos + 2, width, dtype))
+        pos += 1 + count
+    if any(line.strip() for line in lines[pos:]):
+        raise ContractError(f"{path}: line {pos + 1}: trailing data after the mesh")
+    vertices, triangles, edges = blocks
+    try:
+        return Mesh(vertices, triangles, edges[:, :2], edges[:, 2].astype(np.uint8))
+    except ContractError as exc:
+        raise ContractError(f"{path}: {exc}") from None

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .fem import ScalarField, solve_mixed
+from .fem import ScalarField, assemble_conductivity, constrain, solve_mixed
 from .forward import (
     CASE1,
     CASE2,
@@ -168,8 +168,13 @@ def forward_stage(config: RunConfig) -> ForwardData:
     case = config.conductivity()
     sigma_data = case.on_mesh(data_mesh)
     f1, f2 = coordinate_bcs(data_mesh)
-    u1 = solve_mixed(data_mesh, sigma_data, f1, tol=config.tol, max_iter=config.max_iter)
-    u2 = solve_mixed(data_mesh, sigma_data, f2, tol=config.tol, max_iter=config.max_iter)
+    # one sigma and one set of Dirichlet nodes: both potentials share an operator
+    operator = constrain(assemble_conductivity(data_mesh, sigma_data),
+                         data_mesh.dirichlet_nodes)
+    u1 = solve_mixed(data_mesh, sigma_data, f1, operator=operator,
+                     tol=config.tol, max_iter=config.max_iter)
+    u2 = solve_mixed(data_mesh, sigma_data, f2, operator=operator,
+                     tol=config.tol, max_iter=config.max_iter)
 
     H_data = power_density(data_mesh, sigma_data, u1, u2, config.eps_d)
     theta_data, flagged = true_theta(data_mesh, u1)

@@ -19,11 +19,12 @@ from .errors import ContractError, DomainError
 from .fem import (
     ScalarField,
     SolveInfo,
+    ConstrainedOperator,
     VectorField,
-    _basis_geometry,
     element_gradient,
     l2_norm,
     l2_relative_error,
+    laplacian_operator,
     solve_poisson_weak_div,
 )
 from .forward import PowerDensity, det_diagnostics
@@ -47,7 +48,7 @@ def angle_gradient(mesh: Mesh, theta: ScalarField) -> VectorField:
     """
     if theta.mesh is not mesh:
         raise ContractError("field lives on a different mesh")
-    areas, b, c = _basis_geometry(mesh)
+    areas, (b, c) = mesh.areas, mesh.basis
     v = theta.values[mesh.triangles]
     d = v - v[:, :1]
     v = v[:, :1] + (d - TWO_PI * np.round(d / TWO_PI))
@@ -158,12 +159,16 @@ def boundary_theta(mesh: Mesh, raw: dict[int, float],
 
 
 def reconstruct_theta(mesh: Mesh, fields: TransferFields, boundary: dict[int, float],
-                      *, tol: float = 1e-10, max_iter: int = 20000,
+                      *, operator: ConstrainedOperator | None = None,
+                      tol: float = 1e-10, max_iter: int = 20000,
                       return_info: bool = False):
-    """Angle field from its boundary trace and the divergence of `fields.f`."""
+    """Angle field from its boundary trace and the divergence of `fields.f`.
+
+    `operator` is the mesh's `laplacian_operator`, built here when omitted.
+    """
     if fields.mesh is not mesh:
         raise ContractError("transfer fields live on a different mesh")
-    return solve_poisson_weak_div(mesh, fields.f, boundary,
+    return solve_poisson_weak_div(mesh, fields.f, boundary, operator=operator,
                                   tol=tol, max_iter=max_iter, return_info=return_info)
 
 
@@ -187,18 +192,20 @@ def sigma_rhs(theta: ScalarField, fields: TransferFields) -> VectorField:
 
 
 def reconstruct_sigma(mesh: Mesh, G: VectorField, sigma_boundary: dict[int, float],
-                      *, tol: float = 1e-10, max_iter: int = 20000,
+                      *, operator: ConstrainedOperator | None = None,
+                      tol: float = 1e-10, max_iter: int = 20000,
                       return_info: bool = False):
     """Conductivity from its boundary trace and the divergence of `G`.
 
     The solve runs in log space, so the returned field is positive by
-    construction whatever the data quality.
+    construction whatever the data quality.  `operator` is as in
+    `reconstruct_theta`.
     """
     bad = [n for n, v in sigma_boundary.items() if not v > 0.0]
     if bad:
         raise DomainError(f"boundary conductivity must be positive, offending nodes {bad[:8]}")
     log_bc = {n: log(v) for n, v in sigma_boundary.items()}
-    solved = solve_poisson_weak_div(mesh, G, log_bc,
+    solved = solve_poisson_weak_div(mesh, G, log_bc, operator=operator,
                                     tol=tol, max_iter=max_iter, return_info=True)
     w, info = solved
     sigma = ScalarField(mesh, np.exp(w.values))
@@ -254,17 +261,19 @@ def run_algorithm1(mesh: Mesh, H: PowerDensity, theta_boundary: dict[int, float]
                    *, tol: float = 1e-10, max_iter: int = 20000) -> ReconResult:
     """Full reconstruction: fields, angle solve, conductivity solve.
 
-    Low-determinant regions are assumed handled upstream (the data's root
-    floor and any eigenvalue regularization); here they only show up in
-    the diagnostics, never as an abort.
+    Both solves fix the whole boundary of a unit Laplacian, so they share
+    one operator.  Low-determinant regions are assumed handled upstream
+    (the data's root floor and any eigenvalue regularization); here they
+    only show up in the diagnostics, never as an abort.
     """
     if H.mesh is not mesh:
         raise ContractError("data lives on a different mesh")
     fields = vector_fields(H)
-    theta, theta_info = reconstruct_theta(mesh, fields, theta_boundary,
+    laplacian = laplacian_operator(mesh)
+    theta, theta_info = reconstruct_theta(mesh, fields, theta_boundary, operator=laplacian,
                                           tol=tol, max_iter=max_iter, return_info=True)
     G = sigma_rhs(theta, fields)
-    sigma, sigma_info = reconstruct_sigma(mesh, G, sigma_boundary,
+    sigma, sigma_info = reconstruct_sigma(mesh, G, sigma_boundary, operator=laplacian,
                                           tol=tol, max_iter=max_iter, return_info=True)
     min_det, _ = det_diagnostics(H)
     diagnostics = ReconDiagnostics(

@@ -1,8 +1,18 @@
 """Config parsing, exporters, subcommands, and the exit-code contract."""
+import re
+import shutil
+
 import numpy as np
 import pytest
 
-from aet2d import GAMMA_MEDIUM, ScalarField, build_disk_mesh, read_mesh, tag_boundary
+from aet2d import (
+    GAMMA_MEDIUM,
+    ScalarField,
+    build_disk_mesh,
+    read_mesh,
+    tag_boundary,
+    write_mesh,
+)
 from aet2d.cli import Job, export_field, main, parse_config, read_field_csv
 from aet2d.errors import ContractError, ParameterError
 
@@ -119,6 +129,62 @@ class TestExportField:
                          tmp_path / "f.png", "png")
 
 
+# The byte-stable formats, written row by row from numpy scalars: the
+# exporters must keep producing exactly this text.
+def reference_csv(mesh, values):
+    lines = ["node_id,x,y,value"]
+    lines += [f"{i},{x:.17g},{y:.17g},{v:.17g}"
+              for i, ((x, y), v) in enumerate(zip(mesh.vertices, values))]
+    return "\n".join(lines) + "\n"
+
+
+def reference_vtk(mesh, values, name):
+    lines = ["# vtk DataFile Version 3.0", name, "ASCII",
+             "DATASET UNSTRUCTURED_GRID", f"POINTS {mesh.n_vertices} double"]
+    lines += [f"{x:.17g} {y:.17g} 0" for x, y in mesh.vertices]
+    lines.append(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}")
+    lines += [f"3 {i} {j} {k}" for i, j, k in mesh.triangles]
+    lines.append(f"CELL_TYPES {mesh.n_triangles}")
+    lines += ["5"] * mesh.n_triangles
+    lines += [f"POINT_DATA {mesh.n_vertices}", f"SCALARS {name} double 1",
+              "LOOKUP_TABLE default"]
+    lines += [f"{v:.17g}" for v in values]
+    return "\n".join(lines) + "\n"
+
+
+def reference_mesh_text(mesh):
+    lines = [f"vertices {mesh.n_vertices}"]
+    lines += [f"{x:.17g} {y:.17g}" for x, y in mesh.vertices]
+    lines.append(f"triangles {mesh.n_triangles}")
+    lines += [f"{i} {j} {k}" for i, j, k in mesh.triangles]
+    lines.append(f"boundary_edges {len(mesh.boundary_edges)}")
+    lines += [f"{a} {b} {tag}"
+              for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags)]
+    return "\n".join(lines) + "\n"
+
+
+class TestFileFormat:
+    @pytest.fixture()
+    def field(self):
+        mesh = tag_boundary(build_disk_mesh(0.3), GAMMA_MEDIUM)
+        values = np.random.default_rng(5).standard_normal(mesh.n_vertices)
+        values[:6] = [-0.0, 5e-324, 1.7976931348623157e308, -1e-300, 0.1, 3.0]
+        return ScalarField(mesh, values)
+
+    def test_exports_match_the_row_by_row_reference(self, field, tmp_path):
+        export_field(field, tmp_path / "f.csv")
+        export_field(field, tmp_path / "f.vtk", "vtk", name="sigma")
+        assert (tmp_path / "f.csv").read_text() == reference_csv(field.mesh, field.values)
+        assert ((tmp_path / "f.vtk").read_text()
+                == reference_vtk(field.mesh, field.values, "sigma"))
+        back = read_field_csv(tmp_path / "f.csv", field.mesh)
+        assert back.values.tobytes() == field.values.tobytes()
+
+    def test_mesh_text_matches_the_row_by_row_reference(self, field, tmp_path):
+        write_mesh(field.mesh, tmp_path / "mesh.txt")
+        assert (tmp_path / "mesh.txt").read_text() == reference_mesh_text(field.mesh)
+
+
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -158,6 +224,48 @@ class TestExitCodes:
                            "noise.eig_floor = 0\n")
         assert run_cli("run", "--config", cfg, "--out", str(tmp_path)) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def stage(tmp_path_factory):
+    """Config and stage directory of one `aet2d forward` run."""
+    root = tmp_path_factory.mktemp("stage")
+    cfg = write_config(root, COARSE)
+    assert run_cli("forward", "--config", cfg, "--out", str(root / "out"),
+                   "--quiet") == 0
+    return cfg, root / "out"
+
+
+def _replace_line(text, prefix, line):
+    return re.sub(rf"^{prefix}.*$", line, text, count=1, flags=re.M)
+
+
+def _nan_in_third_row(text):
+    lines = text.splitlines(keepends=True)
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",nan\n"
+    return "".join(lines)
+
+
+class TestMalformedStageFiles:
+    @pytest.mark.parametrize("name,corrupt", [
+        ("mesh.txt", lambda t: t[:len(t) // 3]),
+        ("mesh.txt", lambda t: _replace_line(t, "boundary_edges", "boundary_edges")),
+        ("meta.txt", lambda t: _replace_line(t, "n_data", "n_data abc")),
+        ("meta.txt", lambda t: _replace_line(t, "flagged", "flagged x")),
+        ("h11.csv", _nan_in_third_row),
+    ], ids=["mesh-truncated", "mesh-header-without-count", "meta-n-data",
+            "meta-flagged", "field-nan"])
+    def test_reconstruct_names_the_file(self, stage, tmp_path, capsys, name, corrupt):
+        cfg, source = stage
+        out = tmp_path / "stage"
+        shutil.copytree(source, out)
+        path = out / name
+        path.write_text(corrupt(path.read_text()))
+        assert run_cli("reconstruct", "--config", cfg, "--out", str(out),
+                       "--quiet") == 1
+        err = capsys.readouterr().err
+        assert name in err
+        assert "Traceback" not in err
 
 
 class TestSubcommands:

@@ -7,6 +7,7 @@ from aet2d.fem import (
     ScalarField,
     VectorField,
     assemble_conductivity,
+    constrain,
     element_gradient,
     l2_norm,
     l2_relative_error,
@@ -56,10 +57,10 @@ def test_element_matrix_scales_linearly():
 
 
 def test_assembled_matrix_annihilates_constants(medium):
-    system = assemble_conductivity(medium, bump(medium))
+    A = assemble_conductivity(medium, bump(medium))
     ones = np.ones(medium.n_vertices)
-    assert np.abs(system.matrix @ ones).max() <= 1e-12
-    asym = system.matrix - system.matrix.T
+    assert np.abs(A @ ones).max() <= 1e-12
+    asym = A - A.T
     assert np.abs(asym.data).max() if asym.nnz else 0.0 <= 1e-14
 
 
@@ -73,8 +74,7 @@ def test_assemble_rejects_nonpositive_sigma(small):
 def test_offdiagonals_nonpositive(medium):
     # non-obtuse generator meshes give an M-matrix, the root of the
     # discrete maximum principle
-    system = assemble_conductivity(medium, bump(medium))
-    A = system.matrix.tocoo()
+    A = assemble_conductivity(medium, bump(medium)).tocoo()
     off = A.data[A.row != A.col]
     assert off.max() <= 1e-14
 
@@ -143,10 +143,30 @@ def test_free_rows_residual(medium):
     sigma = bump(medium)
     bc = coord_bc(medium)
     u = solve_mixed(medium, sigma, bc)
-    system = assemble_conductivity(medium, sigma)
-    res = system.matrix @ u.values
+    res = assemble_conductivity(medium, sigma) @ u.values
     free = np.setdiff1d(np.arange(medium.n_vertices), medium.dirichlet_nodes)
     assert np.abs(res[free]).max() <= 1e-9
+
+
+def test_constraint_order_does_not_change_a_bit():
+    # the operator sorts its fixed nodes; the eliminated load must equal,
+    # bit for bit, elimination in the order the data came in (here the
+    # boundary walk of a refined mesh, which is not sorted)
+    mesh = refine(tag_boundary(build_disk_mesh(0.25), GAMMA_FULL))
+    loop = mesh.boundary_loop
+    assert np.any(np.diff(loop) < 0)
+    A = assemble_conductivity(mesh, bump(mesh))
+    g = np.cos(3.0 * np.arctan2(mesh.vertices[loop, 1], mesh.vertices[loop, 0]))
+    free = np.setdiff1d(np.arange(mesh.n_vertices), loop)
+    operator = constrain(A, loop)
+    assert np.array_equal(operator.free, free)
+    order = np.argsort(loop)
+    walked = A[free][:, loop] @ g
+    assert (operator.coupling @ g[order]).tobytes() == walked.tobytes()
+    u = solve_mixed(mesh, bump(mesh), dict(zip(loop.tolist(), g.tolist())))
+    assert np.array_equal(u.values[loop], g)
+    with pytest.raises(ContractError, match="other Dirichlet nodes"):
+        solve_mixed(mesh, bump(mesh), {int(loop[0]): 1.0}, operator=operator)
 
 
 def test_no_dirichlet_nodes_is_singular(small):

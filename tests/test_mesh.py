@@ -18,7 +18,13 @@ from aet2d import (
     write_mesh,
 )
 from aet2d.errors import ContractError, ParameterError
-from aet2d.mesh import canonical_angle, triangle_areas, triangle_quality
+from aet2d.mesh import (
+    basis_coefficients,
+    canonical_angle,
+    signed_areas,
+    triangle_areas,
+    triangle_quality,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -253,6 +259,30 @@ def test_refine_commutes_with_tagging(coarse):
 
 def test_refine_stays_nonobtuse(coarse):
     assert max_interior_angle(refine(coarse)) <= np.pi / 2 + 1e-9
+
+
+# -- geometry computed once ----------------------------------------------------
+
+def test_geometry_cache_is_read_only_and_exact():
+    mesh = build_disk_mesh(0.3)
+    b, c = mesh.basis
+    fresh_b, fresh_c = basis_coefficients(mesh.vertices, mesh.triangles)
+    assert mesh.areas.tobytes() == signed_areas(mesh.vertices, mesh.triangles).tobytes()
+    assert b.tobytes() == fresh_b.tobytes() and c.tobytes() == fresh_c.tobytes()
+    assert mesh.basis[0] is b and mesh.mass is mesh.mass
+    for a in (mesh.areas, b, c, mesh.mass.data, mesh.mass.indices, mesh.mass.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+
+
+def test_derived_meshes_do_not_inherit_the_cache():
+    mesh = build_disk_mesh(0.3)
+    mesh.basis, mesh.mass
+    for child in (tag_boundary(mesh, GAMMA_MEDIUM), refine(mesh)):
+        assert "basis" not in vars(child) and "mass" not in vars(child)
+        assert child.areas is not mesh.areas
+        assert child.areas.tobytes() == signed_areas(child.vertices, child.triangles).tobytes()
+        assert child.basis[0] is not mesh.basis[0]
 
 
 # -- serialization -----------------------------------------------------------

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
+from aet2d import pipeline
 from aet2d.errors import NumericalError, ParameterError
-from aet2d.fem import ScalarField
+from aet2d.fem import ScalarField, solve_mixed
 from aet2d.forward import PowerDensity
 from aet2d.mesh import GAMMA_MEDIUM, build_disk_mesh, tag_boundary
 from aet2d.noise import NoiseSpec
@@ -87,6 +88,26 @@ class TestForwardStage:
         assert fwd.theta_true.mesh is fwd.recon_mesh
         assert fwd.H.eps_d == 1e-12
         assert fwd.H.d.values.min() > 0.0
+
+    def test_potentials_share_one_operator_bit_for_bit(self, monkeypatch):
+        # both forward solves take one prebuilt operator; each potential must
+        # equal a solve that assembles and constrains its own system
+        calls = []
+
+        def recording(*args, **kwargs):
+            result = solve_mixed(*args, **kwargs)
+            calls.append((args, kwargs, result))
+            return result
+
+        monkeypatch.setattr(pipeline, "solve_mixed", recording)
+        forward_stage(RunConfig(case="case1", gamma="medium", target_h=0.1))
+        assert len(calls) == 2
+        assert calls[0][1]["operator"] is calls[1][1]["operator"]
+        for (mesh, sigma, bc), kwargs, shared in calls:
+            alone, info = solve_mixed(mesh, sigma, bc, tol=kwargs["tol"],
+                                      max_iter=kwargs["max_iter"], return_info=True)
+            assert info.method == "pcg"
+            assert shared.values.tobytes() == alone.values.tobytes()
 
     def test_forward_is_deterministic(self):
         cfg = RunConfig(case="case1", gamma="medium", target_h=0.3)

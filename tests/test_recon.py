@@ -11,8 +11,9 @@ from aet2d import (
     refine,
     tag_boundary,
 )
+from aet2d import recon
 from aet2d.errors import ContractError, DomainError
-from aet2d.fem import l2_norm_vector
+from aet2d.fem import l2_norm_vector, solve_poisson_weak_div
 from aet2d.recon import (
     TransferFields,
     boundary_theta,
@@ -281,6 +282,32 @@ def test_conjugate_pair_recovers_unit_sigma(disk):
     assert result.metrics.sigma_error <= 1e-9
     assert result.metrics.cos2theta_error <= 0.01
     assert result.metrics.sin2theta_error <= 0.01
+
+
+def test_both_solves_share_one_operator_bit_for_bit(disk, monkeypatch):
+    # the angle and log-conductivity solves take one prebuilt Laplacian;
+    # each must equal a solve that builds its own.  On a refined mesh the
+    # angle data arrive in boundary-walk order, which is not sorted.
+    mesh = refine(disk)
+    calls = []
+
+    def recording(*args, **kwargs):
+        result = solve_poisson_weak_div(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(recon, "solve_poisson_weak_div", recording)
+    raw = {int(i): float(pole_theta(*mesh.vertices[i])) for i in mesh.boundary_nodes}
+    theta_bc = boundary_theta(mesh, raw)
+    assert list(theta_bc) != sorted(theta_bc)
+    sigma_bc = full_boundary(mesh, lambda x, y: np.exp(y))
+    run_algorithm1(mesh, pole_data(mesh), theta_bc, sigma_bc)
+    assert len(calls) == 2
+    assert calls[0][1]["operator"] is calls[1][1]["operator"]
+    for (m, F, bc), kwargs, (shared, _) in calls:
+        alone, info = solve_poisson_weak_div(m, F, bc, return_info=True)
+        assert info.method == "pcg"
+        assert shared.values.tobytes() == alone.values.tobytes()
 
 
 def test_scaling_invariance(disk):
