@@ -18,7 +18,7 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -315,24 +315,44 @@ def _cmd_forward(job: Job, quiet: bool) -> int:
     return 0
 
 
-def _read_meta(path: Path) -> tuple[int, np.ndarray]:
-    n_data = None
-    flagged = np.empty(0, dtype=np.intp)
+def _read_meta(path: Path, mesh: Mesh) -> tuple[int, np.ndarray]:
+    """`n_data` and the flagged node ids of a stage on reconstruction `mesh`.
+
+    Raises
+    ------
+    ContractError
+        Naming the file and line of an entry that is unknown, repeated or
+        not integer, of an `n_data` not above the mesh's node count, and of
+        a flagged id that is not a node of the mesh.
+    """
+    n_recon = mesh.n_vertices
+    entries: dict[str, list[int]] = {}
     for lineno, line in enumerate(_read_ascii(path).splitlines(), 1):
+        if not line.strip():
+            continue
         name, _, rest = line.partition(" ")
+        where = f"{path}: line {lineno}"
+        if name not in ("n_data", "flagged"):
+            raise ContractError(f"{where}: unknown entry {name!r}")
+        if name in entries:
+            raise ContractError(f"{where}: repeated entry {name!r}")
         try:
-            if name == "n_data":
-                n_data = int(rest)
-            elif name == "flagged":
-                flagged = np.array([int(t) for t in rest.split()], dtype=np.intp)
-            elif line.strip():
-                raise ContractError(f"{path}: line {lineno}: unknown entry {name!r}")
+            ids = [int(rest)] if name == "n_data" else [int(t) for t in rest.split()]
         except ValueError:
-            raise ContractError(f"{path}: line {lineno}: {name} expects integers, "
+            raise ContractError(f"{where}: {name} expects integers, "
                                 f"got {rest!r}") from None
-    if n_data is None:
+        if name == "n_data" and ids[0] <= n_recon:
+            raise ContractError(f"{where}: n_data {ids[0]} must exceed the "
+                                f"{n_recon} reconstruction nodes")
+        if name == "flagged":
+            outside = [i for i in ids if not 0 <= i < n_recon]
+            if outside:
+                raise ContractError(f"{where}: flagged node {outside[0]} is not "
+                                    f"one of the {n_recon} reconstruction nodes")
+        entries[name] = ids
+    if "n_data" not in entries:
         raise ContractError(f"{path}: missing n_data")
-    return n_data, flagged
+    return entries["n_data"][0], np.array(entries.get("flagged", []), dtype=np.intp)
 
 
 def _cmd_reconstruct(job: Job, quiet: bool) -> int:
@@ -340,7 +360,7 @@ def _cmd_reconstruct(job: Job, quiet: bool) -> int:
     h11, h12, h22, sigma_true, theta_true = (
         read_field_csv(job.out_dir / f"{name}.csv", mesh)
         for name in ("h11", "h12", "h22", "sigma_true", "theta_true"))
-    n_data, flagged = _read_meta(job.out_dir / "meta.txt")
+    n_data, flagged = _read_meta(job.out_dir / "meta.txt", mesh)
     fwd = ForwardData(recon_mesh=mesh, n_data=n_data, sigma_true=sigma_true,
                       theta_true=theta_true,
                       H=PowerDensity(h11, h12, h22, eps_d=job.config.eps_d),
@@ -358,18 +378,6 @@ def _run_sweep(job: Job, quiet: bool, sweep, filename: str) -> int:
         print(render_table(records), end="")
         print(f"wrote {job.out_dir / filename}")
     return 0
-
-
-def _cmd_table1(job: Job, quiet: bool) -> int:
-    return _run_sweep(job, quiet, table_gamma_sweep, "table1.csv")
-
-
-def _cmd_table2(job: Job, quiet: bool) -> int:
-    return _run_sweep(job, quiet, table_mesh_sweep, "table2.csv")
-
-
-def _cmd_noise_sweep(job: Job, quiet: bool) -> int:
-    return _run_sweep(job, quiet, noise_sweep, "noise_sweep.csv")
 
 
 def _cmd_export_mesh(job: Job, quiet: bool) -> int:
@@ -392,9 +400,9 @@ _COMMANDS = {
     "run": _cmd_run,
     "forward": _cmd_forward,
     "reconstruct": _cmd_reconstruct,
-    "table1": _cmd_table1,
-    "table2": _cmd_table2,
-    "noise-sweep": _cmd_noise_sweep,
+    "table1": partial(_run_sweep, sweep=table_gamma_sweep, filename="table1.csv"),
+    "table2": partial(_run_sweep, sweep=table_mesh_sweep, filename="table2.csv"),
+    "noise-sweep": partial(_run_sweep, sweep=noise_sweep, filename="noise_sweep.csv"),
     "export-mesh": _cmd_export_mesh,
 }
 

@@ -75,12 +75,14 @@ class SolveInfo:
 # Assembly
 # ---------------------------------------------------------------------------
 
-def local_stiffness(coords: np.ndarray, sigma_vertices: np.ndarray) -> np.ndarray:
-    """Element stiffness of one or many triangles.
+def local_stiffness(b, c, area, sigma_vertices) -> np.ndarray:
+    """Element stiffness matrices from P1 basis coefficients.
 
     Parameters
     ----------
-    coords : (..., 3, 2) vertex coordinates, counterclockwise.
+    b, c : (..., 3) basis coefficients, grad phi_i = (b_i, c_i) / (2 * area),
+        as `Mesh.basis` holds them.
+    area : (...) triangle areas, as `Mesh.areas` holds them.
     sigma_vertices : (..., 3) conductivity at the vertices; vertex quadrature
         reduces to scaling the constant-sigma matrix by the vertex mean.
 
@@ -88,17 +90,6 @@ def local_stiffness(coords: np.ndarray, sigma_vertices: np.ndarray) -> np.ndarra
     -------
     (..., 3, 3) symmetric element matrices.
     """
-    coords = np.asarray(coords, dtype=np.float64)
-    sigma_vertices = np.asarray(sigma_vertices, dtype=np.float64)
-    x, y = coords[..., 0], coords[..., 1]
-    b = np.stack((y[..., 1] - y[..., 2], y[..., 2] - y[..., 0], y[..., 0] - y[..., 1]), axis=-1)
-    c = np.stack((x[..., 2] - x[..., 1], x[..., 0] - x[..., 2], x[..., 1] - x[..., 0]), axis=-1)
-    area = 0.5 * ((x[..., 1] - x[..., 0]) * (y[..., 2] - y[..., 0])
-                  - (x[..., 2] - x[..., 0]) * (y[..., 1] - y[..., 0]))
-    return _stiffness(b, c, area, sigma_vertices)
-
-
-def _stiffness(b, c, area, sigma_vertices) -> np.ndarray:
     # (b b^T + c c^T) * scale, accumulated in place to hold one temporary
     scale = sigma_vertices.mean(axis=-1) / (4.0 * area)
     K = b[..., :, None] * b[..., None, :]
@@ -124,7 +115,7 @@ def assemble_conductivity(mesh: Mesh, sigma: ScalarField) -> sp.csr_matrix:
     if np.any(sigma.values <= 0.0):
         bad = np.flatnonzero(sigma.values <= 0.0)
         raise DomainError(f"sigma must be positive; offending nodes {bad[:10].tolist()}")
-    local = _stiffness(*mesh.basis, mesh.areas, sigma.values[mesh.triangles])
+    local = local_stiffness(*mesh.basis, mesh.areas, sigma.values[mesh.triangles])
     n = mesh.n_vertices
     # scipy keeps indices below 2**31 as int32; building them so from the
     # start spares the int64 index arrays at the assembly's memory peak
@@ -132,11 +123,6 @@ def assemble_conductivity(mesh: Mesh, sigma: ScalarField) -> sp.csr_matrix:
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-
-
-def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
-    """Consistent P1 mass matrix, built once per mesh (read-only)."""
-    return mesh.mass
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +364,7 @@ def project_to_nodes(mesh: Mesh, element_values: np.ndarray) -> np.ndarray:
 
 def l2_norm(field: ScalarField) -> float:
     """L2(Omega) norm of the P1 interpolant via the consistent mass matrix."""
-    M = mass_matrix(field.mesh)
+    M = field.mesh.mass
     return float(np.sqrt(max(field.values @ (M @ field.values), 0.0)))
 
 
@@ -386,7 +372,7 @@ def l2_relative_error(a: ScalarField, b: ScalarField) -> float:
     """|a - b| / |b| in L2(Omega); both fields on the same mesh."""
     if a.mesh is not b.mesh and not np.array_equal(a.mesh.vertices, b.mesh.vertices):
         raise ContractError("fields live on different meshes")
-    M = mass_matrix(a.mesh)
+    M = a.mesh.mass
     diff = a.values - b.values
     denom = float(np.sqrt(max(b.values @ (M @ b.values), 0.0)))
     if denom == 0.0:

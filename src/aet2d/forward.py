@@ -4,9 +4,8 @@ Two potentials, driven by the coordinate functions on the controlled arc,
 are combined into the symmetric matrix field with entries
 sigma * grad(u_i) . grad(u_j).  This module evaluates that field and its
 determinant diagnostics, extracts the gradient angle of the first
-potential, and moves nodal fields between meshes of different resolution:
-by prefix restriction onto a mesh that `refine` nested in the source, by
-interpolation between unrelated meshes.
+potential, and restricts nodal fields from a data mesh to the mesh that
+`refine` nested in it.
 """
 from __future__ import annotations
 
@@ -14,14 +13,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ContractError, DomainError, ParameterError
 from .fem import ScalarField, element_gradient, project_to_nodes
 from .mesh import Mesh
-
-# barycentric slack below which a point counts as inside a triangle
-_CONTAIN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -196,18 +191,6 @@ def true_theta(mesh: Mesh, u1: ScalarField) -> tuple[ScalarField, np.ndarray]:
     return ScalarField(mesh, theta), np.flatnonzero(flagged)
 
 
-def _barycentric(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates of `points` in triangles `corners` (..., 3, 2)."""
-    a = corners[..., 0, :]
-    v0 = corners[..., 1, :] - a
-    v1 = corners[..., 2, :] - a
-    v2 = points - a
-    denom = v0[..., 0] * v1[..., 1] - v0[..., 1] * v1[..., 0]
-    b1 = (v2[..., 0] * v1[..., 1] - v2[..., 1] * v1[..., 0]) / denom
-    b2 = (v0[..., 0] * v2[..., 1] - v0[..., 1] * v2[..., 0]) / denom
-    return np.stack([1.0 - b1 - b2, b1, b2], axis=-1)
-
-
 def restrict(source: ScalarField, target: Mesh) -> ScalarField:
     """Nodal values of `source` at the vertices of a mesh nested in its own.
 
@@ -223,52 +206,6 @@ def restrict(source: ScalarField, target: Mesh) -> ScalarField:
             f"mesh ({source.mesh.n_vertices} vertices)")
     # a copy, so the result does not keep the whole source array alive
     return ScalarField(target, source.values[:n].copy())
-
-
-def transfer(source: ScalarField, target: Mesh) -> ScalarField:
-    """Evaluate the piecewise-linear interpolant of `source` at target nodes.
-
-    Containing triangles are found through escalating nearest-centroid
-    candidate sets.  Target nodes outside the source triangulation (the
-    sliver between two polygonal approximations of the circle) snap onto
-    the best candidate by clamping barycentric coordinates to the simplex.
-    A target node that coincides with a source vertex picks up that nodal
-    value exactly, so transfers between nested meshes are lossless.
-    """
-    mesh = source.mesh
-    if target is mesh:
-        return ScalarField(target, source.values.copy())
-    points = target.vertices
-    corners = mesh.vertices[mesh.triangles]
-    tree = cKDTree(corners.mean(axis=1))
-
-    n = len(points)
-    best_tri = np.zeros(n, dtype=np.intp)
-    best_score = np.full(n, -np.inf)
-    pending = np.arange(n)
-    for k in (1, 4, 16, 64):
-        kk = min(k, mesh.n_triangles)
-        _, cand = tree.query(points[pending], k=kk)
-        cand = np.asarray(cand).reshape(len(pending), kk)
-        bary = _barycentric(corners[cand], points[pending][:, None, :])
-        score = bary.min(axis=2)
-        pick = score.argmax(axis=1)
-        rows = np.arange(len(pending))
-        better = score[rows, pick] > best_score[pending]
-        upd = pending[better]
-        best_score[upd] = score[rows, pick][better]
-        best_tri[upd] = cand[rows, pick][better]
-        pending = pending[best_score[pending] < -_CONTAIN_TOL]
-        if pending.size == 0 or kk == mesh.n_triangles:
-            break
-
-    bary = _barycentric(corners[best_tri], points)
-    outside = np.flatnonzero(best_score < -_CONTAIN_TOL)
-    if outside.size:
-        clamped = np.clip(bary[outside], 0.0, None)
-        bary[outside] = clamped / clamped.sum(axis=1, keepdims=True)
-    nodal = source.values[mesh.triangles[best_tri]]
-    return ScalarField(target, (bary * nodal).sum(axis=1))
 
 
 def det_diagnostics(H: PowerDensity) -> tuple[float, ScalarField]:

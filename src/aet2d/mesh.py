@@ -121,21 +121,19 @@ class Mesh:
     triangles       (T, 3) vertex indices, counterclockwise
     boundary_edges  (K, 2) vertex pairs walking the boundary counterclockwise
     boundary_tags   (K,)   DIRICHLET/NEUMANN per edge
+    edge_angles     (K,)   boundary edge midpoint angles (not a field)
     areas           (T,)   triangle areas (not a field)
 
-    Derived per-edge geometry (midpoint angle, outward normal, tangent) and
-    the triangle areas are computed on construction; the P1 basis
-    coefficients and the mass matrix on first use, once per mesh. All arrays
-    are read-only; operations return new meshes, which compute their own.
+    The edge angles and triangle areas are computed on construction; the P1
+    basis coefficients and the mass matrix on first use, once per mesh. All
+    arrays are read-only; operations return new meshes, which compute their
+    own.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     boundary_edges: np.ndarray
     boundary_tags: np.ndarray
-    edge_angles: np.ndarray = None
-    edge_normals: np.ndarray = None
-    edge_tangents: np.ndarray = None
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 2)
@@ -146,20 +144,13 @@ class Mesh:
 
         mid = 0.5 * (v[be[:, 0]] + v[be[:, 1]])
         angles = canonical_angle(np.arctan2(mid[:, 1], mid[:, 0]))
-        evec = v[be[:, 1]] - v[be[:, 0]]
-        elen = np.hypot(evec[:, 0], evec[:, 1])
-        # CCW walk: outward normal is the edge direction rotated by -90 deg.
-        normals = np.column_stack((evec[:, 1], -evec[:, 0])) / elen[:, None]
-        tangents = np.column_stack((-normals[:, 1], normals[:, 0]))  # J @ nu
 
         object.__setattr__(self, "vertices", _frozen(v))
         object.__setattr__(self, "triangles", _frozen(t))
         object.__setattr__(self, "boundary_edges", _frozen(be))
         object.__setattr__(self, "boundary_tags", _frozen(tags))
+        # not fields, so `replace` builds a mesh that computes its own
         object.__setattr__(self, "edge_angles", _frozen(angles))
-        object.__setattr__(self, "edge_normals", _frozen(normals))
-        object.__setattr__(self, "edge_tangents", _frozen(tangents))
-        # not a field, so `replace` builds a mesh that computes its own
         object.__setattr__(self, "areas", _frozen(areas))
 
     @staticmethod
@@ -266,19 +257,14 @@ def basis_coefficients(vertices: np.ndarray, triangles: np.ndarray):
     return b, c
 
 
-def triangle_areas(mesh: Mesh) -> np.ndarray:
-    return mesh.areas
-
-
 def triangle_quality(mesh: Mesh) -> np.ndarray:
     """Aspect quality 2*inradius/circumradius per triangle (equilateral -> 1)."""
     p = mesh.vertices[mesh.triangles]
     a = np.linalg.norm(p[:, 1] - p[:, 2], axis=1)
     b = np.linalg.norm(p[:, 2] - p[:, 0], axis=1)
     c = np.linalg.norm(p[:, 0] - p[:, 1], axis=1)
-    area = triangle_areas(mesh)
     s = 0.5 * (a + b + c)
-    return 8.0 * area**2 / (s * a * b * c)
+    return 8.0 * mesh.areas**2 / (s * a * b * c)
 
 
 # ---------------------------------------------------------------------------

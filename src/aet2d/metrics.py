@@ -1,14 +1,12 @@
 """Experiment records and sweep tables for the limited-view benchmarks.
 
-Published reference values for the same experiments ride along as metadata.
-They were produced on unstructured meshes with different node counts, so they
-are comparison points, never assertion targets; the acceptance suite asserts
-trends and brackets instead.
+Each sweep runs the pipeline over one axis of the published experiments
+(control arc, mesh level, noise level) and flattens every run into an
+`ExperimentRecord`; the tables render as byte-stable CSV or aligned text.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 from .errors import ContractError
 from .noise import NoiseSpec
@@ -45,32 +43,6 @@ class ExperimentRecord:
         if bad:
             raise ContractError(f"negative error fields: {bad}")
 
-
-class ReferenceRow(NamedTuple):
-    min_det: float
-    cos2theta_error: float
-    sin2theta_error: float
-    sigma_error: float
-
-
-# published limited-view errors at N_data = 44880, N_recon = 20100
-REFERENCE_GAMMA = {
-    ("case1", "large"): ReferenceRow(3.94e-06, 0.0079, 0.0204, 0.3202),
-    ("case1", "medium"): ReferenceRow(3.87e-10, 0.0140, 0.0201, 1.04),
-    ("case1", "small"): ReferenceRow(9.94e-18, 0.0224, 0.0237, 1.77),
-    ("case2", "large"): ReferenceRow(2.94e-06, 0.0077, 0.0186, 0.3362),
-    ("case2", "medium"): ReferenceRow(3.57e-10, 0.0141, 0.0197, 1.08),
-    ("case2", "small"): ReferenceRow(1.07e-17, 0.0225, 0.0233, 1.80),
-}
-
-# published mesh sweep for case 1 over Gamma_medium: (n_data, n_recon, sigma error)
-# on independent meshes; n_data / n_recon shrinks 2.23 -> 1.77 -> 1.57, and the
-# error's decrease follows that ratio: at a fixed ratio it does not fall
-REFERENCE_MESH = (
-    (44880, 20100, 1.037),
-    (79281, 44880, 0.8638),
-    (124265, 79281, 0.7885),
-)
 
 NOISE_LADDER = ((1.0, 1e-6), (5.0, 1e-5), (10.0, 1e-5))
 

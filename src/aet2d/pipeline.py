@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -64,10 +65,11 @@ class RunConfig:
             raise ParameterError("constant conductivity must be positive")
         if self.gamma_arcs is None and self.gamma not in GAMMA_PRESETS:
             raise ParameterError(f"unknown boundary preset {self.gamma!r}")
-        if not 0.0 < self.target_h <= 1.0:
-            raise ParameterError("target_h must lie in (0, 1]")
-        if not 0 <= int(self.refine_levels) <= 6:
-            raise ParameterError("refine_levels must lie in 0..6")
+        # the bounds of `build_disk_mesh`, checked before anything runs
+        if not 0.0 < self.target_h < 1.0:
+            raise ParameterError("target_h must lie in (0, 1)")
+        if not (isinstance(self.refine_levels, Integral) and 0 <= self.refine_levels <= 6):
+            raise ParameterError("refine_levels must be an integer in 0..6")
         if not isinstance(self.noise, NoiseSpec):
             raise ParameterError("noise must be a NoiseSpec")
         if not self.eps_d > 0.0:
@@ -150,7 +152,7 @@ def _tangency_override(mesh: Mesh, u_rim: np.ndarray, theta: np.ndarray) -> np.n
 def base_mesh(config: RunConfig) -> Mesh:
     """The tagged reconstruction mesh the config describes."""
     mesh = build_disk_mesh(config.target_h)
-    for _ in range(int(config.refine_levels)):
+    for _ in range(config.refine_levels):
         mesh = refine(mesh)
     return tag_boundary(mesh, config.boundary_spec())
 

@@ -158,20 +158,6 @@ def boundary_theta(mesh: Mesh, raw: dict[int, float],
     return {int(i): float(v) for i, v in zip(loop, unwrapped)}
 
 
-def reconstruct_theta(mesh: Mesh, fields: TransferFields, boundary: dict[int, float],
-                      *, operator: ConstrainedOperator | None = None,
-                      tol: float = 1e-10, max_iter: int = 20000,
-                      return_info: bool = False):
-    """Angle field from its boundary trace and the divergence of `fields.f`.
-
-    `operator` is the mesh's `laplacian_operator`, built here when omitted.
-    """
-    if fields.mesh is not mesh:
-        raise ContractError("transfer fields live on a different mesh")
-    return solve_poisson_weak_div(mesh, fields.f, boundary, operator=operator,
-                                  tol=tol, max_iter=max_iter, return_info=return_info)
-
-
 def sigma_rhs(theta: ScalarField, fields: TransferFields) -> VectorField:
     """Right-hand-side field for the log-conductivity solve.
 
@@ -198,8 +184,8 @@ def reconstruct_sigma(mesh: Mesh, G: VectorField, sigma_boundary: dict[int, floa
     """Conductivity from its boundary trace and the divergence of `G`.
 
     The solve runs in log space, so the returned field is positive by
-    construction whatever the data quality.  `operator` is as in
-    `reconstruct_theta`.
+    construction whatever the data quality.  `operator` is the mesh's
+    `laplacian_operator`, built by the solve when omitted.
     """
     bad = [n for n, v in sigma_boundary.items() if not v > 0.0]
     if bad:
@@ -270,8 +256,9 @@ def run_algorithm1(mesh: Mesh, H: PowerDensity, theta_boundary: dict[int, float]
         raise ContractError("data lives on a different mesh")
     fields = vector_fields(H)
     laplacian = laplacian_operator(mesh)
-    theta, theta_info = reconstruct_theta(mesh, fields, theta_boundary, operator=laplacian,
-                                          tol=tol, max_iter=max_iter, return_info=True)
+    theta, theta_info = solve_poisson_weak_div(mesh, fields.f, theta_boundary,
+                                               operator=laplacian, tol=tol,
+                                               max_iter=max_iter, return_info=True)
     G = sigma_rhs(theta, fields)
     sigma, sigma_info = reconstruct_sigma(mesh, G, sigma_boundary, operator=laplacian,
                                           tol=tol, max_iter=max_iter, return_info=True)

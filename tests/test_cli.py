@@ -252,9 +252,13 @@ class TestMalformedStageFiles:
         ("mesh.txt", lambda t: _replace_line(t, "boundary_edges", "boundary_edges")),
         ("meta.txt", lambda t: _replace_line(t, "n_data", "n_data abc")),
         ("meta.txt", lambda t: _replace_line(t, "flagged", "flagged x")),
+        ("meta.txt", lambda t: _replace_line(t, "n_data", "n_data 1")),
+        ("meta.txt", lambda t: _replace_line(t, "flagged", "flagged 99999999 -3")),
+        ("meta.txt", lambda t: t + t),
         ("h11.csv", _nan_in_third_row),
     ], ids=["mesh-truncated", "mesh-header-without-count", "meta-n-data",
-            "meta-flagged", "field-nan"])
+            "meta-flagged", "meta-n-data-not-finer", "meta-flagged-outside-mesh",
+            "meta-repeated-entries", "field-nan"])
     def test_reconstruct_names_the_file(self, stage, tmp_path, capsys, name, corrupt):
         cfg, source = stage
         out = tmp_path / "stage"

@@ -12,12 +12,11 @@ from aet2d.fem import (
     l2_norm,
     l2_relative_error,
     local_stiffness,
-    mass_matrix,
     project_to_nodes,
     solve_mixed,
     solve_poisson_weak_div,
 )
-from aet2d.mesh import triangle_areas
+from aet2d.mesh import basis_coefficients, signed_areas
 
 
 @pytest.fixture(scope="module")
@@ -42,17 +41,24 @@ def bump(mesh):
 
 # -- element kernel and assembly ----------------------------------------------
 
+def element_stiffness(coords, sigma_vertices):
+    """The kernel on one triangle, fed the mesh module's geometry."""
+    tri = np.array([[0, 1, 2]])
+    b, c = basis_coefficients(coords, tri)
+    return local_stiffness(b, c, signed_areas(coords, tri), sigma_vertices[None])[0]
+
+
 def test_reference_element_matrix():
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    K = local_stiffness(coords, np.ones(3))
+    K = element_stiffness(coords, np.ones(3))
     expected = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     assert K == pytest.approx(expected, abs=1e-15)
 
 
 def test_element_matrix_scales_linearly():
     coords = np.array([[0.2, -0.1], [1.1, 0.3], [0.4, 0.9]])
-    base = local_stiffness(coords, np.ones(3))
-    scaled = local_stiffness(coords, 3.0 * np.ones(3))
+    base = element_stiffness(coords, np.ones(3))
+    scaled = element_stiffness(coords, 3.0 * np.ones(3))
     assert scaled == pytest.approx(3.0 * base, rel=1e-14)
 
 
@@ -285,11 +291,11 @@ def test_hat_function_norm_matches_quadrature(small):
     hat = np.zeros(small.n_vertices)
     hat[node] = 1.0
     star = np.any(small.triangles == node, axis=1)
-    expected = np.sqrt(triangle_areas(small)[star].sum() / 6.0)
+    expected = np.sqrt(small.areas[star].sum() / 6.0)
     assert l2_norm(ScalarField(small, hat)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_mass_matrix_total_area(small):
-    M = mass_matrix(small)
+    M = small.mass
     ones = np.ones(small.n_vertices)
-    assert ones @ (M @ ones) == pytest.approx(triangle_areas(small).sum(), rel=1e-12)
+    assert ones @ (M @ ones) == pytest.approx(small.areas.sum(), rel=1e-12)

@@ -16,7 +16,7 @@ from aet2d import (
     table_mesh_sweep,
 )
 from aet2d.errors import ContractError
-from aet2d.metrics import CSV_HEADER, NOISE_LADDER, REFERENCE_GAMMA, REFERENCE_MESH
+from aet2d.metrics import CSV_HEADER, NOISE_LADDER
 
 
 def make_record(**overrides):
@@ -95,10 +95,6 @@ class TestMeshSweep:
         assert records[1].n_recon == records[0].n_data
         assert records[2].n_recon == records[1].n_data
 
-    def test_reference_table_has_same_chain(self):
-        assert REFERENCE_MESH[1][1] == REFERENCE_MESH[0][0]
-        assert REFERENCE_MESH[2][1] == REFERENCE_MESH[1][0]
-
 
 class TestNoiseSweep:
     def test_ladder(self):
@@ -135,19 +131,6 @@ class TestSweepRunner:
         monkeypatch.undo()
         alone = [record_from_run(c, run_pipeline(c)) for c in configs]
         assert records_to_csv(records) == records_to_csv(alone)
-
-
-class TestReferenceMetadata:
-    def test_gamma_keys_cover_the_sweep(self):
-        assert set(REFERENCE_GAMMA) == {(c, g) for c in ("case1", "case2")
-                                        for g in ("large", "medium", "small")}
-
-    def test_determinant_collapse_in_reference(self):
-        for case in ("case1", "case2"):
-            large = REFERENCE_GAMMA[(case, "large")].min_det
-            medium = REFERENCE_GAMMA[(case, "medium")].min_det
-            small = REFERENCE_GAMMA[(case, "small")].min_det
-            assert large > 100.0 * medium > 10_000.0 * small
 
 
 class TestCsv:

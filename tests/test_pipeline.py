@@ -46,6 +46,8 @@ class TestRunConfig:
         {"tol": 0.0},
         {"max_iter": 0},
         {"noise": 0.05},
+        {"target_h": 1.0},
+        {"refine_levels": 1.5},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ParameterError):

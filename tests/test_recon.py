@@ -18,7 +18,6 @@ from aet2d.recon import (
     TransferFields,
     boundary_theta,
     reconstruct_sigma,
-    reconstruct_theta,
     run_algorithm1,
     sigma_rhs,
     vector_fields,
@@ -211,7 +210,7 @@ def test_theta_constant_for_zero_f(disk):
     const = ScalarField(disk, np.ones(disk.n_vertices))
     fields = TransferFields(d=const, v11=zero, v21=zero, v22=zero, f=zero)
     bc = {int(i): np.pi / 4 for i in disk.boundary_nodes}
-    theta = reconstruct_theta(disk, fields, bc)
+    theta = solve_poisson_weak_div(disk, fields.f, bc)
     assert np.abs(theta.values - np.pi / 4).max() <= 1e-12
 
 
