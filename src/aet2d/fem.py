@@ -6,7 +6,9 @@ vertex quadrature, which is exact for P1 sigma against the constant gradient
 products. Dirichlet conditions are eliminated symmetrically so the free block
 stays positive definite for conjugate gradients; a `ConstrainedOperator` does
 that split once and then serves every right-hand side with the same matrix
-and fixed nodes.
+and fixed nodes. Systems below `DIRECT_SOLVE_LIMIT` free unknowns are solved
+by SuperLU, whose module `scipy.sparse.linalg` loads on the first such solve
+only, so `import aet2d` stays free of it and of `scipy.linalg`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     ContractError,
@@ -26,7 +27,8 @@ from .errors import (
 from .mesh import Mesh
 
 # Below this many free unknowns a sparse direct factorization is cheaper and
-# exact; above it the diagonally preconditioned CG takes over.
+# exact; above it the diagonally preconditioned CG takes over. Only small
+# test systems fall below it, so SuperLU is imported on first use.
 DIRECT_SOLVE_LIMIT = 3000
 
 
@@ -200,7 +202,8 @@ class ConstrainedOperator:
         A_ff = self.free_block
 
         if len(self.free) < DIRECT_SOLVE_LIMIT:
-            x_f = spla.spsolve(A_ff.tocsc(), b_f)
+            from scipy.sparse.linalg import spsolve
+            x_f = spsolve(A_ff.tocsc(), b_f)
             iterations = 0
             method = "direct"
         else:
@@ -379,8 +382,3 @@ def l2_relative_error(a: ScalarField, b: ScalarField) -> float:
         raise DomainError("reference field has zero L2 norm")
     return float(np.sqrt(max(diff @ (M @ diff), 0.0))) / denom
 
-
-def l2_norm_vector(field: VectorField) -> float:
-    """L2(Omega) norm of a piecewise-constant vector field."""
-    areas = field.mesh.areas
-    return float(np.sqrt((areas * (field.vectors ** 2).sum(axis=1)).sum()))

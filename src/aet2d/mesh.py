@@ -179,10 +179,7 @@ class Mesh:
             raise ContractError(f"boundary vertex {be[bad, 0]} is off the unit circle")
         # Each boundary edge belongs to exactly one triangle, and no interior
         # edge was mislabeled as boundary.
-        pairs = t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        keys = np.sort(pairs, axis=1)
-        keys = keys[:, 0] * len(v) + keys[:, 1]
-        uniq, counts = np.unique(keys, return_counts=True)
+        uniq, counts = np.unique(_edge_keys(t, len(v)), return_counts=True)
         rim = np.sort(be, axis=1)
         rim = rim[:, 0] * len(v) + rim[:, 1]
         pos = np.searchsorted(uniq, rim)
@@ -241,6 +238,15 @@ class Mesh:
         return M
 
 
+def _edge_keys(triangles: np.ndarray, n_vertices: int) -> np.ndarray:
+    """Key lo * n_vertices + hi of each triangle's edges 01, 12, 20, row by row."""
+    ahead = triangles[:, [1, 2, 0]]
+    keys = np.minimum(triangles, ahead)
+    keys *= n_vertices
+    keys += np.maximum(triangles, ahead)
+    return keys.ravel()
+
+
 def signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Signed area of each triangle (positive for counterclockwise)."""
     p = vertices[triangles]
@@ -255,16 +261,6 @@ def basis_coefficients(vertices: np.ndarray, triangles: np.ndarray):
     b = np.stack((y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]), axis=1)
     c = np.stack((x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]), axis=1)
     return b, c
-
-
-def triangle_quality(mesh: Mesh) -> np.ndarray:
-    """Aspect quality 2*inradius/circumradius per triangle (equilateral -> 1)."""
-    p = mesh.vertices[mesh.triangles]
-    a = np.linalg.norm(p[:, 1] - p[:, 2], axis=1)
-    b = np.linalg.norm(p[:, 2] - p[:, 0], axis=1)
-    c = np.linalg.norm(p[:, 0] - p[:, 1], axis=1)
-    s = 0.5 * (a + b + c)
-    return 8.0 * mesh.areas**2 / (s * a * b * c)
 
 
 # ---------------------------------------------------------------------------
@@ -303,27 +299,29 @@ def build_disk_mesh(target_h: float) -> Mesh:
         verts.append(np.column_stack((r * np.cos(phi), r * np.sin(phi))))
     vertices = np.vstack(verts)
 
-    tris: list[tuple[int, int, int]] = []
-    for i in range(6):
-        tris.append((0, 1 + i, 1 + (i + 1) % 6))
+    # the strip between rings k and k + 1 holds 6(2k + 1) triangles, so it
+    # starts at row 6k^2 and the mesh has 6n^2
+    triangles = np.empty((6 * n * n, 3), dtype=np.int64)
+    hub = np.arange(6)
+    triangles[:6] = np.column_stack((np.zeros_like(hub), 1 + hub, 1 + (hub + 1) % 6))
+    sector = hub[:, None]
     for k in range(1, n):
         si, so = _ring_start(k), _ring_start(k + 1)
         mi, mo = 6 * k, 6 * (k + 1)
-        for s in range(6):
-            ji, jo = 0, 0
-            while ji < k or jo < k + 1:
-                inner = si + (s * k + ji) % mi
-                outer = so + (s * (k + 1) + jo) % mo
-                # advance along the ring whose next node comes first in angle;
-                # exact integer ties (sector ends) go to the inner ring, which
-                # avoids the obtuse kite at radially aligned node pairs
-                if jo < k + 1 and (ji >= k or (jo + 1) * k < (ji + 1) * (k + 1)):
-                    tris.append((inner, outer, so + (s * (k + 1) + jo + 1) % mo))
-                    jo += 1
-                else:
-                    tris.append((inner, outer, si + (s * k + ji + 1) % mi))
-                    ji += 1
-    triangles = np.array(tris, dtype=np.int64)
+        # Each of the six sectors is the same strip: k steps along the inner
+        # ring and k + 1 along the outer one, taken in the angular order of
+        # the node each step reaches, (ji + 1) / k against (jo + 1) / (k + 1),
+        # compared as integers. Exact ties (sector ends) go to the inner ring,
+        # which avoids the obtuse kite at radially aligned node pairs.
+        reach = np.concatenate((np.arange(1, k + 1) * (k + 1), np.arange(1, k + 2) * k))
+        is_outer = np.lexsort((np.arange(2 * k + 1) >= k, reach)) >= k
+        jo = np.cumsum(is_outer) - is_outer  # steps taken before this one
+        ji = np.arange(2 * k + 1) - jo
+        strip = triangles[6 * k * k:6 * (k + 1) ** 2].reshape(6, 2 * k + 1, 3)
+        strip[..., 0] = si + (sector * k + ji) % mi
+        strip[..., 1] = so + (sector * (k + 1) + jo) % mo
+        strip[..., 2] = np.where(is_outer, so + (sector * (k + 1) + jo + 1) % mo,
+                                 si + (sector * k + ji + 1) % mi)
 
     sb = _ring_start(n)
     idx = sb + np.arange(6 * n)
@@ -349,10 +347,7 @@ def refine(mesh: Mesh) -> Mesh:
     v, t = mesh.vertices, mesh.triangles
     nv = len(v)
 
-    pairs = t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    keys = np.sort(pairs, axis=1)
-    flat = keys[:, 0] * nv + keys[:, 1]
-    uniq, inverse = np.unique(flat, return_inverse=True)
+    uniq, inverse = np.unique(_edge_keys(t, nv), return_inverse=True)
     ea, eb = uniq // nv, uniq % nv
     mids = 0.5 * (v[ea] + v[eb])
 

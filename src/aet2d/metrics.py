@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import ContractError
+from .errors import ContractError, ParameterError
 from .noise import NoiseSpec
-from .pipeline import PipelineResult, RunConfig, run_sweep
+from .pipeline import MAX_REFINE_LEVELS, PipelineResult, RunConfig, run_sweep
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,18 @@ def table_mesh_sweep(config: RunConfig) -> list[ExperimentRecord]:
 
     Each level reuses the previous level's data mesh as its reconstruction
     mesh, which is what stepping refine_levels does here.
+
+    Raises
+    ------
+    ParameterError
+        If the two extra levels would pass MAX_REFINE_LEVELS; raised before
+        any mesh is built.
     """
+    if config.refine_levels + 2 > MAX_REFINE_LEVELS:
+        raise ParameterError(
+            f"mesh.refine_levels = {config.refine_levels}: table2 refines 2 "
+            f"levels further and refine_levels is at most {MAX_REFINE_LEVELS}, "
+            f"so it must be at most {MAX_REFINE_LEVELS - 2}")
     return _sweep_records([
         replace(config, case="case1", gamma="medium", gamma_arcs=None,
                 refine_levels=config.refine_levels + step, noise=NoiseSpec())

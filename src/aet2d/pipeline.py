@@ -33,6 +33,7 @@ from .noise import NoiseSpec, clamp_eigenvalues, perturb
 from .recon import ReconResult, boundary_theta, run_algorithm1
 
 _CASE_NAMES = ("case1", "case2", "constant")
+MAX_REFINE_LEVELS = 6
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,9 @@ class RunConfig:
         # the bounds of `build_disk_mesh`, checked before anything runs
         if not 0.0 < self.target_h < 1.0:
             raise ParameterError("target_h must lie in (0, 1)")
-        if not (isinstance(self.refine_levels, Integral) and 0 <= self.refine_levels <= 6):
-            raise ParameterError("refine_levels must be an integer in 0..6")
+        if not (isinstance(self.refine_levels, Integral)
+                and 0 <= self.refine_levels <= MAX_REFINE_LEVELS):
+            raise ParameterError(f"refine_levels must be an integer in 0..{MAX_REFINE_LEVELS}")
         if not isinstance(self.noise, NoiseSpec):
             raise ParameterError("noise must be a NoiseSpec")
         if not self.eps_d > 0.0:

@@ -36,27 +36,6 @@ def _rot90(v: np.ndarray) -> np.ndarray:
     return np.stack([-v[:, 1], v[:, 0]], axis=1)
 
 
-def angle_gradient(mesh: Mesh, theta: ScalarField) -> VectorField:
-    """Element gradient of an angle field, blind to the 2 pi branch cut.
-
-    Differentiating principal-range values across the cut manufactures a
-    spurious gradient of order 2 pi / h along it.  Folding each corner value
-    onto the branch of its element's first corner changes nothing where the
-    field is continuous and removes the cut where it is not.  Corners that
-    genuinely spread more than pi within one element stay ambiguous; the
-    folded reading is kept.
-    """
-    if theta.mesh is not mesh:
-        raise ContractError("field lives on a different mesh")
-    areas, (b, c) = mesh.areas, mesh.basis
-    v = theta.values[mesh.triangles]
-    d = v - v[:, :1]
-    v = v[:, :1] + (d - TWO_PI * np.round(d / TWO_PI))
-    gx = (v * b).sum(axis=1) / (2.0 * areas)
-    gy = (v * c).sum(axis=1) / (2.0 * areas)
-    return VectorField(mesh, np.column_stack((gx, gy)))
-
-
 @dataclass(frozen=True)
 class TransferFields:
     """Element vector fields extracted from the data matrix.

@@ -22,7 +22,6 @@ from aet2d import (
     GAMMA_MEDIUM,
     NoiseSpec,
     RunConfig,
-    angle_gradient,
     build_disk_mesh,
     floor_symmetric_2x2,
     forward_stage,
@@ -35,6 +34,7 @@ from aet2d import (
     vector_fields,
 )
 from aet2d.cli import main as cli_main
+from oracles import angle_gradient
 
 CASES = ("case1", "case2")
 GAMMAS = ("large", "medium", "small")

@@ -217,6 +217,18 @@ class TestExitCodes:
         assert run_cli("frobnicate") == 1
         assert run_cli("run") == 1
 
+    @pytest.mark.parametrize("levels", [5, 6])
+    def test_table2_levels_past_the_limit_name_the_key(self, tmp_path, capsys, levels):
+        # table2 adds two refinement levels to mesh.refine_levels
+        cfg = write_config(tmp_path, "mesh.target_h = 0.9\n"
+                           f"mesh.refine_levels = {levels}\n")
+        assert run_cli("table2", "--config", cfg, "--out", str(tmp_path / "t"),
+                       "--quiet") == 1
+        err = capsys.readouterr().err
+        assert "mesh.refine_levels" in err and "table2" in err
+        assert "2 levels" in err and "at most 4" in err
+        assert not (tmp_path / "t" / "table2.csv").exists()
+
     def test_data_breakdown_is_exit_2(self, tmp_path, capsys):
         # overwhelming noise with the eigenvalue floor disabled drives the
         # data matrix indefinite, which is a numerical failure, not a config one

@@ -89,7 +89,8 @@ def test_offdiagonals_nonpositive(medium):
 
 def test_linear_solution_exact_direct(small):
     sigma = ScalarField(small, np.ones(small.n_vertices))
-    u = solve_mixed(small, sigma, coord_bc(small))
+    u, info = solve_mixed(small, sigma, coord_bc(small), return_info=True)
+    assert info.method == "direct"
     assert np.abs(u.values - small.vertices[:, 0]).max() <= 1e-10
 
 

@@ -18,12 +18,8 @@ from aet2d import (
     write_mesh,
 )
 from aet2d.errors import ContractError, ParameterError
-from aet2d.mesh import (
-    basis_coefficients,
-    canonical_angle,
-    signed_areas,
-    triangle_quality,
-)
+from aet2d.mesh import basis_coefficients, canonical_angle, signed_areas
+from oracles import ring_loop_triangles, triangle_quality
 
 TWO_PI = 2.0 * math.pi
 
@@ -157,6 +153,11 @@ def test_build_is_deterministic():
     assert np.array_equal(a.vertices, b.vertices)
     assert np.array_equal(a.triangles, b.triangles)
     assert np.array_equal(a.boundary_edges, b.boundary_edges)
+
+
+@pytest.mark.parametrize("h", [0.9, 0.5, 0.2, 0.1, 0.06, 0.045, 0.03, 0.015])
+def test_build_matches_the_ring_loop(h):
+    assert np.array_equal(build_disk_mesh(h).triangles, ring_loop_triangles(h))
 
 
 def test_mesh_arrays_immutable(coarse):

@@ -1,10 +1,13 @@
-"""The package's public surface: what `import aet2d` loads and exports."""
+"""The package's public surface and fixed costs: what `import aet2d` loads
+and exports, and the memory a mesh build holds."""
 import ast
 import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import aet2d
 
@@ -29,12 +32,33 @@ def test_demo_imports_exist():
     assert missing == []
 
 
-def test_import_does_not_load_scipy_spatial():
+def _fresh_python(code: str) -> str:
+    """Stdout of `code` run in a new interpreter that imports this aet2d."""
     src = str(Path(aet2d.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, aet2d; print('scipy.spatial' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+@pytest.mark.parametrize("module", ["scipy.spatial", "scipy.sparse.linalg",
+                                    "scipy.linalg"])
+def test_import_does_not_load(module):
+    # SuperLU (scipy.sparse.linalg, which pulls in scipy.linalg) loads on
+    # the first direct solve only
+    code = f"import sys, aet2d; print({module!r} in sys.modules)"
+    assert _fresh_python(code).strip() == "False"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux only")
+def test_disk_mesh_build_holds_little_memory():
+    # the h = 0.03 mesh is 1 MB of triangles; building it a tuple per
+    # triangle raised the peak by 16.6 MB
+    code = ("import resource, aet2d\n"
+            "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = peak()\n"
+            "aet2d.build_disk_mesh(0.03)\n"
+            "print((peak() - before) / 1024)")
+    assert float(_fresh_python(code)) <= 10.0

@@ -13,7 +13,7 @@ from aet2d import (
 )
 from aet2d import recon
 from aet2d.errors import ContractError, DomainError
-from aet2d.fem import l2_norm_vector, solve_poisson_weak_div
+from aet2d.fem import solve_poisson_weak_div
 from aet2d.recon import (
     TransferFields,
     boundary_theta,
@@ -22,6 +22,7 @@ from aet2d.recon import (
     sigma_rhs,
     vector_fields,
 )
+from oracles import l2_norm_vector
 
 
 @pytest.fixture(scope="module")
