@@ -6,13 +6,22 @@ vertex quadrature, which is exact for P1 sigma against the constant gradient
 products. Dirichlet conditions are eliminated symmetrically so the free block
 stays positive definite for conjugate gradients; a `ConstrainedOperator` does
 that split once and then serves every right-hand side with the same matrix
-and fixed nodes. Systems below `DIRECT_SOLVE_LIMIT` free unknowns are solved
-by SuperLU, whose module `scipy.sparse.linalg` loads on the first such solve
-only, so `import aet2d` stays free of it and of `scipy.linalg`.
+and fixed nodes.
+
+Matrices are summed as scipy's COO-to-CSR conversion sums them:
+`aet2d.mesh.assemble_elements` lays the element entries out by row, in element
+order, as that conversion does before it sums, and scipy's own
+`sum_duplicates` adds them. Every sum is taken in the same order, bit for
+bit, without the COO row and column arrays.
+
+Systems below `DIRECT_SOLVE_LIMIT` free unknowns are solved by SuperLU, whose
+module `scipy.sparse.linalg` loads on the first such solve only, so
+`import aet2d` stays free of it and of `scipy.linalg`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +33,7 @@ from .errors import (
     NumericalError,
     SingularSystemError,
 )
-from .mesh import Mesh
+from .mesh import Mesh, assemble_elements
 
 # Below this many free unknowns a sparse direct factorization is cheaper and
 # exact; above it the diagonally preconditioned CG takes over. Only small
@@ -92,11 +101,18 @@ def local_stiffness(b, c, area, sigma_vertices) -> np.ndarray:
     -------
     (..., 3, 3) symmetric element matrices.
     """
-    # (b b^T + c c^T) * scale, accumulated in place to hold one temporary
+    # (b b^T + c c^T) * scale one entry at a time, each the broadcast form's
+    # three roundings; b_i b_j = b_j b_i exactly, so the upper triangle is
+    # computed and mirrored
     scale = sigma_vertices.mean(axis=-1) / (4.0 * area)
-    K = b[..., :, None] * b[..., None, :]
-    K += c[..., :, None] * c[..., None, :]
-    K *= scale[..., None, None]
+    K = np.empty(scale.shape + (3, 3))
+    entry, cc = np.empty_like(scale), np.empty_like(scale)
+    for i in range(3):
+        for j in range(i, 3):
+            np.multiply(b[..., i], b[..., j], out=entry)
+            entry += np.multiply(c[..., i], c[..., j], out=cc)
+            entry *= scale
+            K[..., i, j] = K[..., j, i] = entry
     return K
 
 
@@ -117,14 +133,11 @@ def assemble_conductivity(mesh: Mesh, sigma: ScalarField) -> sp.csr_matrix:
     if np.any(sigma.values <= 0.0):
         bad = np.flatnonzero(sigma.values <= 0.0)
         raise DomainError(f"sigma must be positive; offending nodes {bad[:10].tolist()}")
-    local = local_stiffness(*mesh.basis, mesh.areas, sigma.values[mesh.triangles])
-    n = mesh.n_vertices
-    # scipy keeps indices below 2**31 as int32; building them so from the
-    # start spares the int64 index arrays at the assembly's memory peak
-    tri = mesh.triangles.astype(np.int32 if n < 2**31 else np.int64)
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    # summed in the order of scipy's COO-to-CSR conversion (stable row
+    # buckets, then scipy's sum_duplicates), with its int32 indices; the
+    # element matrices go in as a temporary, freed once permuted
+    return assemble_elements(
+        mesh, local_stiffness(*mesh.basis, mesh.areas, sigma.values[mesh.triangles]))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +169,8 @@ def _pcg(A: sp.csr_matrix, rhs: np.ndarray, tol: float, max_iter: int):
         alpha = rz / pAp
         x += np.multiply(alpha, p, out=step)
         r -= np.multiply(alpha, Ap, out=step)
-        if np.linalg.norm(r) <= tol * bnorm:
+        # sqrt(r @ r) is what `np.linalg.norm` computes for real 1-D input
+        if math.sqrt(float(r @ r)) <= tol * bnorm:
             return x, it
         np.multiply(inv_diag, r, out=z)
         rz_next = float(r @ z)
@@ -228,6 +242,7 @@ def constrain(matrix: sp.csr_matrix, fixed) -> ConstrainedOperator:
     free_mask[fixed] = False
     free = np.flatnonzero(free_mask)
     rows = matrix[free]
+    del matrix  # a temporary argument is freed before the blocks are cut
     for a in (fixed, free):
         a.setflags(write=False)
     return ConstrainedOperator(n, fixed, free, rows[:, free].tocsr(), rows[:, fixed])
@@ -332,11 +347,18 @@ def element_gradient(mesh: Mesh, field: ScalarField) -> VectorField:
     """Exact gradient of the P1 interpolant, constant per triangle."""
     if field.mesh is not mesh:
         raise ContractError("field lives on a different mesh")
-    areas, (b, c) = mesh.areas, mesh.basis
-    u = field.values[mesh.triangles]
-    gx = (u * b).sum(axis=1) / (2.0 * areas)
-    gy = (u * c).sum(axis=1) / (2.0 * areas)
-    return VectorField(mesh, np.column_stack((gx, gy)))
+    tri, (b, c) = mesh.triangles, mesh.basis
+    u0, u1, u2 = (field.values[tri[:, k]] for k in range(3))
+    two_area = 2.0 * mesh.areas
+    g = np.empty((mesh.n_triangles, 2))
+    for j, coef in enumerate((b, c)):
+        # (p0 + p1) + p2, the order `.sum(axis=1)` takes over the (T, 3)
+        # products, one vertex column at a time instead of all three
+        s = u0 * coef[:, 0]
+        s += u1 * coef[:, 1]
+        s += u2 * coef[:, 2]
+        np.divide(s, two_area, out=g[:, j])
+    return VectorField(mesh, g)
 
 
 def project_to_nodes(mesh: Mesh, element_values: np.ndarray) -> np.ndarray:
@@ -350,20 +372,19 @@ def project_to_nodes(mesh: Mesh, element_values: np.ndarray) -> np.ndarray:
         vals = np.asarray(element_values, dtype=np.float64)
     if vals.shape[0] != mesh.n_triangles:
         raise ContractError("expected one value per triangle")
-    areas = mesh.areas
+    areas, den = mesh.areas, mesh.star_areas
     idx = mesh.triangles.ravel()
-    den = np.bincount(idx, weights=np.repeat(areas, 3), minlength=mesh.n_vertices)
+
+    def spread(column):
+        return np.bincount(idx, weights=np.repeat(areas * column, 3),
+                           minlength=mesh.n_vertices) / den
+
     if vals.ndim == 1:
-        num = np.bincount(idx, weights=np.repeat(areas * vals, 3),
-                          minlength=mesh.n_vertices)
-        return num / den
+        return spread(vals)
     out = np.empty((mesh.n_vertices, vals.shape[1]))
     for j in range(vals.shape[1]):
-        num = np.bincount(idx, weights=np.repeat(areas * vals[:, j], 3),
-                          minlength=mesh.n_vertices)
-        out[:, j] = num / den
+        out[:, j] = spread(vals[:, j])
     return out
-
 
 def l2_norm(field: ScalarField) -> float:
     """L2(Omega) norm of the P1 interpolant via the consistent mass matrix."""

@@ -147,14 +147,17 @@ def power_density(mesh: Mesh, sigma: ScalarField, u1: ScalarField,
     g1 = element_gradient(mesh, u1).vectors
     g2 = element_gradient(mesh, u2).vectors
     sig = sigma.values[mesh.triangles].mean(axis=1)
-    e11 = sig * (g1 * g1).sum(axis=1)
-    e12 = sig * (g1 * g2).sum(axis=1)
-    e22 = sig * (g2 * g2).sum(axis=1)
-    return PowerDensity(
-        ScalarField(mesh, project_to_nodes(mesh, e11)),
-        ScalarField(mesh, project_to_nodes(mesh, e12)),
-        ScalarField(mesh, project_to_nodes(mesh, e22)),
-        eps_d=eps_d)
+
+    def projected(ga, gb):
+        # sig * (ga * gb).sum(axis=1), its two-term sum taken column-wise,
+        # carried to nodes before the next product is formed
+        e = ga[:, 0] * gb[:, 0]
+        e += ga[:, 1] * gb[:, 1]
+        e *= sig
+        return ScalarField(mesh, project_to_nodes(mesh, e))
+
+    return PowerDensity(projected(g1, g1), projected(g1, g2), projected(g2, g2),
+                        eps_d=eps_d)
 
 
 def true_theta(mesh: Mesh, u1: ScalarField) -> tuple[ScalarField, np.ndarray]:
@@ -172,13 +175,19 @@ def true_theta(mesh: Mesh, u1: ScalarField) -> tuple[ScalarField, np.ndarray]:
     norms = np.hypot(g[:, 0], g[:, 1])
     # a gradient below the roundoff bound of its own assembly has no
     # trustworthy direction; the bound scales with the nodal magnitudes
-    areas, (b, c) = mesh.areas, mesh.basis
-    mags = np.abs(u1.values[mesh.triangles])
-    noise_floor = 1e-13 * (mags * np.hypot(b, c)).sum(axis=1) / (2.0 * areas)
+    (b, c), tri = mesh.basis, mesh.triangles
+    weighted = u1.values[tri]
+    np.abs(weighted, out=weighted)
+    for k in range(3):
+        weighted[:, k] *= np.hypot(b[:, k], c[:, k])
+    noise_floor = weighted.sum(axis=1)
+    del weighted
+    noise_floor *= 1e-13
+    noise_floor /= 2.0 * mesh.areas
     degenerate = norms <= noise_floor
-    unit = np.zeros_like(g)
-    ok = ~degenerate
-    unit[ok] = g[ok] / norms[ok, None]
+    # the unit directions overwrite the gradients they come from
+    unit = np.divide(g, norms[:, None], out=g, where=~degenerate[:, None])
+    unit[degenerate] = 0.0
     averaged = project_to_nodes(mesh, unit)
 
     flagged = np.zeros(mesh.n_vertices, dtype=bool)

@@ -36,13 +36,23 @@ def canonical_angle(t):
 # Boundary arc specification
 # ---------------------------------------------------------------------------
 
+def _canonical_arc(a: float, b: float) -> tuple[float, float]:
+    """[a, b) moved by whole turns so that a lies in [0, 2*pi), width kept."""
+    start = a % TWO_PI
+    if start == TWO_PI:  # a tiny negative a rounds up to a whole turn
+        start = 0.0
+    return (a, b) if start == a else (start, start + (b - a))
+
+
 @dataclass(frozen=True)
 class BoundarySpec:
     """The controlled boundary arc as half-open angle intervals [a, b).
 
     Intervals are read counterclockwise; b may exceed 2*pi to express arcs
     crossing the positive x-axis. Intervals must be non-empty, pairwise
-    disjoint modulo 2*pi, and cover at most the full circle.
+    disjoint modulo 2*pi, and cover at most the full circle. Each is stored
+    moved by whole turns to start in [0, 2*pi), so arcs that differ by whole
+    turns give equal specs and classify every angle alike.
     """
 
     arcs: tuple[tuple[float, float], ...]
@@ -50,17 +60,16 @@ class BoundarySpec:
     def __post_init__(self):
         if not self.arcs:
             raise ParameterError("BoundarySpec needs at least one arc")
-        arcs = tuple((float(a), float(b)) for a, b in self.arcs)
-        object.__setattr__(self, "arcs", arcs)
-        segments = []
-        for a, b in arcs:
-            width = b - a
-            if not (0.0 < width <= TWO_PI + 1e-12):
+        arcs = []
+        for a, b in self.arcs:
+            a, b = float(a), float(b)
+            if not (0.0 < b - a <= TWO_PI + 1e-12):
                 raise ParameterError(f"arc [{a}, {b}) must have width in (0, 2*pi]")
-            start = math.fmod(a, TWO_PI)
-            if start < 0.0:
-                start += TWO_PI
-            end = start + min(width, TWO_PI)
+            arcs.append(_canonical_arc(a, b))
+        object.__setattr__(self, "arcs", tuple(arcs))
+        segments = []
+        for start, b in arcs:
+            end = start + min(b - start, TWO_PI)
             if end <= TWO_PI + 1e-12:
                 segments.append((start, end))
             else:
@@ -125,9 +134,9 @@ class Mesh:
     areas           (T,)   triangle areas (not a field)
 
     The edge angles and triangle areas are computed on construction; the P1
-    basis coefficients and the mass matrix on first use, once per mesh. All
-    arrays are read-only; operations return new meshes, which compute their
-    own.
+    basis coefficients, the vertex star areas and the mass matrix on first
+    use, once per mesh. All arrays are read-only; operations return new
+    meshes, which compute their own.
     """
 
     vertices: np.ndarray
@@ -225,17 +234,49 @@ class Mesh:
         return _frozen(b), _frozen(c)
 
     @cached_property
+    def star_areas(self) -> np.ndarray:
+        """Total area of the triangles around each vertex."""
+        idx = self.triangles.ravel()
+        return _frozen(np.bincount(idx, weights=np.repeat(self.areas, 3),
+                                   minlength=self.n_vertices))
+
+    @cached_property
     def mass(self) -> sp.csr_matrix:
         """Consistent P1 mass matrix (exact for products of P1 functions)."""
         local = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-        local = local[None, :, :] * self.areas[:, None, None]
-        rows = np.repeat(self.triangles, 3, axis=1).ravel()
-        cols = np.tile(self.triangles, (1, 3)).ravel()
-        n = self.n_vertices
-        M = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        M = assemble_elements(self, local[None, :, :] * self.areas[:, None, None])
         for a in (M.data, M.indices, M.indptr):
             a.setflags(write=False)
         return M
+
+
+def assemble_elements(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
+    """Sum (T, 3, 3) element matrices into the mesh's (N, N) CSR matrix.
+
+    `local[t, i, j]` couples vertices `triangles[t, i]` and `triangles[t, j]`.
+    The entries are laid out as scipy's COO-to-CSR conversion lays them out
+    before summing (bucketed by row, in element order within a row), then
+    scipy's own `sum_duplicates` adds them up. Every sum is therefore taken
+    in the order that conversion takes it, bit for bit, without its row and
+    column arrays. The caller's `local` is consumed: pass it as a temporary
+    so its memory is freed once it has been permuted.
+    """
+    n = mesh.n_vertices
+    # the COO-to-CSR conversion picks int32 indices while the pre-sum count
+    # 9T fits in them; the same arrays give the same sort and the same sums
+    idx = np.int32 if 9 * mesh.n_triangles < 2**31 else np.int64
+    order = np.argsort(mesh.triangles.astype(idx).ravel(), kind="stable")
+    data = np.take(local.reshape(-1, 3), order, axis=0).ravel()
+    del local
+    order //= 3
+    indices = np.take(mesh.triangles.astype(idx), order, axis=0).ravel()
+    del order
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(np.bincount(mesh.triangles.ravel(), minlength=n), out=indptr[1:])
+    indptr *= 3
+    M = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    M.sum_duplicates()
+    return M
 
 
 def _edge_keys(triangles: np.ndarray, n_vertices: int) -> np.ndarray:
@@ -243,15 +284,16 @@ def _edge_keys(triangles: np.ndarray, n_vertices: int) -> np.ndarray:
     ahead = triangles[:, [1, 2, 0]]
     keys = np.minimum(triangles, ahead)
     keys *= n_vertices
-    keys += np.maximum(triangles, ahead)
+    keys += np.maximum(triangles, ahead, out=ahead)
     return keys.ravel()
 
 
 def signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Signed area of each triangle (positive for counterclockwise)."""
-    p = vertices[triangles]
-    return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+    x, y = vertices[:, 0], vertices[:, 1]
+    i, j, k = triangles.T
+    x0, y0 = x[i], y[i]
+    return 0.5 * ((x[j] - x0) * (y[k] - y0) - (x[k] - x0) * (y[j] - y0))
 
 
 def basis_coefficients(vertices: np.ndarray, triangles: np.ndarray):

@@ -179,6 +179,7 @@ def forward_stage(config: RunConfig) -> ForwardData:
                      tol=config.tol, max_iter=config.max_iter)
     u2 = solve_mixed(data_mesh, sigma_data, f2, operator=operator,
                      tol=config.tol, max_iter=config.max_iter)
+    del operator  # its matrix blocks are the data mesh's largest arrays
 
     H_data = power_density(data_mesh, sigma_data, u1, u2, config.eps_d)
     theta_data, flagged = true_theta(data_mesh, u1)

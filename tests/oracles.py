@@ -5,6 +5,7 @@ closed-form reading of something the package computes another way, or a
 measure only the tests need.
 """
 import numpy as np
+import scipy.sparse as sp
 
 from aet2d import ScalarField, VectorField
 from aet2d.errors import ContractError
@@ -35,6 +36,23 @@ def ring_loop_triangles(target_h: float) -> np.ndarray:
                     tris.append((inner, outer, si + (s * k + ji + 1) % mi))
                     ji += 1
     return np.array(tris, dtype=np.int64)
+
+
+def coo_assembly(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
+    """(T, 3, 3) element matrices summed the textbook way: one COO triplet
+    per element entry, duplicates added by scipy's COO-to-CSR conversion."""
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    n = mesh.n_vertices
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def fancy_index_split(matrix: sp.csr_matrix, fixed: np.ndarray):
+    """The free block and the free-to-`fixed` coupling by scipy's fancy
+    indexing; `fixed` sorted and unique."""
+    free = np.setdiff1d(np.arange(matrix.shape[0]), fixed)
+    rows = matrix[free]
+    return rows[:, free], rows[:, fixed]
 
 
 def triangle_quality(mesh: Mesh) -> np.ndarray:

@@ -16,7 +16,9 @@ from aet2d.fem import (
     solve_mixed,
     solve_poisson_weak_div,
 )
+from aet2d.forward import CASE2
 from aet2d.mesh import basis_coefficients, signed_areas
+from oracles import coo_assembly, fancy_index_split
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +62,47 @@ def test_element_matrix_scales_linearly():
     base = element_stiffness(coords, np.ones(3))
     scaled = element_stiffness(coords, 3.0 * np.ones(3))
     assert scaled == pytest.approx(3.0 * base, rel=1e-14)
+
+
+@pytest.fixture(scope="module", params=[0, 1, 2], ids=lambda n: f"refine_levels={n}")
+def nested(request):
+    mesh = build_disk_mesh(0.2)
+    for _ in range(request.param):
+        mesh = refine(mesh)
+    return tag_boundary(mesh, GAMMA_MEDIUM)
+
+
+def csr_bytes(M):
+    return [(a.dtype.str, a.tobytes()) for a in (M.indptr, M.indices, M.data)]
+
+
+def coo_stiffness(mesh, sigma):
+    """The conductivity matrix from broadcast element matrices and COO sums."""
+    b, c = mesh.basis
+    scale = sigma.values[mesh.triangles].mean(axis=1) / (4.0 * mesh.areas)
+    local = b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
+    return coo_assembly(mesh, local * scale[:, None, None])
+
+
+def test_stiffness_is_the_coo_sum_bit_for_bit(nested):
+    sigma = CASE2.on_mesh(nested)
+    assert csr_bytes(assemble_conductivity(nested, sigma)) == \
+        csr_bytes(coo_stiffness(nested, sigma))
+
+
+def test_mass_is_the_coo_sum_bit_for_bit(nested):
+    ref = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+    want = coo_assembly(nested, ref[None, :, :] * nested.areas[:, None, None])
+    assert csr_bytes(nested.mass) == csr_bytes(want)
+
+
+def test_constrained_blocks_are_the_coo_blocks_bit_for_bit(nested):
+    sigma = CASE2.on_mesh(nested)
+    fixed = nested.dirichlet_nodes
+    operator = constrain(assemble_conductivity(nested, sigma), fixed)
+    free_block, coupling = fancy_index_split(coo_stiffness(nested, sigma), fixed)
+    assert csr_bytes(operator.free_block) == csr_bytes(free_block)
+    assert csr_bytes(operator.coupling) == csr_bytes(coupling)
 
 
 def test_assembled_matrix_annihilates_constants(medium):

@@ -1,5 +1,5 @@
 """The package's public surface and fixed costs: what `import aet2d` loads
-and exports, and the memory a mesh build holds."""
+and exports, and the memory a mesh build and an assembly hold."""
 import ast
 import importlib
 import os
@@ -51,14 +51,38 @@ def test_import_does_not_load(module):
     assert _fresh_python(code).strip() == "False"
 
 
+def _peak_rise_mb(setup: str, work: str) -> float:
+    """MB by which `work` raises a new interpreter's peak RSS after `setup`.
+
+    The peak is the process's own VmHWM. `ru_maxrss` would not do: Linux
+    carries the spawning process's peak across exec, so under a test run
+    that has already held large meshes it hides the whole rise.
+    """
+    code = (f"import aet2d\n{setup}\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as f:\n"
+            "        return next(int(line.split()[1]) for line in f\n"
+            "                    if line.startswith('VmHWM:'))\n"
+            f"before = peak()\n{work}\n"
+            "print((peak() - before) / 1024)")
+    return float(_fresh_python(code))
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="ru_maxrss is in KiB on Linux only")
+                    reason="VmHWM is read from /proc, Linux only")
 def test_disk_mesh_build_holds_little_memory():
     # the h = 0.03 mesh is 1 MB of triangles; building it a tuple per
     # triangle raised the peak by 16.6 MB
-    code = ("import resource, aet2d\n"
-            "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "before = peak()\n"
-            "aet2d.build_disk_mesh(0.03)\n"
-            "print((peak() - before) / 1024)")
-    assert float(_fresh_python(code)) <= 10.0
+    assert _peak_rise_mb("", "aet2d.build_disk_mesh(0.03)") <= 10.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="VmHWM is read from /proc, Linux only")
+def test_assembly_holds_little_memory():
+    # the data mesh at h = 0.03 has 12 MB of element matrices; assembling
+    # them through COO triplets raised the peak by 41.7 MB
+    setup = ("import numpy as np\n"
+             "mesh = aet2d.refine(aet2d.build_disk_mesh(0.03))\n"
+             "sigma = aet2d.ScalarField(mesh, np.ones(mesh.n_vertices))")
+    rise = _peak_rise_mb(setup, "aet2d.assemble_conductivity(mesh, sigma)")
+    assert rise <= 30.0

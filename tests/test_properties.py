@@ -1,16 +1,27 @@
 """Property tests over drawn inputs (profile in conftest.py: fixed, capped)."""
+import contextlib
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aet2d import BoundarySpec, floor_symmetric_2x2
-from aet2d.errors import ParameterError
+from aet2d import BoundarySpec, Mesh, ScalarField, build_disk_mesh, floor_symmetric_2x2, refine
+from aet2d.cli import main
+from aet2d.errors import ContractError, ParameterError
+from aet2d.forward import restrict
 
 TWO_PI = 2.0 * math.pi
 turns = st.integers(-3, 3).filter(bool)
+
+# TWO_PI is a multiple of 2**-47 (its last three mantissa bits are zero), so
+# angles on this grid below 32 in magnitude move by up to three whole turns
+# without rounding
+GRID = 2.0 ** -47
 
 
 @given(start=st.floats(-10.0, 10.0), width=st.floats(1e-3, TWO_PI),
@@ -41,6 +52,29 @@ def test_contains_is_unchanged_by_a_whole_turn(start, width, turn, t):
     assert np.array_equal(got[clear], want[clear])
 
 
+@given(start=st.integers(0, int(TWO_PI / GRID) - 1),
+       width=st.integers(1, int(TWO_PI / GRID)), turn=turns,
+       t=st.lists(st.floats(-10.0, 10.0), max_size=20))
+def test_arcs_a_whole_turn_apart_are_one_spec(start, width, turn, t):
+    start, width = start * GRID, width * GRID
+    moved = start + turn * TWO_PI
+    assert moved - turn * TWO_PI == start  # the move is exact
+    base = BoundarySpec(((start, start + width),))
+    other = BoundarySpec(((moved, moved + width),))
+    assert other == base
+    probe = np.array(t + [v for end in (start, start + width, moved, moved + width)
+                          for v in (np.nextafter(end, -np.inf), end,
+                                    np.nextafter(end, np.inf))])
+    assert np.array_equal(other.contains(probe), base.contains(probe))
+
+
+@given(start=st.floats(-30.0, 30.0), width=st.floats(1e-3, TWO_PI))
+def test_arcs_are_stored_from_zero_to_two_pi(start, width):
+    (a, b), = BoundarySpec(((start, start + width),)).arcs
+    assert 0.0 <= a < TWO_PI
+    assert b - a == pytest.approx(width, abs=1e-13)
+
+
 entry = st.floats(-1e3, 1e3)
 
 
@@ -64,3 +98,91 @@ def test_floor_leaves_entries_at_or_above_it_bit_identical(floor, loose, above):
     assert not mask[keep].any()
     for new, old in ((na, a), (nb, b), (nc, c)):
         assert np.array_equal(new[keep], old[keep])
+
+
+# nested chains: each mesh's vertices are the first vertices of the next
+CHAINS = {h: [build_disk_mesh(h)] for h in (0.9, 0.5)}
+for chain in CHAINS.values():
+    chain += [refine(chain[0]), refine(refine(chain[0]))]
+
+
+def _renumbered(mesh: Mesh, perm: np.ndarray) -> Mesh:
+    """The same triangulation with vertex k stored at index perm[k]."""
+    vertices = np.empty_like(mesh.vertices)
+    vertices[perm] = mesh.vertices
+    return Mesh(vertices, perm[mesh.triangles], perm[mesh.boundary_edges],
+                mesh.boundary_tags)
+
+
+@given(h=st.sampled_from(sorted(CHAINS)), levels=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+       change=st.sampled_from(["none", "swap", "nudge", "other chain"]), data=st.data())
+def test_restrict_accepts_exactly_index_prefixes(h, levels, change, data):
+    coarse, fine = sorted(levels)
+    source, target = CHAINS[h][fine], CHAINS[h][coarse]
+    n = target.n_vertices
+    if change == "swap":
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                  unique=True), label="swapped vertices")
+        perm = np.arange(n)
+        perm[[i, j]] = perm[[j, i]]
+        target = _renumbered(target, perm)
+    elif change == "nudge":
+        k = data.draw(st.integers(0, n - 1), label="nudged vertex")
+        vertices = target.vertices.copy()
+        vertices[k, 0] = np.nextafter(vertices[k, 0], np.inf)
+        target = Mesh(vertices, target.triangles, target.boundary_edges,
+                      target.boundary_tags)
+    elif change == "other chain":
+        target = CHAINS[0.5 if h == 0.9 else 0.9][coarse]
+    values = np.sin(7.0 * source.vertices[:, 0]) + source.vertices[:, 1]
+    field = ScalarField(source, values)
+    if change != "none":
+        with pytest.raises(ContractError, match="not an index prefix"):
+            restrict(field, target)
+        return
+    out = restrict(field, target)
+    assert out.mesh is target
+    assert out.values.tobytes() == values[:n].tobytes()
+    assert not np.shares_memory(out.values, values)
+
+
+STAGE_FILES = ("mesh.txt", "h11.csv", "h12.csv", "h22.csv", "sigma_true.csv",
+               "theta_true.csv", "meta.txt")
+
+
+@pytest.fixture(scope="module")
+def stage(tmp_path_factory):
+    """Config and file contents of one small `aet2d forward` run."""
+    root = tmp_path_factory.mktemp("stage")
+    cfg = root / "run.cfg"
+    cfg.write_text("mesh.target_h = 0.5\n", encoding="ascii")
+    assert main(["forward", "--config", str(cfg), "--out", str(root), "--quiet"]) == 0
+    return cfg, {name: (root / name).read_bytes() for name in STAGE_FILES}
+
+
+@given(name=st.sampled_from(STAGE_FILES), truncate=st.booleans(), data=st.data())
+def test_a_broken_stage_file_is_named(stage, name, truncate, data):
+    cfg, files = stage
+    text = files[name]
+    if truncate:
+        # whole lines off the end; the flagged line of meta.txt is optional,
+        # so there only losing every line breaks the file
+        lines = text.splitlines(keepends=True)
+        keep = data.draw(st.integers(0, 0 if name == "meta.txt" else len(lines) - 1),
+                         label="lines kept")
+        broken = b"".join(lines[:keep])
+    else:
+        # one byte that no number, name or separator of the format contains
+        at = data.draw(st.integers(0, len(text) - 1), label="offset")
+        byte = data.draw(st.sampled_from([b"#", b"x", b"\xff", b"\x00"])
+                         .filter(lambda b: b != text[at:at + 1]), label="byte")
+        broken = text[:at] + byte + text[at + 1:]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for other, content in files.items():
+            Path(tmp, other).write_bytes(broken if other == name else content)
+        with contextlib.redirect_stderr(err):
+            code = main(["reconstruct", "--config", str(cfg), "--out", tmp, "--quiet"])
+    assert code == 1
+    assert name in err.getvalue()
+    assert "Traceback" not in err.getvalue()
