@@ -51,7 +51,6 @@ from .pipeline import (
     recon_stage,
     run_pipeline,
 )
-from .recon import ReconResult
 
 _FORMATS = ("csv", "vtk")
 
@@ -277,12 +276,10 @@ def _write_fields(job: Job, fields: dict[str, ScalarField]) -> None:
                          mesh_text=mesh_text)
 
 
-def _write_results(job: Job, fwd: ForwardData, recon: ReconResult,
-                   forward_seconds: float, recon_seconds: float,
-                   quiet: bool) -> None:
-    record = record_from_run(
-        job.config, PipelineResult(fwd, recon, forward_seconds, recon_seconds))
+def _write_results(job: Job, result: PipelineResult, quiet: bool) -> None:
+    record = record_from_run(job.config, result)
     _atomic_text(job.out_dir / "record.csv", records_to_csv([record]))
+    fwd, recon = result.forward, result.recon
     _write_fields(job, {"sigma_recon": recon.sigma, "theta_recon": recon.theta,
                         "sigma_true": fwd.sigma_true,
                         "theta_true": fwd.theta_true})
@@ -292,9 +289,7 @@ def _write_results(job: Job, fwd: ForwardData, recon: ReconResult,
 
 
 def _cmd_run(job: Job, quiet: bool) -> int:
-    result = run_pipeline(job.config)
-    _write_results(job, result.forward, result.recon,
-                   result.forward_seconds, result.recon_seconds, quiet)
+    _write_results(job, run_pipeline(job.config), quiet)
     return 0
 
 
@@ -367,7 +362,8 @@ def _cmd_reconstruct(job: Job, quiet: bool) -> int:
                       theta_flagged=flagged)
     t0 = time.perf_counter()
     recon = recon_stage(job.config, fwd)
-    _write_results(job, fwd, recon, 0.0, time.perf_counter() - t0, quiet)
+    _write_results(job, PipelineResult(fwd, recon, 0.0, time.perf_counter() - t0),
+                   quiet)
     return 0
 
 

@@ -8,6 +8,10 @@ stays positive definite for conjugate gradients; a `ConstrainedOperator` does
 that split once and then serves every right-hand side with the same matrix
 and fixed nodes.
 
+Boundary data are float arrays, one value per fixed node in sorted order (the
+order of `ConstrainedOperator.fixed`): the mesh's tags fix the nodes, its
+`dirichlet_nodes` for mixed solves and its `boundary_nodes` for Poisson ones.
+
 Matrices are summed as scipy's COO-to-CSR conversion sums them:
 `aet2d.mesh.assemble_elements` lays the element entries out by row, in element
 order, as that conversion does before it sums, and scipy's own
@@ -254,80 +258,73 @@ def laplacian_operator(mesh: Mesh) -> ConstrainedOperator:
     return constrain(assemble_conductivity(mesh, ones), mesh.boundary_nodes)
 
 
-def _solve(mesh: Mesh, operator: ConstrainedOperator, nodes, vals, load,
+def fixed_values(nodes: np.ndarray, values) -> np.ndarray:
+    """`values` as floats; ContractError unless one finite value per node."""
+    vals = np.asarray(values, dtype=np.float64)
+    if vals.shape != nodes.shape or not np.isfinite(vals).all():
+        raise ContractError(
+            f"expected {nodes.size} finite values, one per fixed node; got "
+            f"{vals.size}, {vals.size - np.count_nonzero(np.isfinite(vals))} not finite")
+    return vals
+
+
+def _solve(mesh: Mesh, operator: ConstrainedOperator, nodes, values, load,
            tol: float, max_iter: int, return_info: bool):
     if operator.n != mesh.n_vertices or not np.array_equal(operator.fixed, nodes):
         raise ContractError("operator was built for other Dirichlet nodes")
-    x, info = operator.solve(vals, load, tol=tol, max_iter=max_iter)
+    x, info = operator.solve(fixed_values(nodes, values), load, tol=tol,
+                             max_iter=max_iter)
     field = ScalarField(mesh, x)
     return (field, info) if return_info else field
 
 
-def _check_boundary_map(mesh: Mesh, values: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The map's nodes, sorted, and their values."""
-    nodes = np.fromiter(values.keys(), dtype=np.int64, count=len(values))
-    vals = np.fromiter(values.values(), dtype=np.float64, count=len(values))
-    order = np.argsort(nodes)
-    nodes, vals = nodes[order], vals[order]
-    if not np.all(np.isfinite(vals)):
-        raise ContractError("boundary values must be finite")
-    rim = mesh.boundary_nodes
-    member = np.isin(nodes, rim)
-    if not member.all():
-        raise ContractError(
-            f"nodes {nodes[~member][:10].tolist()} are not boundary nodes")
-    return nodes, vals
-
-
-def solve_mixed(mesh: Mesh, sigma: ScalarField, dirichlet_values: dict,
+def solve_mixed(mesh: Mesh, sigma: ScalarField, dirichlet_values: np.ndarray,
                 *, operator: ConstrainedOperator | None = None,
                 tol: float = 1e-10, max_iter: int = 20_000,
                 return_info: bool = False):
-    """Solve -div(sigma grad u) = 0 with u prescribed on part of the boundary.
+    """Solve -div(sigma grad u) = 0 with u prescribed on the controlled arc.
 
     The no-flux condition on untagged boundary edges is natural: it needs no
     boundary terms, only the absence of constraints there.
 
     Parameters
     ----------
-    dirichlet_values : dict
-        Map from boundary node index to prescribed value. Must be non-empty.
+    dirichlet_values : (len(mesh.dirichlet_nodes),) array_like
+        The prescribed value at each node of `mesh.dirichlet_nodes`, in that
+        sorted order. A mesh without such nodes raises SingularSystemError.
     operator : ConstrainedOperator, optional
-        ``constrain(assemble_conductivity(mesh, sigma), nodes)`` built once
-        and shared by solves with the same sigma and Dirichlet nodes;
-        assembled here when omitted.
+        ``constrain(assemble_conductivity(mesh, sigma), mesh.dirichlet_nodes)``
+        built once and shared by solves with the same sigma; assembled here
+        when omitted.
 
     Returns
     -------
     ScalarField, or (ScalarField, SolveInfo) when return_info is set.
     """
-    if not dirichlet_values:
+    nodes = mesh.dirichlet_nodes
+    if nodes.size == 0:
         raise SingularSystemError(
             "no Dirichlet nodes: the pure-Neumann problem is singular")
-    nodes, vals = _check_boundary_map(mesh, dirichlet_values)
     if operator is None:
         operator = constrain(assemble_conductivity(mesh, sigma), nodes)
-    return _solve(mesh, operator, nodes, vals, None, tol, max_iter, return_info)
+    return _solve(mesh, operator, nodes, dirichlet_values, None, tol, max_iter,
+                  return_info)
 
 
-def solve_poisson_weak_div(mesh: Mesh, F: VectorField, boundary_values: dict,
+def solve_poisson_weak_div(mesh: Mesh, F: VectorField, boundary_values: np.ndarray,
                            *, operator: ConstrainedOperator | None = None,
                            tol: float = 1e-10, max_iter: int = 20_000,
                            return_info: bool = False):
     """Solve lap(w) = div(F) weakly with w given on the whole boundary.
 
     The right-hand side uses integral F.grad(v) per element, so F is never
-    differentiated. `boundary_values` must cover every boundary node.
-    `operator` is `laplacian_operator(mesh)`, shared between solves on one
-    mesh; it is built here when omitted.
+    differentiated. `boundary_values` holds one value per node of
+    `mesh.boundary_nodes`, in that sorted order. `operator` is
+    `laplacian_operator(mesh)`, shared between solves on one mesh; it is
+    built here when omitted.
     """
     if F.mesh is not mesh:
         raise ContractError("F lives on a different mesh")
-    nodes, vals = _check_boundary_map(mesh, boundary_values)
-    missing = np.setdiff1d(mesh.boundary_nodes, nodes)
-    if missing.size:
-        raise ContractError(
-            f"boundary values missing for nodes {missing[:10].tolist()}")
 
     b, c = mesh.basis
     # integral over K of F.grad(phi_i) = (b_i Fx + c_i Fy)/2
@@ -336,7 +333,8 @@ def solve_poisson_weak_div(mesh: Mesh, F: VectorField, boundary_values: dict,
     np.add.at(rhs, mesh.triangles.ravel(), contrib.ravel())
     if operator is None:
         operator = laplacian_operator(mesh)
-    return _solve(mesh, operator, nodes, vals, rhs, tol, max_iter, return_info)
+    return _solve(mesh, operator, mesh.boundary_nodes, boundary_values, rhs, tol,
+                  max_iter, return_info)
 
 
 # ---------------------------------------------------------------------------

@@ -70,14 +70,6 @@ def constant_conductivity(value: float) -> TestCaseConductivity:
     return TestCaseConductivity("constant", (value, value), evaluate)
 
 
-def coordinate_bcs(mesh: Mesh) -> tuple[dict[int, float], dict[int, float]]:
-    """Dirichlet data (x, y) restricted to the controlled boundary nodes."""
-    nodes = mesh.dirichlet_nodes
-    f1 = {int(i): float(mesh.vertices[i, 0]) for i in nodes}
-    f2 = {int(i): float(mesh.vertices[i, 1]) for i in nodes}
-    return f1, f2
-
-
 @dataclass(frozen=True)
 class PowerDensity:
     """Symmetric 2x2 matrix field stored by its three nodal components.

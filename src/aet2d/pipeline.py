@@ -5,6 +5,9 @@ reconstruction nodes are the first data nodes and the data reach them by
 prefix restriction, an exact pickup.  Noise and the eigenvalue floor are
 applied after the restriction, to the matrix the reconstruction actually
 consumes; a noiseless run touches neither.
+
+Boundary data are arrays over the fixed nodes in sorted order: x and y at the
+data mesh's `dirichlet_nodes`, the truths at the recon mesh's `boundary_nodes`.
 """
 from __future__ import annotations
 
@@ -23,7 +26,6 @@ from .forward import (
     PowerDensity,
     TestCaseConductivity,
     constant_conductivity,
-    coordinate_bcs,
     power_density,
     restrict,
     true_theta,
@@ -78,8 +80,8 @@ class RunConfig:
             raise ParameterError("eps_d must be positive")
         if not self.tol > 0.0:
             raise ParameterError("solver tolerance must be positive")
-        if self.max_iter < 1:
-            raise ParameterError("max_iter must be at least 1")
+        if not (isinstance(self.max_iter, Integral) and self.max_iter >= 1):
+            raise ParameterError("max_iter must be an integer of at least 1")
         if self.gamma_arcs is not None:
             object.__setattr__(self, "gamma_arcs",
                                tuple((float(a), float(b)) for a, b in self.gamma_arcs))
@@ -87,6 +89,9 @@ class RunConfig:
         if self.unwrap_arcs is not None:
             object.__setattr__(self, "unwrap_arcs",
                                tuple((float(a), float(b)) for a, b in self.unwrap_arcs))
+            # a NaN endpoint compares false everywhere and drops its window
+            if not np.isfinite(self.unwrap_arcs).all():
+                raise ParameterError("unwrap_arcs endpoints must be finite")
 
     def boundary_spec(self) -> BoundarySpec:
         if self.gamma_arcs is not None:
@@ -171,13 +176,13 @@ def forward_stage(config: RunConfig) -> ForwardData:
 
     case = config.conductivity()
     sigma_data = case.on_mesh(data_mesh)
-    f1, f2 = coordinate_bcs(data_mesh)
+    controlled = data_mesh.dirichlet_nodes
+    x, y = data_mesh.vertices[controlled].T  # the potentials' Dirichlet data
     # one sigma and one set of Dirichlet nodes: both potentials share an operator
-    operator = constrain(assemble_conductivity(data_mesh, sigma_data),
-                         data_mesh.dirichlet_nodes)
-    u1 = solve_mixed(data_mesh, sigma_data, f1, operator=operator,
+    operator = constrain(assemble_conductivity(data_mesh, sigma_data), controlled)
+    u1 = solve_mixed(data_mesh, sigma_data, x, operator=operator,
                      tol=config.tol, max_iter=config.max_iter)
-    u2 = solve_mixed(data_mesh, sigma_data, f2, operator=operator,
+    u2 = solve_mixed(data_mesh, sigma_data, y, operator=operator,
                      tol=config.tol, max_iter=config.max_iter)
     del operator  # its matrix blocks are the data mesh's largest arrays
 
@@ -233,10 +238,8 @@ def recon_stage(config: RunConfig, fwd: ForwardData) -> ReconResult:
         raise NumericalError("angle truth is undefined on reconstruction boundary nodes")
 
     H = apply_noise(fwd.H, config.noise)
-    theta_raw = {int(n): float(fwd.theta_true.values[n]) for n in boundary}
-    theta_bc = boundary_theta(mesh, theta_raw, config.unwrap_arcs)
-    sigma_bc = {int(n): float(fwd.sigma_true.values[n]) for n in boundary}
-    return run_algorithm1(mesh, H, theta_bc, sigma_bc,
+    theta_bc = boundary_theta(mesh, fwd.theta_true.values[boundary], config.unwrap_arcs)
+    return run_algorithm1(mesh, H, theta_bc, fwd.sigma_true.values[boundary],
                           truth=(fwd.theta_true, fwd.sigma_true),
                           tol=config.tol, max_iter=config.max_iter)
 

@@ -5,12 +5,13 @@ determinant root.  The gradient angle of the first potential solves a
 Poisson problem driven by those fields; the log conductivity solves a
 second one whose right side rotates the same fields by twice the angle.
 Both solves need Dirichlet data: the angle on the whole boundary and the
-conductivity on the whole boundary.
+conductivity on the whole boundary, each an array with one value per node of
+`mesh.boundary_nodes`, in that sorted order.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import log
 from typing import Sequence
 
 import numpy as np
@@ -22,12 +23,13 @@ from .fem import (
     ConstrainedOperator,
     VectorField,
     element_gradient,
+    fixed_values,
     l2_norm,
     l2_relative_error,
     laplacian_operator,
     solve_poisson_weak_div,
 )
-from .forward import PowerDensity, det_diagnostics
+from .forward import PowerDensity
 from .mesh import TWO_PI, Mesh
 
 
@@ -98,24 +100,26 @@ def vector_fields(H: PowerDensity) -> TransferFields:
         f=VectorField(mesh, f))
 
 
-def boundary_theta(mesh: Mesh, raw: dict[int, float],
-                   intervals: Sequence[tuple[float, float]] | None = None) -> dict[int, float]:
+def boundary_theta(mesh: Mesh, raw: np.ndarray,
+                   intervals: Sequence[tuple[float, float]] | None = None) -> np.ndarray:
     """Continuous representative of principal-range angles on the boundary.
 
-    `raw` must hold a value in [-pi, pi] for every boundary node.  Without
+    `raw` holds a value in [-pi, pi] at each node of `mesh.boundary_nodes`,
+    in that sorted order, and the result comes in the same order.  Without
     `intervals` the loop is walked counterclockwise and each jump larger
     than pi folds the running branch by 2 pi; a jump of exactly pi is
     directionally ambiguous and raises.  With `intervals`, 2 pi is added
     at exactly the nodes whose boundary position angle falls in one of the
     closed windows, which reproduces a hand-picked unwrapping rule.
     """
-    loop = mesh.boundary_loop
-    missing = [int(i) for i in loop if int(i) not in raw]
-    if missing:
-        raise ContractError(f"angle data missing at boundary nodes {missing[:8]}")
-    values = np.array([raw[int(i)] for i in loop], dtype=float)
-    if not np.all(np.isfinite(values)) or np.abs(values).max() > np.pi + 1e-9:
+    nodes = mesh.boundary_nodes
+    raw = fixed_values(nodes, raw)
+    if np.abs(raw).max() > np.pi + 1e-9:
         raise ContractError("raw angles must lie in the principal range")
+    loop = mesh.boundary_loop
+    # the walk is a permutation of the sorted boundary nodes
+    walk = np.searchsorted(nodes, loop)
+    values = raw[walk]
 
     if intervals is None:
         jumps = np.diff(values)
@@ -133,8 +137,7 @@ def boundary_theta(mesh: Mesh, raw: dict[int, float],
             width = np.mod(b - a, TWO_PI)
             lift |= np.mod(t - a, TWO_PI) <= width
         unwrapped = values + TWO_PI * lift
-
-    return {int(i): float(v) for i, v in zip(loop, unwrapped)}
+    return unwrapped[np.argsort(walk)]
 
 
 def sigma_rhs(theta: ScalarField, fields: TransferFields) -> VectorField:
@@ -156,23 +159,28 @@ def sigma_rhs(theta: ScalarField, fields: TransferFields) -> VectorField:
     return VectorField(mesh, cos2 * base + sin2 * _rot90(base))
 
 
-def reconstruct_sigma(mesh: Mesh, G: VectorField, sigma_boundary: dict[int, float],
+def reconstruct_sigma(mesh: Mesh, G: VectorField, sigma_boundary: np.ndarray,
                       *, operator: ConstrainedOperator | None = None,
                       tol: float = 1e-10, max_iter: int = 20000,
                       return_info: bool = False):
     """Conductivity from its boundary trace and the divergence of `G`.
 
-    The solve runs in log space, so the returned field is positive by
-    construction whatever the data quality.  `operator` is the mesh's
-    `laplacian_operator`, built by the solve when omitted.
+    `sigma_boundary` holds the conductivity at each node of
+    `mesh.boundary_nodes`, in that sorted order.  The solve runs in log
+    space, so the returned field is positive by construction whatever the
+    data quality.  `operator` is the mesh's `laplacian_operator`, built by
+    the solve when omitted.
     """
-    bad = [n for n, v in sigma_boundary.items() if not v > 0.0]
-    if bad:
-        raise DomainError(f"boundary conductivity must be positive, offending nodes {bad[:8]}")
-    log_bc = {n: log(v) for n, v in sigma_boundary.items()}
-    solved = solve_poisson_weak_div(mesh, G, log_bc, operator=operator,
-                                    tol=tol, max_iter=max_iter, return_info=True)
-    w, info = solved
+    nodes = mesh.boundary_nodes
+    sigma_boundary = fixed_values(nodes, sigma_boundary)
+    bad = nodes[sigma_boundary <= 0.0]
+    if bad.size:
+        raise DomainError("boundary conductivity must be positive, offending "
+                          f"nodes {bad[:8].tolist()}")
+    # math.log, not np.log: the two differ in the last bit on some values
+    log_bc = np.fromiter(map(math.log, sigma_boundary), np.float64, count=nodes.size)
+    w, info = solve_poisson_weak_div(mesh, G, log_bc, operator=operator,
+                                     tol=tol, max_iter=max_iter, return_info=True)
     sigma = ScalarField(mesh, np.exp(w.values))
     return (sigma, info) if return_info else sigma
 
@@ -220,16 +228,18 @@ class ReconResult:
     metrics: ReconMetrics | None
 
 
-def run_algorithm1(mesh: Mesh, H: PowerDensity, theta_boundary: dict[int, float],
-                   sigma_boundary: dict[int, float],
+def run_algorithm1(mesh: Mesh, H: PowerDensity, theta_boundary: np.ndarray,
+                   sigma_boundary: np.ndarray,
                    truth: tuple[ScalarField, ScalarField] | None = None,
                    *, tol: float = 1e-10, max_iter: int = 20000) -> ReconResult:
     """Full reconstruction: fields, angle solve, conductivity solve.
 
-    Both solves fix the whole boundary of a unit Laplacian, so they share
-    one operator.  Low-determinant regions are assumed handled upstream
-    (the data's root floor and any eigenvalue regularization); here they
-    only show up in the diagnostics, never as an abort.
+    The boundary angle and conductivity are given at each node of
+    `mesh.boundary_nodes`, in that sorted order.  Both solves fix the whole
+    boundary of a unit Laplacian, so they share one operator.
+    Low-determinant regions are assumed handled upstream (the data's root
+    floor and any eigenvalue regularization); here they only show up in the
+    diagnostics, never as an abort.
     """
     if H.mesh is not mesh:
         raise ContractError("data lives on a different mesh")
@@ -241,9 +251,8 @@ def run_algorithm1(mesh: Mesh, H: PowerDensity, theta_boundary: dict[int, float]
     G = sigma_rhs(theta, fields)
     sigma, sigma_info = reconstruct_sigma(mesh, G, sigma_boundary, operator=laplacian,
                                           tol=tol, max_iter=max_iter, return_info=True)
-    min_det, _ = det_diagnostics(H)
     diagnostics = ReconDiagnostics(
-        min_det=min_det,
+        min_det=float(H.determinant().min()),
         d_clamp_count=int(H.d_clamp_nodes.size),
         eig_floor_count=int(H.eig_floor_nodes.size),
         theta_solve=theta_info,

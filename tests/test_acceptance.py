@@ -70,8 +70,7 @@ def test_criterion_02_discrete_maximum_principle():
     worst = 0.0
     for _ in range(50):
         values = rng.uniform(-1.0, 1.0, nodes.size)
-        bc = {int(n): float(v) for n, v in zip(nodes, values)}
-        u = solve_mixed(mesh, sigma, bc, tol=1e-12).values
+        u = solve_mixed(mesh, sigma, values, tol=1e-12).values
         worst = max(worst, float(values.min() - u.min()),
                     float(u.max() - values.max()))
     assert worst <= 1e-9, f"extremum escapes the controlled arc by {worst:.3e}"

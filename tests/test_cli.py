@@ -76,6 +76,7 @@ class TestParseConfig:
         ("output.formats = csv, png", "png"),
         ("gamma.preset = tiny", "tiny"),
         ("noise.seed = -1", "seed"),
+        ("recon.unwrap_arcs = nan 1", "unwrap_arcs"),
     ])
     def test_rejections_name_the_problem(self, line, fragment):
         with pytest.raises(ParameterError, match=fragment):

@@ -33,7 +33,7 @@ def medium():
 
 
 def coord_bc(mesh, component=0):
-    return {int(i): float(mesh.vertices[i, component]) for i in mesh.dirichlet_nodes}
+    return mesh.vertices[mesh.dirichlet_nodes, component]
 
 
 def bump(mesh):
@@ -164,7 +164,7 @@ def test_maximum_principle_random_data(medium):
     nodes = medium.dirichlet_nodes
     sigma = bump(medium)
     for _ in range(5):
-        data = dict(zip(map(int, nodes), rng.normal(size=len(nodes))))
+        data = rng.normal(size=len(nodes))
         u = solve_mixed(medium, sigma, data)
         fixed = u.values[nodes]
         assert u.values.min() >= fixed.min() - 1e-9
@@ -200,8 +200,8 @@ def test_free_rows_residual(medium):
 
 def test_constraint_order_does_not_change_a_bit():
     # the operator sorts its fixed nodes; the eliminated load must equal,
-    # bit for bit, elimination in the order the data came in (here the
-    # boundary walk of a refined mesh, which is not sorted)
+    # bit for bit, elimination in boundary-walk order, which on a refined
+    # mesh is not sorted
     mesh = refine(tag_boundary(build_disk_mesh(0.25), GAMMA_FULL))
     loop = mesh.boundary_loop
     assert np.any(np.diff(loop) < 0)
@@ -213,31 +213,47 @@ def test_constraint_order_does_not_change_a_bit():
     order = np.argsort(loop)
     walked = A[free][:, loop] @ g
     assert (operator.coupling @ g[order]).tobytes() == walked.tobytes()
-    u = solve_mixed(mesh, bump(mesh), dict(zip(loop.tolist(), g.tolist())))
+    # the data come in the sorted order of the mesh's Dirichlet nodes
+    assert np.array_equal(loop[order], mesh.dirichlet_nodes)
+    u = solve_mixed(mesh, bump(mesh), g[order], operator=operator)
     assert np.array_equal(u.values[loop], g)
     with pytest.raises(ContractError, match="other Dirichlet nodes"):
-        solve_mixed(mesh, bump(mesh), {int(loop[0]): 1.0}, operator=operator)
+        solve_mixed(mesh, bump(mesh), g[order], operator=constrain(A, loop[1:]))
 
 
-def test_no_dirichlet_nodes_is_singular(small):
+def test_no_dirichlet_nodes_is_singular():
+    untagged = build_disk_mesh(0.25)
+    assert untagged.dirichlet_nodes.size == 0
     with pytest.raises(SingularSystemError):
-        solve_mixed(small, bump(small), {})
+        solve_mixed(untagged, bump(untagged), [])
 
 
-def test_interior_node_rejected(small):
-    with pytest.raises(ContractError):
-        solve_mixed(small, bump(small), {0: 1.0})
+def test_mixed_rejects_wrong_length(small):
+    n = small.dirichlet_nodes.size
+    for values in (np.zeros(n + 1), np.zeros(n - 1), np.zeros((n, 1)), []):
+        with pytest.raises(ContractError, match=rf"expected {n} finite .* got "
+                                                rf"{np.size(values)},"):
+            solve_mixed(small, bump(small), values)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mixed_rejects_non_finite_values(small, bad):
+    values = coord_bc(small).copy()
+    values[[2, 5]] = bad
+    with pytest.raises(ContractError, match=rf"expected {values.size} finite .* "
+                                            rf"got {values.size}, 2 not finite"):
+        solve_mixed(small, bump(small), values)
 
 
 # -- Poisson with weak divergence data ----------------------------------------
 
 def full_bc(mesh, fn):
-    return {int(i): float(fn(*mesh.vertices[i])) for i in mesh.boundary_nodes}
+    return fn(*mesh.vertices[mesh.boundary_nodes].T)
 
 
 def test_poisson_zero_data_constant(small):
     F = VectorField(small, np.zeros((small.n_triangles, 2)))
-    w = solve_poisson_weak_div(small, F, full_bc(small, lambda x, y: 2.5))
+    w = solve_poisson_weak_div(small, F, full_bc(small, lambda x, y: 2.5 + 0.0 * x))
     assert np.abs(w.values - 2.5).max() <= 1e-12
 
 
@@ -268,13 +284,19 @@ def test_poisson_second_order_convergence():
     assert errs[0] / errs[1] >= 2.5  # about 4 for an O(h^2) method
 
 
-def test_poisson_requires_full_boundary(small):
-    F = VectorField(small, np.zeros((small.n_triangles, 2)))
-    bc = full_bc(small, lambda x, y: x)
-    dropped = int(small.boundary_nodes[3])
-    del bc[dropped]
-    with pytest.raises(ContractError, match=str(dropped)):
-        solve_poisson_weak_div(small, F, bc)
+def test_poisson_requires_full_boundary(medium):
+    # values on the Dirichlet nodes alone do not cover the Poisson solve's
+    # fixed nodes, nor does the boundary data less one node
+    F = VectorField(medium, np.zeros((medium.n_triangles, 2)))
+    n = medium.boundary_nodes.size
+    bc = full_bc(medium, lambda x, y: x)
+    for short in (coord_bc(medium), np.delete(bc, 3)):
+        with pytest.raises(ContractError, match=rf"expected {n} finite .* got "
+                                                rf"{short.size},"):
+            solve_poisson_weak_div(medium, F, short)
+    bc[7] = np.nan
+    with pytest.raises(ContractError, match="1 not finite"):
+        solve_poisson_weak_div(medium, F, bc)
 
 
 # -- gradients, projections, norms --------------------------------------------

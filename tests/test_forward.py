@@ -10,7 +10,6 @@ from aet2d import (
     ScalarField,
     build_disk_mesh,
     constant_conductivity,
-    coordinate_bcs,
     det_diagnostics,
     power_density,
     refine,
@@ -68,26 +67,6 @@ def test_bounds_violation_raises(disk):
         bad.on_mesh(disk)
 
 
-# -- boundary data ---------------------------------------------------------------
-
-def test_coordinate_bcs_cardinal_nodes(disk):
-    f1, f2 = coordinate_bcs(disk)
-    x, y = coords(disk)
-    east = int(np.argmin((x - 1.0) ** 2 + y ** 2))
-    north = int(np.argmin(x ** 2 + (y - 1.0) ** 2))
-    assert f1[east] == 1.0 and abs(f2[east]) < 1e-14
-    assert abs(f1[north]) < 1e-14 and f2[north] == 1.0
-    assert max(abs(v) for v in f1.values()) <= 1.0
-    assert max(abs(v) for v in f2.values()) <= 1.0
-
-
-def test_coordinate_bcs_respects_tagging():
-    mesh = tag_boundary(build_disk_mesh(0.25), GAMMA_SMALL)
-    f1, _ = coordinate_bcs(mesh)
-    assert set(f1) == set(map(int, mesh.dirichlet_nodes))
-    assert len(f1) < len(mesh.boundary_nodes)
-
-
 # -- power density ---------------------------------------------------------------
 
 def test_identity_data_from_linear_potentials(disk):
@@ -111,7 +90,7 @@ def test_data_scales_with_sigma(disk):
 
 def test_solved_constant_case_gives_scaled_identity(disk):
     sigma = constant_conductivity(2.0).on_mesh(disk)
-    f1, f2 = coordinate_bcs(disk)
+    f1, f2 = disk.vertices[disk.dirichlet_nodes].T
     u1 = solve_mixed(disk, sigma, f1)
     u2 = solve_mixed(disk, sigma, f2)
     H = power_density(disk, sigma, u1, u2)
@@ -154,7 +133,7 @@ def test_mismatched_meshes_rejected(disk):
 
 def test_positive_semidefinite_up_to_projection(disk):
     sigma = CASE1.on_mesh(disk)
-    f1, f2 = coordinate_bcs(disk)
+    f1, f2 = disk.vertices[disk.dirichlet_nodes].T
     u1 = solve_mixed(disk, sigma, f1)
     u2 = solve_mixed(disk, sigma, f2)
     H = power_density(disk, sigma, u1, u2)

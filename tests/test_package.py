@@ -3,6 +3,7 @@ and exports, and the memory a mesh build and an assembly hold."""
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ import pytest
 
 import aet2d
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_all_names_resolve():
@@ -38,8 +40,20 @@ def _fresh_python(code: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True).stdout
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_readme_examples_run():
+    # later blocks use names an earlier block imported, so they run in order
+    # in one interpreter
+    blocks = re.findall(r"^```python\n(.*?)^```$",
+                        (ROOT / "README.md").read_text(encoding="utf-8"),
+                        flags=re.M | re.S)
+    assert len(blocks) >= 3
+    _fresh_python("\n".join(blocks))
 
 
 @pytest.mark.parametrize("module", ["scipy.spatial", "scipy.sparse.linalg",

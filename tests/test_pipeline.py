@@ -48,6 +48,9 @@ class TestRunConfig:
         {"noise": 0.05},
         {"target_h": 1.0},
         {"refine_levels": 1.5},
+        {"max_iter": 1.5},
+        {"unwrap_arcs": ((float("nan"), 1.0),)},
+        {"unwrap_arcs": ((0.5, 1.0), (2.0, float("inf")))},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ParameterError):
@@ -93,7 +96,8 @@ class TestForwardStage:
 
     def test_potentials_share_one_operator_bit_for_bit(self, monkeypatch):
         # both forward solves take one prebuilt operator; each potential must
-        # equal a solve that assembles and constrains its own system
+        # equal a solve that assembles and constrains its own system.  Their
+        # data are x and y at the controlled nodes only, in sorted order.
         calls = []
 
         def recording(*args, **kwargs):
@@ -105,6 +109,11 @@ class TestForwardStage:
         forward_stage(RunConfig(case="case1", gamma="medium", target_h=0.1))
         assert len(calls) == 2
         assert calls[0][1]["operator"] is calls[1][1]["operator"]
+        mesh = calls[0][0][0]
+        controlled = mesh.dirichlet_nodes
+        assert 0 < controlled.size < mesh.boundary_nodes.size
+        for axis, ((_, _, bc), _, _) in enumerate(calls):
+            assert bc.tobytes() == mesh.vertices[controlled, axis].tobytes()
         for (mesh, sigma, bc), kwargs, shared in calls:
             alone, info = solve_mixed(mesh, sigma, bc, tol=kwargs["tol"],
                                       max_iter=kwargs["max_iter"], return_info=True)

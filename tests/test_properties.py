@@ -2,6 +2,7 @@
 import contextlib
 import io
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aet2d import BoundarySpec, Mesh, ScalarField, build_disk_mesh, floor_symmetric_2x2, refine
+from aet2d import (BoundarySpec, Mesh, ScalarField, boundary_theta, build_disk_mesh,
+                   floor_symmetric_2x2, refine)
 from aet2d.cli import main
 from aet2d.errors import ContractError, ParameterError
 from aet2d.forward import restrict
@@ -146,6 +148,29 @@ def test_restrict_accepts_exactly_index_prefixes(h, levels, change, data):
     assert not np.shares_memory(out.values, values)
 
 
+@given(h=st.sampled_from(sorted(CHAINS)), level=st.integers(1, 2), data=st.data())
+def test_boundary_theta_moves_angles_by_whole_turns(h, level, data):
+    # on a refined mesh the boundary walk is not in sorted node order, so
+    # input and output order (sorted) differ from the unwrap's (the walk)
+    mesh = CHAINS[h][level]
+    nodes, loop = mesh.boundary_nodes, mesh.boundary_loop
+    assert np.any(np.diff(loop) < 0)
+    raw = np.array(data.draw(st.lists(st.floats(-math.pi, math.pi), min_size=nodes.size,
+                                      max_size=nodes.size), label="raw angles"))
+    full = np.empty(mesh.n_vertices)
+    full[nodes] = raw
+    if np.any(np.abs(np.diff(full[loop])) == math.pi):
+        with pytest.raises(ContractError, match="ambiguous"):
+            boundary_theta(mesh, raw)
+        return
+    out = boundary_theta(mesh, raw)
+    assert out.shape == raw.shape
+    shift = out - raw
+    assert np.abs(shift - TWO_PI * np.round(shift / TWO_PI)).max() <= 1e-12
+    full[nodes] = out
+    assert np.abs(np.diff(full[loop])).max() <= math.pi + 1e-12
+
+
 STAGE_FILES = ("mesh.txt", "h11.csv", "h12.csv", "h22.csv", "sigma_true.csv",
                "theta_true.csv", "meta.txt")
 
@@ -177,6 +202,49 @@ def test_a_broken_stage_file_is_named(stage, name, truncate, data):
         byte = data.draw(st.sampled_from([b"#", b"x", b"\xff", b"\x00"])
                          .filter(lambda b: b != text[at:at + 1]), label="byte")
         broken = text[:at] + byte + text[at + 1:]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for other, content in files.items():
+            Path(tmp, other).write_bytes(broken if other == name else content)
+        with contextlib.redirect_stderr(err):
+            code = main(["reconstruct", "--config", str(cfg), "--out", tmp, "--quiet"])
+    assert code == 1
+    assert name in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+FIELD_FILES = STAGE_FILES[1:6]
+
+
+@given(change=st.sampled_from(["n_data", "nudge", "swap"]), data=st.data())
+def test_a_wrong_stage_value_is_named(stage, change, data):
+    # each file stays well formed; one value in it is wrong
+    cfg, files = stage
+    n = int(files["mesh.txt"].split(maxsplit=2)[1])
+    if change == "n_data":
+        name = "meta.txt"
+        n_data = data.draw(st.integers(-2, n), label="n_data")
+        broken = re.sub(rb"^n_data .*$", b"n_data %d" % n_data, files[name],
+                        count=1, flags=re.M)
+    else:
+        name = data.draw(st.sampled_from(FIELD_FILES), label="field file")
+        lines = files[name].split(b"\n")  # header, n rows, a final empty line
+        if change == "nudge":
+            # one coordinate off in its last digit
+            row = data.draw(st.integers(1, n), label="row")
+            col = data.draw(st.sampled_from([1, 2]), label="column")
+            way = data.draw(st.sampled_from([-math.inf, math.inf]), label="direction")
+            cells = lines[row].split(b",")
+            cells[col] = b"%.17g" % np.nextafter(float(cells[col]), way)
+            lines[row] = b",".join(cells)
+        else:
+            # two rows trade node ids, keeping their coordinates and values
+            i, j = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2,
+                                      unique=True), label="rows")
+            (a, rest_a), (b, rest_b) = (lines[k].split(b",", 1) for k in (i, j))
+            lines[i], lines[j] = b + b"," + rest_a, a + b"," + rest_b
+        broken = b"\n".join(lines)
+    assert broken != files[name]
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         for other, content in files.items():

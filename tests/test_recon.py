@@ -40,7 +40,22 @@ def matrix_data(mesh, f11, f12, f22, **kw):
 
 
 def full_boundary(mesh, fn):
-    return {int(i): float(fn(*mesh.vertices[i])) for i in mesh.boundary_nodes}
+    """`fn` at each node of `mesh.boundary_nodes`, in that sorted order."""
+    return fn(*mesh.vertices[mesh.boundary_nodes].T)
+
+
+def along_loop(mesh, values):
+    """Boundary values given in sorted node order, read in walk order."""
+    full = np.full(mesh.n_vertices, np.nan)
+    full[mesh.boundary_nodes] = values
+    return full[mesh.boundary_loop]
+
+
+def from_loop(mesh, walked):
+    """Boundary values given in walk order, in sorted node order."""
+    full = np.full(mesh.n_vertices, np.nan)
+    full[mesh.boundary_loop] = walked
+    return full[mesh.boundary_nodes]
 
 
 # Shifted-pole data: both potentials are harmonic conjugates of (z + 2i)^2,
@@ -139,10 +154,10 @@ def test_vector_fields_reject_bad_data(disk):
 # -- boundary unwrapping ---------------------------------------------------------
 
 def test_unwrap_constant_unchanged(disk):
-    raw = {int(i): 0.25 for i in disk.boundary_nodes}
+    raw = np.full(disk.boundary_nodes.size, 0.25)
     out = boundary_theta(disk, raw)
-    assert set(out) == set(raw)
-    assert all(v == 0.25 for v in out.values())
+    assert out.shape == raw.shape
+    assert np.all(out == 0.25)
 
 
 def test_unwrap_single_cut_crossing(disk):
@@ -152,8 +167,8 @@ def test_unwrap_single_cut_crossing(disk):
     t = np.mod(np.arctan2(xy[:, 1], xy[:, 0]), 2.0 * np.pi)
     target = t - 0.5 * np.pi
     raw_vals = np.mod(target + np.pi, 2.0 * np.pi) - np.pi
-    out = boundary_theta(disk, {int(i): float(v) for i, v in zip(loop, raw_vals)})
-    recovered = np.array([out[int(i)] for i in loop])
+    out = boundary_theta(disk, from_loop(disk, raw_vals))
+    recovered = along_loop(disk, out)
     start_shift = recovered[0] - target[0]
     assert np.abs(recovered - target - start_shift).max() <= 1e-12
     jumps = np.abs(np.diff(recovered))
@@ -161,47 +176,47 @@ def test_unwrap_single_cut_crossing(disk):
 
 
 def test_unwrap_exact_pi_jump_rejected(disk):
-    loop = disk.boundary_loop
-    raw = {int(i): 0.0 for i in loop}
-    raw[int(loop[1])] = np.pi
+    walked = np.zeros(disk.boundary_loop.size)
+    walked[1] = np.pi
+    raw = from_loop(disk, walked)
     with pytest.raises(ContractError, match="interval"):
         boundary_theta(disk, raw)
 
 
 def test_unwrap_requires_full_coverage(disk):
-    loop = disk.boundary_loop
-    raw = {int(i): 0.0 for i in loop}
-    del raw[int(loop[2])]
-    with pytest.raises(ContractError):
+    n = disk.boundary_nodes.size
+    with pytest.raises(ContractError, match=rf"expected {n} finite .* got {n - 1},"):
+        boundary_theta(disk, np.zeros(n - 1))
+    raw = np.zeros(n)
+    raw[2] = np.nan
+    with pytest.raises(ContractError, match="1 not finite"):
         boundary_theta(disk, raw)
 
 
 def test_unwrap_rejects_out_of_range(disk):
-    raw = {int(i): 4.0 for i in disk.boundary_nodes}
-    with pytest.raises(ContractError):
+    raw = np.full(disk.boundary_nodes.size, 4.0)
+    with pytest.raises(ContractError, match="principal range"):
         boundary_theta(disk, raw)
 
 
 def test_interval_mode_lifts_configured_arc(disk):
-    loop = disk.boundary_loop
-    raw = {int(i): -0.75 * np.pi for i in loop}
+    nodes = disk.boundary_nodes
+    raw = np.full(nodes.size, -0.75 * np.pi)
     out = boundary_theta(disk, raw, intervals=[(0.0, 0.5 * np.pi)])
-    xy = disk.vertices[loop]
+    xy = disk.vertices[nodes]
     t = np.arctan2(xy[:, 1], xy[:, 0])
-    for i, ti in zip(loop, t):
-        expected = -0.75 * np.pi + (2.0 * np.pi if 0.0 <= ti <= 0.5 * np.pi else 0.0)
-        assert out[int(i)] == pytest.approx(expected, abs=1e-12)
+    expected = -0.75 * np.pi + np.where((0.0 <= t) & (t <= 0.5 * np.pi), 2.0 * np.pi, 0.0)
+    assert out == pytest.approx(expected, abs=1e-12)
 
 
 def test_interval_mode_wrapped_window(disk):
     # window straddling the cut: from 7pi/4 around to pi/4
-    loop = disk.boundary_loop
-    raw = {int(i): 0.0 for i in loop}
-    out = boundary_theta(disk, raw, intervals=[(-0.25 * np.pi, 0.25 * np.pi)])
-    xy = disk.vertices[loop]
+    nodes = disk.boundary_nodes
+    out = boundary_theta(disk, np.zeros(nodes.size),
+                         intervals=[(-0.25 * np.pi, 0.25 * np.pi)])
+    xy = disk.vertices[nodes]
     t = np.arctan2(xy[:, 1], xy[:, 0])
-    lifted = np.array([out[int(i)] for i in loop]) > np.pi
-    assert np.array_equal(lifted, np.abs(t) <= 0.25 * np.pi + 1e-12)
+    assert np.array_equal(out > np.pi, np.abs(t) <= 0.25 * np.pi + 1e-12)
 
 
 # -- the two Poisson stages ------------------------------------------------------
@@ -210,7 +225,7 @@ def test_theta_constant_for_zero_f(disk):
     zero = VectorField(disk, np.zeros((disk.n_triangles, 2)))
     const = ScalarField(disk, np.ones(disk.n_vertices))
     fields = TransferFields(d=const, v11=zero, v21=zero, v22=zero, f=zero)
-    bc = {int(i): np.pi / 4 for i in disk.boundary_nodes}
+    bc = np.full(disk.boundary_nodes.size, np.pi / 4)
     theta = solve_poisson_weak_div(disk, fields.f, bc)
     assert np.abs(theta.values - np.pi / 4).max() <= 1e-12
 
@@ -243,15 +258,27 @@ def test_sigma_rhs_zero_fields(disk):
 def test_sigma_from_zero_rhs(disk):
     zero = VectorField(disk, np.zeros((disk.n_triangles, 2)))
     for level in (1.0, np.e):
-        sigma = reconstruct_sigma(disk, zero, {int(i): level for i in disk.boundary_nodes})
+        sigma = reconstruct_sigma(disk, zero, np.full(disk.boundary_nodes.size, level))
         assert np.abs(sigma.values - level).max() <= 1e-12 * level
 
 
 def test_sigma_boundary_must_be_positive(disk):
     zero = VectorField(disk, np.zeros((disk.n_triangles, 2)))
-    bc = {int(i): 1.0 for i in disk.boundary_nodes}
-    bc[int(disk.boundary_nodes[0])] = 0.0
-    with pytest.raises(DomainError):
+    nodes = disk.boundary_nodes
+    bc = np.ones(nodes.size)
+    bc[[0, 5]] = 0.0, -1.0
+    with pytest.raises(DomainError, match=rf"\[{nodes[0]}, {nodes[5]}\]"):
+        reconstruct_sigma(disk, zero, bc)
+
+
+def test_sigma_boundary_must_cover_the_boundary(disk):
+    zero = VectorField(disk, np.zeros((disk.n_triangles, 2)))
+    n = disk.boundary_nodes.size
+    with pytest.raises(ContractError, match=rf"expected {n} finite .* got {n + 1},"):
+        reconstruct_sigma(disk, zero, np.ones(n + 1))
+    bc = np.ones(n)
+    bc[3] = np.inf
+    with pytest.raises(ContractError, match="1 not finite"):
         reconstruct_sigma(disk, zero, bc)
 
 
@@ -259,7 +286,7 @@ def test_sigma_boundary_must_be_positive(disk):
 
 def test_layered_medium_recovered_exactly(disk):
     H = layered_data(disk)
-    theta_bc = {int(i): 0.0 for i in disk.boundary_nodes}
+    theta_bc = np.zeros(disk.boundary_nodes.size)
     sigma_bc = full_boundary(disk, lambda x, y: np.exp(y))
     truth = (ScalarField(disk, np.zeros(disk.n_vertices)),
              field(disk, lambda x, y: np.exp(y)))
@@ -274,9 +301,8 @@ def test_layered_medium_recovered_exactly(disk):
 
 def test_conjugate_pair_recovers_unit_sigma(disk):
     H = pole_data(disk)
-    raw = {int(i): float(pole_theta(*disk.vertices[i])) for i in disk.boundary_nodes}
-    theta_bc = boundary_theta(disk, raw)
-    sigma_bc = {int(i): 1.0 for i in disk.boundary_nodes}
+    theta_bc = boundary_theta(disk, full_boundary(disk, pole_theta))
+    sigma_bc = np.ones(disk.boundary_nodes.size)
     truth = (field(disk, pole_theta), ScalarField(disk, np.ones(disk.n_vertices)))
     result = run_algorithm1(disk, H, theta_bc, sigma_bc, truth=truth)
     assert result.metrics.sigma_error <= 1e-9
@@ -287,7 +313,7 @@ def test_conjugate_pair_recovers_unit_sigma(disk):
 def test_both_solves_share_one_operator_bit_for_bit(disk, monkeypatch):
     # the angle and log-conductivity solves take one prebuilt Laplacian;
     # each must equal a solve that builds its own.  On a refined mesh the
-    # angle data arrive in boundary-walk order, which is not sorted.
+    # boundary walk that unwraps the angle is not in sorted node order.
     mesh = refine(disk)
     calls = []
 
@@ -297,9 +323,8 @@ def test_both_solves_share_one_operator_bit_for_bit(disk, monkeypatch):
         return result
 
     monkeypatch.setattr(recon, "solve_poisson_weak_div", recording)
-    raw = {int(i): float(pole_theta(*mesh.vertices[i])) for i in mesh.boundary_nodes}
-    theta_bc = boundary_theta(mesh, raw)
-    assert list(theta_bc) != sorted(theta_bc)
+    assert np.any(np.diff(mesh.boundary_loop) < 0)
+    theta_bc = boundary_theta(mesh, full_boundary(mesh, pole_theta))
     sigma_bc = full_boundary(mesh, lambda x, y: np.exp(y))
     run_algorithm1(mesh, pole_data(mesh), theta_bc, sigma_bc)
     assert len(calls) == 2
@@ -316,7 +341,7 @@ def test_scaling_invariance(disk):
                          lambda x, y: 5.0 * np.exp(y),
                          lambda x, y: 0.0 * x,
                          lambda x, y: 5.0 * np.exp(-y))
-    theta_bc = {int(i): 0.0 for i in disk.boundary_nodes}
+    theta_bc = np.zeros(disk.boundary_nodes.size)
     sigma_bc = full_boundary(disk, lambda x, y: np.exp(y))
     a = run_algorithm1(disk, H, theta_bc, sigma_bc)
     b = run_algorithm1(disk, scaled, theta_bc, sigma_bc)
@@ -328,4 +353,4 @@ def test_run_rejects_foreign_mesh(disk):
     other = tag_boundary(build_disk_mesh(0.3), GAMMA_FULL)
     H = layered_data(disk)
     with pytest.raises(ContractError):
-        run_algorithm1(other, H, {}, {})
+        run_algorithm1(other, H, [], [])
