@@ -228,6 +228,14 @@ def _read_ascii(path: Path) -> str:
         raise ContractError(f"{path}: not ASCII text") from None
 
 
+class _CoordinateMismatch(ContractError):
+    """A field export whose node coordinates differ from its mesh's."""
+
+    def __init__(self, path, node: int):
+        super().__init__(f"{path}: node {node} coordinates do not match the mesh")
+        self.node = node
+
+
 def read_field_csv(path, mesh: Mesh) -> ScalarField:
     """Read a field export back onto the mesh it came from, bit exact.
 
@@ -258,8 +266,7 @@ def read_field_csv(path, mesh: Mesh) -> ScalarField:
         raise ContractError(f"{path}: node ids out of order at row {bad[0]}")
     bad = np.flatnonzero((rows[:, 1:3] != mesh.vertices).any(axis=1))
     if bad.size:
-        raise ContractError(f"{path}: node {bad[0]} coordinates do not match "
-                            "the mesh")
+        raise _CoordinateMismatch(path, int(bad[0]))
     values = rows[:, 3].copy()
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
@@ -350,11 +357,34 @@ def _read_meta(path: Path, mesh: Mesh) -> tuple[int, np.ndarray]:
     return entries["n_data"][0], np.array(entries.get("flagged", []), dtype=np.intp)
 
 
+def _read_stage_fields(out_dir: Path, mesh: Mesh) -> list[ScalarField]:
+    """The five field files of a forward stage, read onto its `mesh.txt`.
+
+    Raises
+    ------
+    ContractError
+        Naming `mesh.txt` when every field file's coordinates differ from it
+        at the same node, else the first field file that is broken or
+        differs.
+    """
+    fields, mismatches = [], []
+    for name in ("h11", "h12", "h22", "sigma_true", "theta_true"):
+        try:
+            fields.append(read_field_csv(out_dir / f"{name}.csv", mesh))
+        except _CoordinateMismatch as exc:
+            mismatches.append(exc)
+    if mismatches:
+        nodes = {exc.node for exc in mismatches}
+        if len(mismatches) == 5 and len(nodes) == 1:
+            raise ContractError(f"{out_dir / 'mesh.txt'}: node {nodes.pop()} "
+                                "coordinates differ from every field file's")
+        raise mismatches[0]
+    return fields
+
+
 def _cmd_reconstruct(job: Job, quiet: bool) -> int:
     mesh = read_mesh(job.out_dir / "mesh.txt")
-    h11, h12, h22, sigma_true, theta_true = (
-        read_field_csv(job.out_dir / f"{name}.csv", mesh)
-        for name in ("h11", "h12", "h22", "sigma_true", "theta_true"))
+    h11, h12, h22, sigma_true, theta_true = _read_stage_fields(job.out_dir, mesh)
     n_data, flagged = _read_meta(job.out_dir / "meta.txt", mesh)
     fwd = ForwardData(recon_mesh=mesh, n_data=n_data, sigma_true=sigma_true,
                       theta_true=theta_true,

@@ -12,11 +12,12 @@ Boundary data are float arrays, one value per fixed node in sorted order (the
 order of `ConstrainedOperator.fixed`): the mesh's tags fix the nodes, its
 `dirichlet_nodes` for mixed solves and its `boundary_nodes` for Poisson ones.
 
-Matrices are summed as scipy's COO-to-CSR conversion sums them:
-`aet2d.mesh.assemble_elements` lays the element entries out by row, in element
-order, as that conversion does before it sums, and scipy's own
-`sum_duplicates` adds them. Every sum is taken in the same order, bit for
-bit, without the COO row and column arrays.
+Matrices are summed as scipy's COO-to-CSR conversion sums them, a block of
+rows at a time: `aet2d.mesh.assemble_elements` lays each block's element rows
+out by row, in element order, as that conversion does before it sums, and
+scipy's own `sum_duplicates` adds them. A row's sum needs that row alone, so
+every sum is taken in the same order, bit for bit, while only one block's
+element rows (from `local_stiffness` for the stiffness matrix) are held.
 
 Systems below `DIRECT_SOLVE_LIMIT` free unknowns are solved by SuperLU, whose
 module `scipy.sparse.linalg` loads on the first such solve only, so
@@ -90,33 +91,29 @@ class SolveInfo:
 # Assembly
 # ---------------------------------------------------------------------------
 
-def local_stiffness(b, c, area, sigma_vertices) -> np.ndarray:
-    """Element stiffness matrices from P1 basis coefficients.
+def local_stiffness(b, c, scale, t, i) -> np.ndarray:
+    """Rows of P1 element stiffness matrices, as `assemble_elements` takes them.
 
     Parameters
     ----------
-    b, c : (..., 3) basis coefficients, grad phi_i = (b_i, c_i) / (2 * area),
+    b, c : (T, 3) basis coefficients, grad phi_j = (b_j, c_j) / (2 * area),
         as `Mesh.basis` holds them.
-    area : (...) triangle areas, as `Mesh.areas` holds them.
-    sigma_vertices : (..., 3) conductivity at the vertices; vertex quadrature
-        reduces to scaling the constant-sigma matrix by the vertex mean.
+    scale : (T,) vertex mean of sigma over 4 * area per triangle; vertex
+        quadrature reduces to scaling the constant-sigma matrix by that mean.
+    t, i : (S,) triangle ids and local rows (0, 1 or 2).
 
     Returns
     -------
-    (..., 3, 3) symmetric element matrices.
+    (S, 3) rows: entry [s, j] is (b_i b_j + c_i c_j) * scale of triangle
+    t[s], with i = i[s], evaluated in that order.
     """
-    # (b b^T + c c^T) * scale one entry at a time, each the broadcast form's
-    # three roundings; b_i b_j = b_j b_i exactly, so the upper triangle is
-    # computed and mirrored
-    scale = sigma_vertices.mean(axis=-1) / (4.0 * area)
-    K = np.empty(scale.shape + (3, 3))
-    entry, cc = np.empty_like(scale), np.empty_like(scale)
-    for i in range(3):
-        for j in range(i, 3):
-            np.multiply(b[..., i], b[..., j], out=entry)
-            entry += np.multiply(c[..., i], c[..., j], out=cc)
-            entry *= scale
-            K[..., i, j] = K[..., j, i] = entry
+    slot = 3 * t + i  # flat position of (b, c)[t, i]
+    K = np.take(b, t, axis=0)
+    K *= np.take(b, slot)[:, None]
+    cc = np.take(c, t, axis=0)
+    cc *= np.take(c, slot)[:, None]
+    K += cc
+    K *= np.take(scale, t)[:, None]
     return K
 
 
@@ -137,11 +134,15 @@ def assemble_conductivity(mesh: Mesh, sigma: ScalarField) -> sp.csr_matrix:
     if np.any(sigma.values <= 0.0):
         bad = np.flatnonzero(sigma.values <= 0.0)
         raise DomainError(f"sigma must be positive; offending nodes {bad[:10].tolist()}")
-    # summed in the order of scipy's COO-to-CSR conversion (stable row
-    # buckets, then scipy's sum_duplicates), with its int32 indices; the
-    # element matrices go in as a temporary, freed once permuted
-    return assemble_elements(
-        mesh, local_stiffness(*mesh.basis, mesh.areas, sigma.values[mesh.triangles]))
+    # the vertex mean as `mean(axis=-1)` takes it, (s0 + s1) + s2 over 3,
+    # one vertex column at a time
+    tri = mesh.triangles
+    scale = sigma.values[tri[:, 0]] + sigma.values[tri[:, 1]]
+    scale += sigma.values[tri[:, 2]]
+    scale /= 3.0
+    scale /= 4.0 * mesh.areas
+    b, c = mesh.basis
+    return assemble_elements(mesh, lambda t, i: local_stiffness(b, c, scale, t, i))
 
 
 # ---------------------------------------------------------------------------

@@ -244,38 +244,66 @@ class Mesh:
     def mass(self) -> sp.csr_matrix:
         """Consistent P1 mass matrix (exact for products of P1 functions)."""
         local = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-        M = assemble_elements(self, local[None, :, :] * self.areas[:, None, None])
+        M = assemble_elements(self, lambda t, i: (np.take(local, i, axis=0)
+                                                  * np.take(self.areas, t)[:, None]))
         for a in (M.data, M.indices, M.indptr):
             a.setflags(write=False)
         return M
 
 
-def assemble_elements(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
-    """Sum (T, 3, 3) element matrices into the mesh's (N, N) CSR matrix.
+# Matrix rows summed per block: a block's pre-sum arrays hold about 6 element
+# rows of 3 entries per matrix row, so 4096 rows keep them near 0.6 MB.
+_BLOCK_ROWS = 4096
 
-    `local[t, i, j]` couples vertices `triangles[t, i]` and `triangles[t, j]`.
-    The entries are laid out as scipy's COO-to-CSR conversion lays them out
-    before summing (bucketed by row, in element order within a row), then
-    scipy's own `sum_duplicates` adds them up. Every sum is therefore taken
-    in the order that conversion takes it, bit for bit, without its row and
-    column arrays. The caller's `local` is consumed: pass it as a temporary
-    so its memory is freed once it has been permuted.
+
+def assemble_elements(mesh: Mesh, element_rows) -> sp.csr_matrix:
+    """Sum P1 element matrices into the mesh's (N, N) CSR matrix.
+
+    `element_rows(t, i)` takes equal-length arrays of triangle ids and local
+    rows (0, 1 or 2) and returns the (len(t), 3) rows `i` of those triangles'
+    element matrices: entry `[s, j]` couples vertices `triangles[t[s], i[s]]`
+    and `triangles[t[s], j]`.
+
+    Slot 3t + i stands for row i of triangle t. A stable sort of the slots by
+    vertex lays each matrix row out as scipy's COO-to-CSR conversion does
+    before it sums: that row's element rows in element order. The matrix is
+    then built `_BLOCK_ROWS` rows at a time: the block's element rows are
+    computed, laid out as a pre-sum CSR block, and added up by scipy's own
+    `sum_duplicates`. A row's sum depends on that row's entries alone, so
+    every sum is the conversion's, bit for bit, while only one block's
+    entries are held at once and the COO row and column arrays never exist.
     """
     n = mesh.n_vertices
     # the COO-to-CSR conversion picks int32 indices while the pre-sum count
     # 9T fits in them; the same arrays give the same sort and the same sums
     idx = np.int32 if 9 * mesh.n_triangles < 2**31 else np.int64
-    order = np.argsort(mesh.triangles.astype(idx).ravel(), kind="stable")
-    data = np.take(local.reshape(-1, 3), order, axis=0).ravel()
-    del local
-    order //= 3
-    indices = np.take(mesh.triangles.astype(idx), order, axis=0).ravel()
-    del order
+    tri = mesh.triangles.astype(idx)
+    order = np.argsort(tri.ravel(), kind="stable")
+    starts = np.zeros(n + 1, dtype=idx)  # row r holds slots starts[r]:starts[r + 1]
+    np.cumsum(np.bincount(tri.ravel(), minlength=n), out=starts[1:])
+    # Mesh's checks bound the entry count: every edge but the K rim ones lies
+    # in at least two triangles, so there are at most (3T + K) / 2 edges, each
+    # two entries, plus one diagonal entry per vertex
+    size = n + 3 * mesh.n_triangles + len(mesh.boundary_edges)
+    data, indices = np.empty(size), np.empty(size, dtype=idx)
     indptr = np.zeros(n + 1, dtype=idx)
-    np.cumsum(np.bincount(mesh.triangles.ravel(), minlength=n), out=indptr[1:])
-    indptr *= 3
-    M = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-    M.sum_duplicates()
+    nnz = 0
+    for r0 in range(0, n, _BLOCK_ROWS):
+        r1 = min(r0 + _BLOCK_ROWS, n)
+        slots = order[starts[r0]:starts[r1]]
+        t = slots // 3
+        ptr = starts[r0:r1 + 1] - starts[r0]
+        ptr *= 3
+        block = sp.csr_matrix((element_rows(t, slots - 3 * t).ravel(),
+                               np.take(tri, t, axis=0).ravel(), ptr),
+                              shape=(r1 - r0, n))
+        block.sum_duplicates()
+        data[nnz:nnz + block.nnz] = block.data
+        indices[nnz:nnz + block.nnz] = block.indices
+        np.add(block.indptr[1:], nnz, out=indptr[r0 + 1:r1 + 1])
+        nnz += block.nnz
+    M = sp.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=(n, n))
+    M.has_canonical_format = True  # each block was summed and sorted
     return M
 
 
@@ -415,6 +443,8 @@ def refine(mesh: Mesh) -> Mesh:
     boundary_edges[0::2, 0], boundary_edges[0::2, 1] = ba, mid_idx
     boundary_edges[1::2, 0], boundary_edges[1::2, 1] = mid_idx, bb
     tags = np.repeat(mesh.boundary_tags, 2)
+    # the edge table and the midpoints go before the new mesh validates
+    del uniq, inverse, ea, eb, mids, m01, m12, m20
     return Mesh(vertices, triangles, boundary_edges, tags)
 
 

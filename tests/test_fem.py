@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import aet2d.mesh
 from aet2d import GAMMA_FULL, GAMMA_LARGE, GAMMA_MEDIUM, build_disk_mesh, refine, tag_boundary
 from aet2d.errors import ContractError, DomainError, SingularSystemError
 from aet2d.fem import (
@@ -44,10 +45,11 @@ def bump(mesh):
 # -- element kernel and assembly ----------------------------------------------
 
 def element_stiffness(coords, sigma_vertices):
-    """The kernel on one triangle, fed the mesh module's geometry."""
+    """The kernel's three rows of one triangle, fed the mesh module's geometry."""
     tri = np.array([[0, 1, 2]])
     b, c = basis_coefficients(coords, tri)
-    return local_stiffness(b, c, signed_areas(coords, tri), sigma_vertices[None])[0]
+    scale = sigma_vertices.mean(keepdims=True) / (4.0 * signed_areas(coords, tri))
+    return local_stiffness(b, c, scale, np.zeros(3, dtype=np.int64), np.arange(3))
 
 
 def test_reference_element_matrix():
@@ -90,10 +92,14 @@ def test_stiffness_is_the_coo_sum_bit_for_bit(nested):
         csr_bytes(coo_stiffness(nested, sigma))
 
 
-def test_mass_is_the_coo_sum_bit_for_bit(nested):
+def coo_mass(mesh):
+    """The mass matrix from broadcast element matrices and COO sums."""
     ref = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    want = coo_assembly(nested, ref[None, :, :] * nested.areas[:, None, None])
-    assert csr_bytes(nested.mass) == csr_bytes(want)
+    return coo_assembly(mesh, ref[None, :, :] * mesh.areas[:, None, None])
+
+
+def test_mass_is_the_coo_sum_bit_for_bit(nested):
+    assert csr_bytes(nested.mass) == csr_bytes(coo_mass(nested))
 
 
 def test_constrained_blocks_are_the_coo_blocks_bit_for_bit(nested):
@@ -101,6 +107,27 @@ def test_constrained_blocks_are_the_coo_blocks_bit_for_bit(nested):
     fixed = nested.dirichlet_nodes
     operator = constrain(assemble_conductivity(nested, sigma), fixed)
     free_block, coupling = fancy_index_split(coo_stiffness(nested, sigma), fixed)
+    assert csr_bytes(operator.free_block) == csr_bytes(free_block)
+    assert csr_bytes(operator.coupling) == csr_bytes(coupling)
+
+
+@pytest.mark.parametrize("levels", [0, 1], ids=lambda n: f"refine_levels={n}")
+@pytest.mark.parametrize("block_rows", [1, 7, "n"], ids=lambda r: f"block_rows={r}")
+def test_block_edges_keep_every_sum(monkeypatch, block_rows, levels):
+    # one row per block, blocks that split a vertex's neighbours, one block
+    mesh = build_disk_mesh(0.2)
+    for _ in range(levels):
+        mesh = refine(mesh)
+    mesh = tag_boundary(mesh, GAMMA_MEDIUM)  # new, so its mass is not cached
+    rows = mesh.n_vertices if block_rows == "n" else block_rows
+    monkeypatch.setattr(aet2d.mesh, "_BLOCK_ROWS", rows)
+    sigma, fixed = CASE2.on_mesh(mesh), mesh.dirichlet_nodes
+    A = assemble_conductivity(mesh, sigma)
+    want = coo_stiffness(mesh, sigma)
+    assert csr_bytes(A) == csr_bytes(want)
+    assert csr_bytes(mesh.mass) == csr_bytes(coo_mass(mesh))
+    operator = constrain(A, fixed)
+    free_block, coupling = fancy_index_split(want, fixed)
     assert csr_bytes(operator.free_block) == csr_bytes(free_block)
     assert csr_bytes(operator.coupling) == csr_bytes(coupling)
 

@@ -216,16 +216,34 @@ def test_a_broken_stage_file_is_named(stage, name, truncate, data):
 FIELD_FILES = STAGE_FILES[1:6]
 
 
-@given(change=st.sampled_from(["n_data", "nudge", "swap"]), data=st.data())
+def nudged(cell: bytes, way: float) -> bytes:
+    """A coordinate written as it is in the stage files, moved by one ulp."""
+    return b"%.17g" % np.nextafter(float(cell), way)
+
+
+@given(change=st.sampled_from(["n_data", "nudge", "swap", "mesh nudge"]),
+       data=st.data())
 def test_a_wrong_stage_value_is_named(stage, change, data):
     # each file stays well formed; one value in it is wrong
     cfg, files = stage
     n = int(files["mesh.txt"].split(maxsplit=2)[1])
+    way = data.draw(st.sampled_from([-math.inf, math.inf]), label="direction")
     if change == "n_data":
         name = "meta.txt"
         n_data = data.draw(st.integers(-2, n), label="n_data")
         broken = re.sub(rb"^n_data .*$", b"n_data %d" % n_data, files[name],
                         count=1, flags=re.M)
+    elif change == "mesh nudge":
+        # one vertex coordinate off in its last digit; the mesh still loads,
+        # and every field file then disagrees with it
+        name = "mesh.txt"
+        lines = files[name].split(b"\n")  # "vertices n", then n vertex rows
+        row = data.draw(st.integers(1, n), label="row")
+        col = data.draw(st.sampled_from([0, 1]), label="column")
+        cells = lines[row].split(b" ")
+        cells[col] = nudged(cells[col], way)
+        lines[row] = b" ".join(cells)
+        broken = b"\n".join(lines)
     else:
         name = data.draw(st.sampled_from(FIELD_FILES), label="field file")
         lines = files[name].split(b"\n")  # header, n rows, a final empty line
@@ -233,9 +251,8 @@ def test_a_wrong_stage_value_is_named(stage, change, data):
             # one coordinate off in its last digit
             row = data.draw(st.integers(1, n), label="row")
             col = data.draw(st.sampled_from([1, 2]), label="column")
-            way = data.draw(st.sampled_from([-math.inf, math.inf]), label="direction")
             cells = lines[row].split(b",")
-            cells[col] = b"%.17g" % np.nextafter(float(cells[col]), way)
+            cells[col] = nudged(cells[col], way)
             lines[row] = b",".join(cells)
         else:
             # two rows trade node ids, keeping their coordinates and values
