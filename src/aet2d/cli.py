@@ -16,7 +16,6 @@ import os
 import re
 import sys
 import time
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from pathlib import Path
@@ -32,7 +31,7 @@ from .errors import (
 )
 from .fem import ScalarField
 from .forward import PowerDensity
-from .mesh import Mesh, read_mesh, write_mesh
+from .mesh import Mesh, read_mesh, read_rows, write_mesh
 from .metrics import (
     noise_sweep,
     record_from_run,
@@ -54,32 +53,6 @@ from .pipeline import (
 
 _FORMATS = ("csv", "vtk")
 
-_FLOAT_KEYS = {
-    "mesh.target_h": "target_h",
-    "sigma.constant_value": "constant_value",
-    "noise.alpha_percent": "alpha_percent",
-    "noise.eig_floor": "eig_floor",
-    "data.eps_d": "eps_d",
-    "solver.tol": "tol",
-}
-_INT_KEYS = {
-    "mesh.refine_levels": "refine_levels",
-    "noise.seed": "seed",
-    "solver.max_iter": "max_iter",
-}
-_STR_KEYS = {
-    "gamma.preset": "gamma",
-    "sigma.case": "case",
-}
-_ARC_KEYS = {
-    "gamma.arcs": "gamma_arcs",
-    "recon.unwrap_arcs": "unwrap_arcs",
-}
-_NOISE_FIELDS = ("alpha_percent", "seed", "eig_floor")
-_ALL_KEYS = (set(_FLOAT_KEYS) | set(_INT_KEYS) | set(_STR_KEYS) | set(_ARC_KEYS)
-             | {"output.dir", "output.formats"})
-
-
 @dataclass(frozen=True)
 class Job:
     """A parsed config: the run itself plus where and how to write it."""
@@ -89,33 +62,59 @@ class Job:
     formats: tuple[str, ...] = ("csv",)
 
 
-def _convert(key: str, value: str, kind):
-    try:
-        return kind(value)
-    except ValueError as exc:
-        raise ParameterError(f"config key {key!r}: {exc}") from None
-
-
-def _parse_arcs(key: str, value: str) -> tuple[tuple[float, float], ...]:
+def _parse_arcs(value: str) -> tuple[tuple[float, float], ...]:
     parts = [p for p in re.split(r"[,;\s]+", value) if p]
     if not parts or len(parts) % 2:
-        raise ParameterError(f"config key {key!r}: need an even number of "
-                             "angle endpoints")
-    ends = [_convert(key, p, float) for p in parts]
-    return tuple((ends[i], ends[i + 1]) for i in range(0, len(ends), 2))
+        raise ValueError("need an even number of angle endpoints")
+    ends = [float(p) for p in parts]
+    return tuple(zip(ends[::2], ends[1::2]))
 
 
 def _parse_formats(value: str) -> tuple[str, ...]:
     names = [p.strip().lower() for p in value.split(",") if p.strip()]
-    unknown = [n for n in names if n not in _FORMATS]
-    if unknown or not names:
-        raise ParameterError(f"config key 'output.formats': expected a subset "
-                             f"of {_FORMATS}, got {value!r}")
+    if not names or any(n not in _FORMATS for n in names):
+        raise ValueError(f"expected a subset of {_FORMATS}, got {value!r}")
     return tuple(dict.fromkeys(names))
 
 
+# config key -> (field, parser of its text). A `noise.` key sets a field of
+# the run's NoiseSpec, an `output.` key one of the Job, any other key one of
+# the RunConfig.
+_KEYS = {
+    "mesh.target_h": ("target_h", float),
+    "mesh.refine_levels": ("refine_levels", int),
+    "gamma.preset": ("gamma", str),
+    "gamma.arcs": ("gamma_arcs", _parse_arcs),
+    "sigma.case": ("case", str),
+    "sigma.constant_value": ("constant_value", float),
+    "noise.alpha_percent": ("alpha_percent", float),
+    "noise.seed": ("seed", int),
+    "noise.eig_floor": ("eig_floor", float),
+    "data.eps_d": ("eps_d", float),
+    "solver.tol": ("tol", float),
+    "solver.max_iter": ("max_iter", int),
+    "recon.unwrap_arcs": ("unwrap_arcs", _parse_arcs),
+    "output.dir": ("out_dir", Path),
+    "output.formats": ("formats", _parse_formats),
+}
+
+
+def _convert(key: str, value: str):
+    """(field, parsed value) of one config entry; a parser's ValueError
+    becomes a ParameterError naming the key."""
+    name, parse = _KEYS[key]
+    try:
+        return name, parse(value)
+    except ValueError as exc:
+        raise ParameterError(f"config key {key!r}: {exc}") from None
+
+
 def parse_config(text: str) -> Job:
-    """Flat dotted-key config text to a validated Job."""
+    """Flat dotted-key config text to a validated Job.
+
+    A config that sets `gamma.arcs` but no `gamma.preset` labels its run
+    `custom`.
+    """
     seen: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -125,34 +124,21 @@ def parse_config(text: str) -> Job:
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
             raise ParameterError(f"config line {lineno}: expected 'key = value'")
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ParameterError(f"unknown config key {key!r} (line {lineno})")
         if key in seen:
             raise ParameterError(f"duplicate config key {key!r} (line {lineno})")
         seen[key] = value
 
-    kwargs = {}
-    noise_kwargs = {}
+    kwargs = {"run": {}, "noise": {}, "output": {}}
+    if "gamma.arcs" in seen and "gamma.preset" not in seen:
+        kwargs["run"]["gamma"] = "custom"
     for key, value in seen.items():
-        if key in _FLOAT_KEYS:
-            name, parsed = _FLOAT_KEYS[key], _convert(key, value, float)
-        elif key in _INT_KEYS:
-            name, parsed = _INT_KEYS[key], _convert(key, value, int)
-        elif key in _STR_KEYS:
-            name, parsed = _STR_KEYS[key], value
-        elif key in _ARC_KEYS:
-            name, parsed = _ARC_KEYS[key], _parse_arcs(key, value)
-        else:
-            continue
-        if name in _NOISE_FIELDS:
-            noise_kwargs[name] = parsed
-        else:
-            kwargs[name] = parsed
-
-    config = RunConfig(noise=NoiseSpec(**noise_kwargs), **kwargs)
-    return Job(config=config,
-               out_dir=Path(seen.get("output.dir", "out")),
-               formats=_parse_formats(seen.get("output.formats", "csv")))
+        name, parsed = _convert(key, value)
+        section = key.split(".", 1)[0]
+        kwargs[section if section in kwargs else "run"][name] = parsed
+    config = RunConfig(noise=NoiseSpec(**kwargs["noise"]), **kwargs["run"])
+    return Job(config=config, **kwargs["output"])
 
 
 def _atomic_text(path: Path, text: str) -> None:
@@ -249,13 +235,9 @@ def read_field_csv(path, mesh: Mesh) -> ScalarField:
         with open(path, "r", encoding="ascii") as f:
             if f.readline() != "node_id,x,y,value\n":
                 raise ContractError(f"{path}: not a field export")
-            with warnings.catch_warnings():
-                # an export without rows is reported below, not warned about
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:  # UnicodeDecodeError included
-        # loadtxt's message names the row; drop its advice after the ';'
-        raise ContractError(f"{path}: {str(exc).split(';')[0]}") from None
+            rows = read_rows(path, f, delimiter=",")
+    except UnicodeDecodeError as exc:  # in the header; `read_rows` names the rest
+        raise ContractError(f"{path}: {exc}") from None
     n = mesh.n_vertices
     if rows.shape[0] != n:
         raise ContractError(f"{path}: {rows.shape[0]} rows for a mesh with {n} nodes")

@@ -12,6 +12,11 @@ Boundary data are float arrays, one value per fixed node in sorted order (the
 order of `ConstrainedOperator.fixed`): the mesh's tags fix the nodes, its
 `dirichlet_nodes` for mixed solves and its `boundary_nodes` for Poisson ones.
 
+Data move between nodes and elements through three functions only:
+`element_gradient` (nodal field to its constant gradient per triangle),
+`element_mean` (nodal field to its centroid value per triangle) and
+`project_to_nodes` (element values to nodes by lumped-mass averaging).
+
 Matrices are summed as scipy's COO-to-CSR conversion sums them, a block of
 rows at a time: `aet2d.mesh.assemble_elements` lays each block's element rows
 out by row, in element order, as that conversion does before it sums, and
@@ -134,12 +139,7 @@ def assemble_conductivity(mesh: Mesh, sigma: ScalarField) -> sp.csr_matrix:
     if np.any(sigma.values <= 0.0):
         bad = np.flatnonzero(sigma.values <= 0.0)
         raise DomainError(f"sigma must be positive; offending nodes {bad[:10].tolist()}")
-    # the vertex mean as `mean(axis=-1)` takes it, (s0 + s1) + s2 over 3,
-    # one vertex column at a time
-    tri = mesh.triangles
-    scale = sigma.values[tri[:, 0]] + sigma.values[tri[:, 1]]
-    scale += sigma.values[tri[:, 2]]
-    scale /= 3.0
+    scale = element_mean(mesh, sigma.values)
     scale /= 4.0 * mesh.areas
     b, c = mesh.basis
     return assemble_elements(mesh, lambda t, i: local_stiffness(b, c, scale, t, i))
@@ -360,6 +360,20 @@ def element_gradient(mesh: Mesh, field: ScalarField) -> VectorField:
     return VectorField(mesh, g)
 
 
+def element_mean(mesh: Mesh, values: np.ndarray) -> np.ndarray:
+    """Centroid value of a P1 field on each triangle: its vertex mean, (T,).
+
+    Summed in the order numpy's `mean(axis=1)` of the gathered (T, 3) vertex
+    values takes, (v0 + v1) + v2 over 3, so the result equals that mean bit
+    for bit; one vertex column at a time, without the gather.
+    """
+    tri = mesh.triangles
+    mean = values[tri[:, 0]] + values[tri[:, 1]]
+    mean += values[tri[:, 2]]
+    mean /= 3.0
+    return mean
+
+
 def project_to_nodes(mesh: Mesh, element_values: np.ndarray) -> np.ndarray:
     """Lumped-mass projection: area-weighted average over each vertex star.
 
@@ -385,6 +399,7 @@ def project_to_nodes(mesh: Mesh, element_values: np.ndarray) -> np.ndarray:
         out[:, j] = spread(vals[:, j])
     return out
 
+
 def l2_norm(field: ScalarField) -> float:
     """L2(Omega) norm of the P1 interpolant via the consistent mass matrix."""
     M = field.mesh.mass
@@ -395,10 +410,8 @@ def l2_relative_error(a: ScalarField, b: ScalarField) -> float:
     """|a - b| / |b| in L2(Omega); both fields on the same mesh."""
     if a.mesh is not b.mesh and not np.array_equal(a.mesh.vertices, b.mesh.vertices):
         raise ContractError("fields live on different meshes")
-    M = a.mesh.mass
-    diff = a.values - b.values
-    denom = float(np.sqrt(max(b.values @ (M @ b.values), 0.0)))
+    denom = l2_norm(ScalarField(a.mesh, b.values))
     if denom == 0.0:
         raise DomainError("reference field has zero L2 norm")
-    return float(np.sqrt(max(diff @ (M @ diff), 0.0))) / denom
+    return l2_norm(ScalarField(a.mesh, a.values - b.values)) / denom
 

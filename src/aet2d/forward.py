@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractError, DomainError, ParameterError
-from .fem import ScalarField, element_gradient, project_to_nodes
+from .fem import ScalarField, element_gradient, element_mean, project_to_nodes
 from .mesh import Mesh
 
 
@@ -138,7 +138,7 @@ def power_density(mesh: Mesh, sigma: ScalarField, u1: ScalarField,
             raise ContractError("sigma and potentials must live on the given mesh")
     g1 = element_gradient(mesh, u1).vectors
     g2 = element_gradient(mesh, u2).vectors
-    sig = sigma.values[mesh.triangles].mean(axis=1)
+    sig = element_mean(mesh, sigma.values)
 
     def projected(ga, gb):
         # sig * (ga * gb).sum(axis=1), its two-term sum taken column-wise,

@@ -12,6 +12,7 @@ Angles are canonicalized to (-pi, pi] throughout.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -130,13 +131,13 @@ class Mesh:
     triangles       (T, 3) vertex indices, counterclockwise
     boundary_edges  (K, 2) vertex pairs walking the boundary counterclockwise
     boundary_tags   (K,)   DIRICHLET/NEUMANN per edge
-    edge_angles     (K,)   boundary edge midpoint angles (not a field)
     areas           (T,)   triangle areas (not a field)
 
-    The edge angles and triangle areas are computed on construction; the P1
-    basis coefficients, the vertex star areas and the mass matrix on first
-    use, once per mesh. All arrays are read-only; operations return new
-    meshes, which compute their own.
+    The triangle areas are computed on construction, by the checks. The
+    boundary edge and rim vertex angles, the P1 basis coefficients, the
+    vertex star areas and the mass matrix are computed on first read, once
+    per mesh. All arrays are read-only; operations return new meshes, which
+    compute their own.
     """
 
     vertices: np.ndarray
@@ -148,18 +149,15 @@ class Mesh:
         v = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 2)
         t = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
         be = np.asarray(self.boundary_edges, dtype=np.int64).reshape(-1, 2)
-        tags = np.asarray(self.boundary_tags, dtype=np.uint8).reshape(-1)
-        areas = self._validate(v, t, be, tags)
-
-        mid = 0.5 * (v[be[:, 0]] + v[be[:, 1]])
-        angles = canonical_angle(np.arctan2(mid[:, 1], mid[:, 0]))
+        tags = np.asarray(self.boundary_tags).reshape(-1)
+        areas = self._validate(v, t, be, tags)  # before a cast could wrap a tag
+        tags = tags.astype(np.uint8, copy=False)
 
         object.__setattr__(self, "vertices", _frozen(v))
         object.__setattr__(self, "triangles", _frozen(t))
         object.__setattr__(self, "boundary_edges", _frozen(be))
         object.__setattr__(self, "boundary_tags", _frozen(tags))
-        # not fields, so `replace` builds a mesh that computes its own
-        object.__setattr__(self, "edge_angles", _frozen(angles))
+        # not a field, so `replace` builds a mesh that computes its own
         object.__setattr__(self, "areas", _frozen(areas))
 
     @staticmethod
@@ -226,6 +224,19 @@ class Mesh:
         return np.unique(self.boundary_edges[self.boundary_tags == DIRICHLET])
 
     # -- geometry computed once per mesh --------------------------------------
+
+    @cached_property
+    def edge_angles(self) -> np.ndarray:
+        """Polar angle of each boundary edge's midpoint, in (-pi, pi]."""
+        v, be = self.vertices, self.boundary_edges
+        mid = 0.5 * (v[be[:, 0]] + v[be[:, 1]])
+        return _frozen(canonical_angle(np.arctan2(mid[:, 1], mid[:, 0])))
+
+    @cached_property
+    def loop_angles(self) -> np.ndarray:
+        """Polar angle of each `boundary_loop` vertex, in that order."""
+        xy = self.vertices[self.boundary_loop]
+        return _frozen(np.arctan2(xy[:, 1], xy[:, 0]))
 
     @cached_property
     def basis(self) -> tuple[np.ndarray, np.ndarray]:
@@ -464,22 +475,28 @@ def write_mesh(mesh: Mesh, path) -> None:
         f.writelines([f"{a} {b} {tag}\n" for a, b, tag in edges])
 
 
-def _parse_block(path, lines: list[str], first: int, width: int, dtype) -> np.ndarray:
-    """`lines`, numbered from `first` in the file, as a (rows, width) array."""
+def read_rows(where, source, *, delimiter=None, dtype=np.float64) -> np.ndarray:
+    """Numeric rows of `source` (lines, or an open text file) as a 2-D array.
+
+    The one parser of numeric text. Rows without data give shape (0, 1),
+    without a warning. loadtxt skips blank lines, so callers check the row
+    count against what the format expects.
+
+    Raises
+    ------
+    ContractError
+        Prefixed by `where`, with loadtxt's report of the row and column of
+        a value that does not parse.
+    """
     try:
-        values = np.array(" ".join(lines).split(), dtype=dtype)
-    except (ValueError, OverflowError):
-        values = None
-    if values is not None and values.size == width * len(lines):
-        return values.reshape(len(lines), width)
-    for lineno, line in enumerate(lines, first):  # name the offending line
-        try:
-            ok = np.array(line.split(), dtype=dtype).size == width
-        except (ValueError, OverflowError):
-            ok = False
-        if not ok:
-            raise ContractError(f"{path}: line {lineno}: expected {width} "
-                                f"{np.dtype(dtype).name} values, got {line!r}")
+        with warnings.catch_warnings():
+            # a source without rows is the callers' case, not a warning
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(source, dtype=dtype, delimiter=delimiter,
+                              comments=None, ndmin=2)
+    except ValueError as exc:  # UnicodeDecodeError included
+        # the message names the row; its advice after the ';' is dropped
+        raise ContractError(f"{where}: {str(exc).split(';')[0]}") from None
 
 
 def read_mesh(path) -> Mesh:
@@ -509,12 +526,19 @@ def read_mesh(path) -> Mesh:
         if len(rows) < count:
             raise ContractError(f"{path}: file ends after {len(rows)} of {count} "
                                 f"{word} rows")
-        blocks.append(_parse_block(path, rows, pos + 2, width, dtype))
+        block = read_rows(f"{path}: {word} block", rows, dtype=dtype)
+        if block.shape[0] != count:
+            blank = next(i for i, row in enumerate(rows) if not row.strip())
+            raise ContractError(f"{path}: line {pos + 2 + blank}: blank {word} row")
+        if block.size != count * width:
+            raise ContractError(f"{path}: line {pos + 2}: expected {width} "
+                                f"{np.dtype(dtype).name} values, got {rows[0]!r}")
+        blocks.append(block.reshape(count, width))
         pos += 1 + count
     if any(line.strip() for line in lines[pos:]):
         raise ContractError(f"{path}: line {pos + 1}: trailing data after the mesh")
     vertices, triangles, edges = blocks
     try:
-        return Mesh(vertices, triangles, edges[:, :2], edges[:, 2].astype(np.uint8))
+        return Mesh(vertices, triangles, edges[:, :2], edges[:, 2])
     except ContractError as exc:
         raise ContractError(f"{path}: {exc}") from None

@@ -6,7 +6,7 @@ Each sweep runs the pipeline over one axis of the published experiments
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ContractError, ParameterError
 from .noise import NoiseSpec
@@ -114,23 +114,22 @@ def noise_sweep(config: RunConfig) -> list[ExperimentRecord]:
         for alpha, floor in NOISE_LADDER])
 
 
-CSV_HEADER = ("case,gamma,n_data,n_recon,min_det,cos2theta_error,"
-              "sin2theta_error,sigma_error,alpha_percent,noise_seed,eig_floor")
+# every record field but the runtimes, in declaration order
+_CSV_FIELDS = tuple(f for f in fields(ExperimentRecord)
+                    if not f.name.endswith("_seconds"))
+CSV_HEADER = ",".join(f.name for f in _CSV_FIELDS)
 
-_CSV_FLOATS = ("min_det", "cos2theta_error", "sin2theta_error", "sigma_error",
-               "alpha_percent", "eig_floor")
+
+def _csv_cell(record: ExperimentRecord, f) -> str:
+    value = getattr(record, f.name)
+    # annotations are strings here (`from __future__ import annotations`)
+    return f"{value:.17g}" if f.type == "float" else str(value)
 
 
 def records_to_csv(records: list[ExperimentRecord]) -> str:
     """Byte-stable table: runtimes are excluded, every float at 17 digits."""
     lines = [CSV_HEADER]
-    for r in records:
-        fields = {name: f"{getattr(r, name):.17g}" for name in _CSV_FLOATS}
-        lines.append(",".join((
-            r.case, r.gamma, str(r.n_data), str(r.n_recon), fields["min_det"],
-            fields["cos2theta_error"], fields["sin2theta_error"],
-            fields["sigma_error"], fields["alpha_percent"], str(r.noise_seed),
-            fields["eig_floor"])))
+    lines += [",".join(_csv_cell(r, f) for f in _CSV_FIELDS) for r in records]
     return "\n".join(lines) + "\n"
 
 

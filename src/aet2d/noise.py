@@ -39,7 +39,8 @@ class NoiseSpec:
         if not (np.isfinite(self.eig_floor) and self.eig_floor >= 0.0):
             raise ParameterError(
                 f"eigenvalue floor must be >= 0, got {self.eig_floor}")
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= int(self.seed) < 2 ** 64:
+        if (not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool)
+                or not 0 <= int(self.seed) < 2 ** 64):
             raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 

@@ -11,6 +11,7 @@ data mesh's `dirichlet_nodes`, the truths at the recon mesh's `boundary_nodes`.
 """
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
@@ -38,6 +39,11 @@ _CASE_NAMES = ("case1", "case2", "constant")
 MAX_REFINE_LEVELS = 6
 
 
+def _is_count(value) -> bool:
+    """An integer, and not a bool (which Python counts as one)."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a run depends on; validated on construction.
@@ -62,25 +68,26 @@ class RunConfig:
     max_iter: int = 20_000
 
     def __post_init__(self):
+        # every bound a stage checks is checked here, before anything runs
         if self.case not in _CASE_NAMES:
             raise ParameterError(f"unknown conductivity case {self.case!r}")
-        if self.case == "constant" and not self.constant_value > 0.0:
-            raise ParameterError("constant conductivity must be positive")
+        if self.case == "constant" and not 0.0 < self.constant_value < math.inf:
+            raise ParameterError("constant conductivity must be positive and finite")
         if self.gamma_arcs is None and self.gamma not in GAMMA_PRESETS:
             raise ParameterError(f"unknown boundary preset {self.gamma!r}")
-        # the bounds of `build_disk_mesh`, checked before anything runs
         if not 0.0 < self.target_h < 1.0:
             raise ParameterError("target_h must lie in (0, 1)")
-        if not (isinstance(self.refine_levels, Integral)
+        if not (_is_count(self.refine_levels)
                 and 0 <= self.refine_levels <= MAX_REFINE_LEVELS):
             raise ParameterError(f"refine_levels must be an integer in 0..{MAX_REFINE_LEVELS}")
         if not isinstance(self.noise, NoiseSpec):
             raise ParameterError("noise must be a NoiseSpec")
-        if not self.eps_d > 0.0:
-            raise ParameterError("eps_d must be positive")
-        if not self.tol > 0.0:
-            raise ParameterError("solver tolerance must be positive")
-        if not (isinstance(self.max_iter, Integral) and self.max_iter >= 1):
+        if not 0.0 < self.eps_d < math.inf:
+            raise ParameterError("eps_d must be positive and finite")
+        # a tolerance of 1 or more accepts the first iterate
+        if not 0.0 < self.tol < 1.0:
+            raise ParameterError("solver tolerance must lie in (0, 1)")
+        if not (_is_count(self.max_iter) and self.max_iter >= 1):
             raise ParameterError("max_iter must be an integer of at least 1")
         if self.gamma_arcs is not None:
             object.__setattr__(self, "gamma_arcs",
@@ -148,7 +155,7 @@ def _tangency_override(mesh: Mesh, u_rim: np.ndarray, theta: np.ndarray) -> np.n
             & (np.sign(ahead) == np.sign(behind)))
     if not sure.any():
         return np.empty(0, dtype=np.intp)
-    t = np.arctan2(mesh.vertices[loop[sure], 1], mesh.vertices[loop[sure], 0])
+    t = mesh.loop_angles[sure]
     s = np.sign(du[sure])
     tangent_angle = np.arctan2(s * np.cos(t), -s * np.sin(t))
     tangent_angle[tangent_angle <= -np.pi] = np.pi

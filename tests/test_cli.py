@@ -1,6 +1,7 @@
 """Config parsing, exporters, subcommands, and the exit-code contract."""
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from aet2d import (
     tag_boundary,
     write_mesh,
 )
+from aet2d import cli
 from aet2d.cli import Job, export_field, main, parse_config, read_field_csv
 from aet2d.errors import ContractError, ParameterError
 
@@ -66,6 +68,12 @@ class TestParseConfig:
                            "recon.unwrap_arcs = 2.0, 2.5\n")
         assert job.config.gamma_arcs == ((0.5, 1.5), (3.0, 4.0))
         assert job.config.unwrap_arcs == ((2.0, 2.5),)
+
+    def test_explicit_arcs_without_a_preset_are_labelled_custom(self):
+        arcs = "gamma.arcs = 0.5, 2.5; 3.0, 4.0\n"
+        assert parse_config(arcs).config.gamma == "custom"
+        assert parse_config(arcs + "gamma.preset = small\n").config.gamma == "small"
+        assert parse_config("gamma.preset = small\n").config.gamma == "small"
 
     @pytest.mark.parametrize("line,fragment", [
         ("mesh.targeth = 0.1", "mesh.targeth"),
@@ -230,6 +238,15 @@ class TestExitCodes:
         assert "2 levels" in err and "at most 4" in err
         assert not (tmp_path / "t" / "table2.csv").exists()
 
+    @pytest.mark.parametrize("line", ["solver.tol = inf", "solver.tol = 1",
+                                      "data.eps_d = inf"])
+    def test_out_of_range_values_are_config_errors(self, tmp_path, capsys, line):
+        # rejected before any solve, not as a numerical failure after one
+        cfg = write_config(tmp_path, COARSE + line + "\n")
+        assert run_cli("run", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "record.csv").exists()
+
     def test_data_breakdown_is_exit_2(self, tmp_path, capsys):
         # overwhelming noise with the eigenvalue floor disabled drives the
         # data matrix indefinite, which is a numerical failure, not a config one
@@ -364,3 +381,31 @@ class TestJobDefaults:
         assert job.config.constant_value == 3.0
         with pytest.raises(AttributeError):
             job.out_dir = None
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_config_rows() -> list[tuple[str, str]]:
+    """(key, default cell) of each row of README's config-key table."""
+    text = README.read_text(encoding="utf-8")
+    return re.findall(r"^\| `(\w+\.\w+)`\s*\|[^|\n]*\|\s*([^|\n]*?)\s*\|$",
+                      text, flags=re.M)
+
+
+class TestReadmeConfigTable:
+    def test_parser_accepts_exactly_the_listed_keys(self):
+        keys = [key for key, _ in readme_config_rows()]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == set(cli._KEYS)
+        for key in keys:  # each listed key is known to the parser
+            with pytest.raises(ParameterError, match="key = value"):
+                parse_config(f"{key} =\n")
+
+    def test_listed_defaults_give_the_default_job(self):
+        empty = parse_config("")
+        concrete = [(key, cell[1:-1]) for key, cell in readme_config_rows()
+                    if re.fullmatch(r"`[^`]+`", cell)]
+        assert len(concrete) >= 12
+        for key, default in concrete:
+            assert parse_config(f"{key} = {default}\n") == empty, key

@@ -10,6 +10,7 @@ from aet2d.fem import (
     assemble_conductivity,
     constrain,
     element_gradient,
+    element_mean,
     l2_norm,
     l2_relative_error,
     local_stiffness,
@@ -361,6 +362,19 @@ def test_project_accepts_vector_field(small):
     cent = small.vertices[small.triangles].mean(axis=1)
     wrapped = project_to_nodes(small, VectorField(small, cent))
     assert np.array_equal(wrapped, project_to_nodes(small, cent))
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_element_mean_is_the_gathered_mean_bit_for_bit(level):
+    mesh = build_disk_mesh(0.2)
+    for _ in range(level):
+        mesh = refine(mesh)
+    rng = np.random.default_rng(11)
+    n = mesh.n_vertices
+    for values in (rng.standard_normal(n), 1e-300 * rng.random(n),
+                   np.arctan2(*rng.standard_normal((2, n)))):
+        want = values[mesh.triangles].mean(axis=1)
+        assert element_mean(mesh, values).tobytes() == want.tobytes()
 
 
 def test_l2_relative_error_basics(small):

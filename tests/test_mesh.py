@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -281,6 +282,20 @@ def test_derived_meshes_do_not_inherit_the_cache():
         assert child.basis[0] is not mesh.basis[0]
 
 
+def test_rim_angles_are_computed_on_first_read():
+    mesh = refine(tag_boundary(build_disk_mesh(0.3), GAMMA_MEDIUM))
+    assert "edge_angles" not in vars(mesh) and "loop_angles" not in vars(mesh)
+    xy = mesh.vertices[mesh.boundary_loop]
+    assert mesh.loop_angles.tobytes() == np.arctan2(xy[:, 1], xy[:, 0]).tobytes()
+    v, be = mesh.vertices, mesh.boundary_edges
+    mid = 0.5 * (v[be[:, 0]] + v[be[:, 1]])
+    want = canonical_angle(np.arctan2(mid[:, 1], mid[:, 0]))
+    assert mesh.edge_angles.tobytes() == want.tobytes()
+    for a in (mesh.loop_angles, mesh.edge_angles):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+
+
 # -- serialization -----------------------------------------------------------
 
 def test_mesh_roundtrip(tmp_path, coarse):
@@ -299,3 +314,43 @@ def test_read_mesh_rejects_garbage(tmp_path):
     path.write_text("vertices 2\n0 0\n1 0\n")
     with pytest.raises(ContractError):
         read_mesh(path)
+
+
+def _broken_mesh_file(tmp_path, mesh, line, text):
+    """The mesh's file with 1-based `line` replaced by `text`."""
+    path = tmp_path / "mesh.txt"
+    write_mesh(mesh, path)
+    lines = path.read_text().splitlines()
+    lines[line - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("line,text,message", [
+    (4, "", "line 4: blank vertices row"),
+    (4, "   ", "line 4: blank vertices row"),
+    (4, "0.5 x", "vertices block: could not convert string 'x' to float64"),
+    (4, "0.5 0.5 0.5", "vertices block: the number of columns changed"),
+])
+def test_read_mesh_names_the_broken_row(tmp_path, coarse, line, text, message):
+    path = _broken_mesh_file(tmp_path, coarse, line, text)
+    with pytest.raises(ContractError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
+        read_mesh(path)
+
+
+@pytest.mark.parametrize("tag", ["2", "-1", "256", "257"])
+def test_read_mesh_rejects_unknown_tags(tmp_path, coarse, tag):
+    # 256 and 257 would wrap to valid tags in a uint8 cast
+    last = 3 + coarse.n_vertices + coarse.n_triangles + len(coarse.boundary_edges)
+    a, b = coarse.boundary_edges[-1]
+    path = _broken_mesh_file(tmp_path, coarse, last, f"{a} {b} {tag}")
+    with pytest.raises(ContractError, match="DIRICHLET or NEUMANN"):
+        read_mesh(path)
+
+
+def test_read_mesh_accepts_zero_row_blocks(tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("vertices 0\ntriangles 0\nboundary_edges 0\n")
+    mesh = read_mesh(path)
+    assert mesh.vertices.shape == (0, 2) and mesh.triangles.shape == (0, 3)
+    assert mesh.boundary_edges.shape == (0, 2) and mesh.boundary_tags.dtype == np.uint8

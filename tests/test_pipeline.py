@@ -51,9 +51,19 @@ class TestRunConfig:
         {"max_iter": 1.5},
         {"unwrap_arcs": ((float("nan"), 1.0),)},
         {"unwrap_arcs": ((0.5, 1.0), (2.0, float("inf")))},
+        {"tol": 1.0},
+        {"tol": float("inf")},
+        {"eps_d": float("inf")},
+        {"case": "constant", "constant_value": float("inf")},
+        {"max_iter": True},
+        {"refine_levels": True},
+        {"noise": {"seed": True}},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ParameterError):
+            # a dict for `noise` gives the NoiseSpec's fields
+            if isinstance(kwargs.get("noise"), dict):
+                kwargs = {**kwargs, "noise": NoiseSpec(**kwargs["noise"])}
             RunConfig(**kwargs)
 
     def test_explicit_arcs_override_preset_name(self):
