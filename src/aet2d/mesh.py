@@ -492,11 +492,29 @@ def read_rows(where, source, *, delimiter=None, dtype=np.float64) -> np.ndarray:
         with warnings.catch_warnings():
             # a source without rows is the callers' case, not a warning
             warnings.simplefilter("ignore", UserWarning)
+            # numpy 1.x only warns before truncating '1.7' to an int; as an
+            # error it is a value that does not parse, as in numpy 2
+            warnings.simplefilter("error", DeprecationWarning)
             return np.loadtxt(source, dtype=dtype, delimiter=delimiter,
                               comments=None, ndmin=2)
     except ValueError as exc:  # UnicodeDecodeError included
         # the message names the row; its advice after the ';' is dropped
         raise ContractError(f"{where}: {str(exc).split(';')[0]}") from None
+
+
+def _raise_bad_row(path, word, rows, first, width, dtype):
+    """Name the file line of the first of `rows` (line `first` on) that is
+    blank or not `width` values of `dtype`."""
+    for lineno, row in enumerate(rows, first):
+        if not row.strip():
+            raise ContractError(f"{path}: line {lineno}: blank {word} row")
+        try:
+            ok = read_rows(path, [row], dtype=dtype).size == width
+        except ContractError:
+            ok = False
+        if not ok:
+            raise ContractError(f"{path}: line {lineno}: expected {width} "
+                                f"{np.dtype(dtype).name} values, got {row!r}")
 
 
 def read_mesh(path) -> Mesh:
@@ -526,13 +544,14 @@ def read_mesh(path) -> Mesh:
         if len(rows) < count:
             raise ContractError(f"{path}: file ends after {len(rows)} of {count} "
                                 f"{word} rows")
-        block = read_rows(f"{path}: {word} block", rows, dtype=dtype)
-        if block.shape[0] != count:
-            blank = next(i for i, row in enumerate(rows) if not row.strip())
-            raise ContractError(f"{path}: line {pos + 2 + blank}: blank {word} row")
-        if block.size != count * width:
-            raise ContractError(f"{path}: line {pos + 2}: expected {width} "
-                                f"{np.dtype(dtype).name} values, got {rows[0]!r}")
+        try:
+            block = read_rows(path, rows, dtype=dtype)
+        except ContractError:
+            block = None
+        # loadtxt skips blank rows and counts the rest from 0 or 1 by the
+        # fault, so a bad block is scanned again for the file line to name
+        if block is None or block.shape[0] != count or block.size != count * width:
+            _raise_bad_row(path, word, rows, pos + 2, width, dtype)
         blocks.append(block.reshape(count, width))
         pos += 1 + count
     if any(line.strip() for line in lines[pos:]):

@@ -122,8 +122,8 @@ CSV_HEADER = ",".join(f.name for f in _CSV_FIELDS)
 
 def _csv_cell(record: ExperimentRecord, f) -> str:
     value = getattr(record, f.name)
-    # annotations are strings here (`from __future__ import annotations`)
-    return f"{value:.17g}" if f.type == "float" else str(value)
+    # the annotation is the class, or its name under postponed evaluation
+    return f"{value:.17g}" if f.type in (float, "float") else str(value)
 
 
 def records_to_csv(records: list[ExperimentRecord]) -> str:

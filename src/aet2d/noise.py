@@ -9,6 +9,7 @@ floor restores it and doubles as the regularization knob.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -22,6 +23,11 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 # streams 0, 1, 2 perturb h11, h12, h22 respectively
 _COMPONENT_STREAMS = (0, 1, 2)
+
+
+def is_count(value) -> bool:
+    """An integer, and not a bool (which Python counts as one)."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -39,8 +45,7 @@ class NoiseSpec:
         if not (np.isfinite(self.eig_floor) and self.eig_floor >= 0.0):
             raise ParameterError(
                 f"eigenvalue floor must be >= 0, got {self.eig_floor}")
-        if (not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool)
-                or not 0 <= int(self.seed) < 2 ** 64):
+        if not (is_count(self.seed) and 0 <= int(self.seed) < 2 ** 64):
             raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 

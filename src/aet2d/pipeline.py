@@ -15,7 +15,6 @@ import math
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 
 import numpy as np
 
@@ -32,16 +31,11 @@ from .forward import (
     true_theta,
 )
 from .mesh import GAMMA_PRESETS, BoundarySpec, Mesh, build_disk_mesh, refine, tag_boundary
-from .noise import NoiseSpec, clamp_eigenvalues, perturb
+from .noise import NoiseSpec, clamp_eigenvalues, is_count, perturb
 from .recon import ReconResult, boundary_theta, run_algorithm1
 
 _CASE_NAMES = ("case1", "case2", "constant")
 MAX_REFINE_LEVELS = 6
-
-
-def _is_count(value) -> bool:
-    """An integer, and not a bool (which Python counts as one)."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -77,7 +71,7 @@ class RunConfig:
             raise ParameterError(f"unknown boundary preset {self.gamma!r}")
         if not 0.0 < self.target_h < 1.0:
             raise ParameterError("target_h must lie in (0, 1)")
-        if not (_is_count(self.refine_levels)
+        if not (is_count(self.refine_levels)
                 and 0 <= self.refine_levels <= MAX_REFINE_LEVELS):
             raise ParameterError(f"refine_levels must be an integer in 0..{MAX_REFINE_LEVELS}")
         if not isinstance(self.noise, NoiseSpec):
@@ -87,7 +81,7 @@ class RunConfig:
         # a tolerance of 1 or more accepts the first iterate
         if not 0.0 < self.tol < 1.0:
             raise ParameterError("solver tolerance must lie in (0, 1)")
-        if not (_is_count(self.max_iter) and self.max_iter >= 1):
+        if not (is_count(self.max_iter) and self.max_iter >= 1):
             raise ParameterError("max_iter must be an integer of at least 1")
         if self.gamma_arcs is not None:
             object.__setattr__(self, "gamma_arcs",
