@@ -31,7 +31,7 @@ from .errors import (
 )
 from .fem import ScalarField
 from .forward import PowerDensity
-from .mesh import Mesh, read_mesh, read_rows, write_mesh
+from .mesh import Mesh, _raise_bad_row, read_mesh, read_rows, write_mesh
 from .metrics import (
     noise_sweep,
     record_from_run,
@@ -92,7 +92,6 @@ _KEYS = {
     "noise.eig_floor": ("eig_floor", float),
     "data.eps_d": ("eps_d", float),
     "solver.tol": ("tol", float),
-    "solver.max_iter": ("max_iter", int),
     "recon.unwrap_arcs": ("unwrap_arcs", _parse_arcs),
     "output.dir": ("out_dir", Path),
     "output.formats": ("formats", _parse_formats),
@@ -228,21 +227,27 @@ def read_field_csv(path, mesh: Mesh) -> ScalarField:
     Raises
     ------
     ContractError
-        Naming the file, and the row where one is known, if the text is not
-        an export of a finite field on `mesh`.
+        Naming the file, and the line or node where one is known, if the
+        text is not an export of a finite field on `mesh`.
     """
     try:
         with open(path, "r", encoding="ascii") as f:
             if f.readline() != "node_id,x,y,value\n":
                 raise ContractError(f"{path}: not a field export")
-            rows = read_rows(path, f, delimiter=",")
-    except UnicodeDecodeError as exc:  # in the header; `read_rows` names the rest
+            try:
+                rows = read_rows(path, f, delimiter=",")
+            except ContractError:
+                rows = None
+    except UnicodeDecodeError as exc:  # in the first block read; a later one fails read_rows
         raise ContractError(f"{path}: {exc}") from None
     n = mesh.n_vertices
-    if rows.shape[0] != n:
-        raise ContractError(f"{path}: {rows.shape[0]} rows for a mesh with {n} nodes")
-    if rows.shape[1] != 4:
-        raise ContractError(f"{path}: {rows.shape[1]} columns, expected 4")
+    if rows is None or rows.shape != (n, 4):
+        # loadtxt skips blank lines and counts rows from 0 or 1 by the fault,
+        # so a file that fails is read again, as lines, for the line to name
+        with open(path, "r", encoding="ascii", errors="replace") as f:
+            lines = f.read().splitlines()
+        _raise_bad_row(path, "field", lines[1:], 2, 4, np.float64, delimiter=",")
+        raise ContractError(f"{path}: {len(lines) - 1} rows for a mesh with {n} nodes")
     bad = np.flatnonzero(rows[:, 0] != np.arange(n))
     if bad.size:
         raise ContractError(f"{path}: node ids out of order at row {bad[0]}")

@@ -502,14 +502,14 @@ def read_rows(where, source, *, delimiter=None, dtype=np.float64) -> np.ndarray:
         raise ContractError(f"{where}: {str(exc).split(';')[0]}") from None
 
 
-def _raise_bad_row(path, word, rows, first, width, dtype):
+def _raise_bad_row(path, word, rows, first, width, dtype, delimiter=None):
     """Name the file line of the first of `rows` (line `first` on) that is
     blank or not `width` values of `dtype`."""
     for lineno, row in enumerate(rows, first):
         if not row.strip():
             raise ContractError(f"{path}: line {lineno}: blank {word} row")
         try:
-            ok = read_rows(path, [row], dtype=dtype).size == width
+            ok = read_rows(path, [row], delimiter=delimiter, dtype=dtype).size == width
         except ContractError:
             ok = False
         if not ok:

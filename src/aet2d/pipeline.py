@@ -59,7 +59,6 @@ class RunConfig:
     eps_d: float = 1e-14
     unwrap_arcs: tuple[tuple[float, float], ...] | None = None
     tol: float = 1e-10
-    max_iter: int = 20_000
 
     def __post_init__(self):
         # every bound a stage checks is checked here, before anything runs
@@ -81,8 +80,6 @@ class RunConfig:
         # a tolerance of 1 or more accepts the first iterate
         if not 0.0 < self.tol < 1.0:
             raise ParameterError("solver tolerance must lie in (0, 1)")
-        if not (is_count(self.max_iter) and self.max_iter >= 1):
-            raise ParameterError("max_iter must be an integer of at least 1")
         if self.gamma_arcs is not None:
             object.__setattr__(self, "gamma_arcs",
                                tuple((float(a), float(b)) for a, b in self.gamma_arcs))
@@ -181,10 +178,8 @@ def forward_stage(config: RunConfig) -> ForwardData:
     x, y = data_mesh.vertices[controlled].T  # the potentials' Dirichlet data
     # one sigma and one set of Dirichlet nodes: both potentials share an operator
     operator = constrain(assemble_conductivity(data_mesh, sigma_data), controlled)
-    u1 = solve_mixed(data_mesh, sigma_data, x, operator=operator,
-                     tol=config.tol, max_iter=config.max_iter)
-    u2 = solve_mixed(data_mesh, sigma_data, y, operator=operator,
-                     tol=config.tol, max_iter=config.max_iter)
+    u1 = solve_mixed(data_mesh, sigma_data, x, operator=operator, tol=config.tol)
+    u2 = solve_mixed(data_mesh, sigma_data, y, operator=operator, tol=config.tol)
     del operator  # its matrix blocks are the data mesh's largest arrays
 
     H_data = power_density(data_mesh, sigma_data, u1, u2, config.eps_d)
@@ -241,8 +236,7 @@ def recon_stage(config: RunConfig, fwd: ForwardData) -> ReconResult:
     H = apply_noise(fwd.H, config.noise)
     theta_bc = boundary_theta(mesh, fwd.theta_true.values[boundary], config.unwrap_arcs)
     return run_algorithm1(mesh, H, theta_bc, fwd.sigma_true.values[boundary],
-                          truth=(fwd.theta_true, fwd.sigma_true),
-                          tol=config.tol, max_iter=config.max_iter)
+                          truth=(fwd.theta_true, fwd.sigma_true), tol=config.tol)
 
 
 @dataclass(frozen=True)

@@ -160,8 +160,7 @@ def sigma_rhs(theta: ScalarField, fields: TransferFields) -> VectorField:
 
 def reconstruct_sigma(mesh: Mesh, G: VectorField, sigma_boundary: np.ndarray,
                       *, operator: ConstrainedOperator | None = None,
-                      tol: float = 1e-10, max_iter: int = 20000,
-                      return_info: bool = False):
+                      tol: float = 1e-10, return_info: bool = False):
     """Conductivity from its boundary trace and the divergence of `G`.
 
     `sigma_boundary` holds the conductivity at each node of
@@ -179,7 +178,7 @@ def reconstruct_sigma(mesh: Mesh, G: VectorField, sigma_boundary: np.ndarray,
     # math.log, not np.log: the two differ in the last bit on some values
     log_bc = np.fromiter(map(math.log, sigma_boundary), np.float64, count=nodes.size)
     w, info = solve_poisson_weak_div(mesh, G, log_bc, operator=operator,
-                                     tol=tol, max_iter=max_iter, return_info=True)
+                                     tol=tol, return_info=True)
     sigma = ScalarField(mesh, np.exp(w.values))
     return (sigma, info) if return_info else sigma
 
@@ -229,7 +228,7 @@ class ReconResult:
 def run_algorithm1(mesh: Mesh, H: PowerDensity, theta_boundary: np.ndarray,
                    sigma_boundary: np.ndarray,
                    truth: tuple[ScalarField, ScalarField] | None = None,
-                   *, tol: float = 1e-10, max_iter: int = 20000) -> ReconResult:
+                   *, tol: float = 1e-10) -> ReconResult:
     """Full reconstruction: fields, angle solve, conductivity solve.
 
     The boundary angle and conductivity are given at each node of
@@ -245,10 +244,10 @@ def run_algorithm1(mesh: Mesh, H: PowerDensity, theta_boundary: np.ndarray,
     laplacian = laplacian_operator(mesh)
     theta, theta_info = solve_poisson_weak_div(mesh, fields.f, theta_boundary,
                                                operator=laplacian, tol=tol,
-                                               max_iter=max_iter, return_info=True)
+                                               return_info=True)
     G = sigma_rhs(theta, fields)
     sigma, sigma_info = reconstruct_sigma(mesh, G, sigma_boundary, operator=laplacian,
-                                          tol=tol, max_iter=max_iter, return_info=True)
+                                          tol=tol, return_info=True)
     diagnostics = ReconDiagnostics(
         min_det=float(H.determinant().min()),
         d_clamp_count=int(H.d_clamp_nodes.size),

@@ -7,8 +7,8 @@ measure only the tests need.
 import numpy as np
 import scipy.sparse as sp
 
-from aet2d import ScalarField, VectorField
-from aet2d.errors import ContractError
+from aet2d import ScalarField, VectorField, l2_norm
+from aet2d.errors import ContractError, DomainError
 from aet2d.mesh import TWO_PI, Mesh, _ring_start
 
 
@@ -63,6 +63,16 @@ def triangle_quality(mesh: Mesh) -> np.ndarray:
     c = np.linalg.norm(p[:, 0] - p[:, 1], axis=1)
     s = 0.5 * (a + b + c)
     return 8.0 * mesh.areas**2 / (s * a * b * c)
+
+
+def l2_relative_error(a: ScalarField, b: ScalarField) -> float:
+    """|a - b| / |b| in L2(Omega); both fields on the same mesh."""
+    if a.mesh is not b.mesh and not np.array_equal(a.mesh.vertices, b.mesh.vertices):
+        raise ContractError("fields live on different meshes")
+    denom = l2_norm(ScalarField(a.mesh, b.values))
+    if denom == 0.0:
+        raise DomainError("reference field has zero L2 norm")
+    return l2_norm(ScalarField(a.mesh, a.values - b.values)) / denom
 
 
 def l2_norm_vector(field: VectorField) -> float:

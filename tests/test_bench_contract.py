@@ -1,0 +1,94 @@
+"""The calls the benchmark's traced pass makes, run on a coarse mesh.
+
+`bench/spans.py` wraps functions at the names their callers look them up by,
+passes `return_info=True` to the wrapped solves, and hands
+`unwrap_arcs=None` to `dataclasses.replace` of every traced forward config.
+A change that drops any of these makes every benchmark unit fail; here it
+fails a test instead. The harness is imported read-only: it is executed from
+its file without writing bytecode next to it.
+"""
+import importlib.util
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import aet2d
+import aet2d.cli
+from aet2d import NoiseSpec, RunConfig, SolveInfo
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+# sites the harness names that the package no longer has; the benchmark
+# change that drops them from `bench/spans.py` empties this set
+KNOWN_MISSING = {"aet2d.pipeline:transfer", "aet2d.recon:l2_relative_error"}
+
+CONFIG = RunConfig(case="case2", gamma="medium", target_h=0.3)
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+spans = _load_spans()
+
+
+@pytest.fixture()
+def tracer():
+    t = spans.Tracer()
+    t.install()
+    try:
+        yield t
+    finally:
+        t.uninstall()
+
+
+def assert_traced(tracer, mixed: int, poisson: int):
+    assert set(tracer.missing) == KNOWN_MISSING
+    assert Counter(name for name, _ in tracer.solves) == {
+        "fem.solve_mixed": mixed, "fem.solve_poisson": poisson}
+    for _, info in tracer.solves:
+        assert isinstance(info, SolveInfo)
+        assert info.relative_residual <= 100.0 * CONFIG.tol
+
+
+def test_noisy_pipeline(tracer):
+    config = RunConfig(case="case2", gamma="medium", target_h=0.3,
+                       noise=NoiseSpec(alpha_percent=5.0, seed=1))
+    result = aet2d.run_pipeline(config)
+    assert result.recon.metrics.sigma_error > 0.0
+    assert_traced(tracer, mixed=2, poisson=2)
+    assert tracer.counts["pipeline.forward_stage_calls"] == 1
+
+
+def test_noise_sweep(tracer):
+    records = aet2d.noise_sweep(CONFIG)
+    assert len(records) == 3
+    # one forward stage serves the whole ladder
+    assert_traced(tracer, mixed=2, poisson=6)
+    assert tracer.counts["pipeline.forward_stage_calls"] == 1
+    assert tracer.counts["pipeline.recon_stage_calls"] == 3
+
+
+def test_cli_forward_then_reconstruct(tracer, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mesh.target_h = 0.3\nsigma.case = case2\n"
+                   "noise.alpha_percent = 5.0\noutput.formats = csv,vtk\n",
+                   encoding="ascii")
+    stage = tmp_path / "stage"
+    for command in ("forward", "reconstruct"):
+        argv = [command, "--config", str(cfg), "--out", str(stage), "--quiet"]
+        assert aet2d.cli.main(argv) == 0
+    assert (stage / "sigma_recon.vtk").is_file()
+    assert_traced(tracer, mixed=2, poisson=2)
+    assert tracer.counts["cli.read_calls"] == 6  # five fields and meta.txt
+    assert tracer.counts["cli.files_written"] > 0

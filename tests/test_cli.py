@@ -50,7 +50,6 @@ class TestParseConfig:
             noise.eig_floor = 1e-5
             data.eps_d = 1e-13
             solver.tol = 1e-11      # trailing comment
-            solver.max_iter = 500
             output.dir = results/run1
             output.formats = csv, vtk
         """)
@@ -59,7 +58,7 @@ class TestParseConfig:
         assert (cfg.gamma, cfg.case) == ("small", "case2")
         assert (cfg.noise.alpha_percent, cfg.noise.seed) == (5.0, 50)
         assert (cfg.noise.eig_floor, cfg.eps_d) == (1e-5, 1e-13)
-        assert (cfg.tol, cfg.max_iter) == (1e-11, 500)
+        assert cfg.tol == 1e-11
         assert str(job.out_dir) == "results/run1"
         assert job.formats == ("csv", "vtk")
 
@@ -131,6 +130,24 @@ class TestExportField:
         other = build_disk_mesh(0.8)
         with pytest.raises(ContractError, match="rows"):
             read_field_csv(tmp_path / "f.csv", other)
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda row: row.replace(",", ",x", 1), "expected 4 float64 values, got {row!r}"),
+        (lambda row: row + ",0", "expected 4 float64 values, got {row!r}"),
+        (lambda row: "", "blank field row"),
+    ], ids=["bad-value", "five-columns", "blank"])
+    def test_read_names_the_broken_line(self, tmp_path, change, message):
+        # the header is line 1, so line 4 holds node 2 of the 217
+        mesh = build_disk_mesh(0.3)
+        assert mesh.n_vertices == 217
+        path = tmp_path / "f.csv"
+        export_field(ScalarField(mesh, np.ones(mesh.n_vertices)), path)
+        lines = path.read_text().splitlines()
+        lines[3] = row = change(lines[3])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ContractError, match=re.escape(
+                f"{path}: line 4: {message.format(row=row)}")):
+            read_field_csv(path, mesh)
 
     def test_unknown_format_rejected(self, mesh, tmp_path):
         with pytest.raises(ParameterError, match="png"):
@@ -214,6 +231,13 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "mesh.target_w = 0.3\n")
         assert run_cli("run", "--config", cfg, "--out", str(tmp_path)) == 1
         assert "mesh.target_w" in capsys.readouterr().err
+
+    def test_iteration_cap_is_not_a_config_key(self, tmp_path, capsys):
+        # the cap is the constant aet2d.fem.MAX_ITER
+        cfg = write_config(tmp_path, COARSE + "solver.max_iter = 500\n")
+        assert run_cli("run", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+        assert "unknown config key 'solver.max_iter'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "record.csv").exists()
 
     def test_zero_measure_arc_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, COARSE + "gamma.arcs = 0.5, 0.5\n")

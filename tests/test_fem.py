@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import aet2d.mesh
+from aet2d import fem
 from aet2d import GAMMA_FULL, GAMMA_LARGE, GAMMA_MEDIUM, build_disk_mesh, refine, tag_boundary
-from aet2d.errors import ContractError, DomainError, SingularSystemError
+from aet2d.errors import ContractError, DomainError, NumericalError, SingularSystemError
 from aet2d.fem import (
     ScalarField,
     VectorField,
@@ -12,7 +13,6 @@ from aet2d.fem import (
     element_gradient,
     element_mean,
     l2_norm,
-    l2_relative_error,
     local_stiffness,
     project_to_nodes,
     solve_mixed,
@@ -20,7 +20,7 @@ from aet2d.fem import (
 )
 from aet2d.forward import CASE2
 from aet2d.mesh import basis_coefficients, signed_areas
-from oracles import coo_assembly, fancy_index_split
+from oracles import coo_assembly, fancy_index_split, l2_relative_error
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +171,16 @@ def test_linear_solution_exact_pcg():
     u, info = solve_mixed(mesh, sigma, coord_bc(mesh), return_info=True)
     assert info.method == "pcg"
     assert np.abs(u.values - mesh.vertices[:, 0]).max() <= 1e-7
+
+
+def test_pcg_stops_at_the_iteration_cap(monkeypatch):
+    mesh = tag_boundary(build_disk_mesh(0.07), GAMMA_FULL)
+    # enough free unknowns for conjugate gradients, not SuperLU
+    assert mesh.n_vertices - mesh.dirichlet_nodes.size >= fem.DIRECT_SOLVE_LIMIT
+    monkeypatch.setattr(fem, "MAX_ITER", 3)
+    sigma = ScalarField(mesh, np.ones(mesh.n_vertices))
+    with pytest.raises(NumericalError, match=r"stalled: .* after MAX_ITER = 3 iterations"):
+        solve_mixed(mesh, sigma, coord_bc(mesh))
 
 
 def test_dirichlet_values_exact(medium):

@@ -44,18 +44,15 @@ class TestRunConfig:
         {"refine_levels": 7},
         {"eps_d": 0.0},
         {"tol": 0.0},
-        {"max_iter": 0},
         {"noise": 0.05},
         {"target_h": 1.0},
         {"refine_levels": 1.5},
-        {"max_iter": 1.5},
         {"unwrap_arcs": ((float("nan"), 1.0),)},
         {"unwrap_arcs": ((0.5, 1.0), (2.0, float("inf")))},
         {"tol": 1.0},
         {"tol": float("inf")},
         {"eps_d": float("inf")},
         {"case": "constant", "constant_value": float("inf")},
-        {"max_iter": True},
         {"refine_levels": True},
         {"noise": {"seed": True}},
     ])
@@ -126,7 +123,7 @@ class TestForwardStage:
             assert bc.tobytes() == mesh.vertices[controlled, axis].tobytes()
         for (mesh, sigma, bc), kwargs, shared in calls:
             alone, info = solve_mixed(mesh, sigma, bc, tol=kwargs["tol"],
-                                      max_iter=kwargs["max_iter"], return_info=True)
+                                      return_info=True)
             assert info.method == "pcg"
             assert shared.values.tobytes() == alone.values.tobytes()
 
