@@ -44,15 +44,18 @@ class TestRunConfig:
         {"refine_levels": 7},
         {"eps_d": 0.0},
         {"tol": 0.0},
+        {"tol": float("nan")},
         {"noise": 0.05},
         {"target_h": 1.0},
         {"refine_levels": 1.5},
+        {"eps_d": float("nan")},
         {"unwrap_arcs": ((float("nan"), 1.0),)},
         {"unwrap_arcs": ((0.5, 1.0), (2.0, float("inf")))},
         {"tol": 1.0},
         {"tol": float("inf")},
         {"eps_d": float("inf")},
         {"case": "constant", "constant_value": float("inf")},
+        {"target_h": float("nan")},
         {"refine_levels": True},
         {"noise": {"seed": True}},
     ])
