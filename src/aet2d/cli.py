@@ -86,11 +86,9 @@ _KEYS = {
     "gamma.preset": ("gamma", str),
     "gamma.arcs": ("gamma_arcs", _parse_arcs),
     "sigma.case": ("case", str),
-    "sigma.constant_value": ("constant_value", float),
     "noise.alpha_percent": ("alpha_percent", float),
     "noise.seed": ("seed", int),
     "noise.eig_floor": ("eig_floor", float),
-    "data.eps_d": ("eps_d", float),
     "solver.tol": ("tol", float),
     "recon.unwrap_arcs": ("unwrap_arcs", _parse_arcs),
     "output.dir": ("out_dir", Path),
@@ -295,53 +293,10 @@ def _cmd_forward(job: Job, quiet: bool) -> int:
     _write_fields(replace(job, formats=("csv",)),
                   {"h11": fwd.H.h11, "h12": fwd.H.h12, "h22": fwd.H.h22,
                    "sigma_true": fwd.sigma_true, "theta_true": fwd.theta_true})
-    flagged = " ".join(str(int(n)) for n in fwd.theta_flagged)
-    _atomic_text(job.out_dir / "meta.txt",
-                 f"n_data {fwd.n_data}\nflagged {flagged}\n".replace(" \n", "\n"))
     if not quiet:
         print(f"wrote forward data ({fwd.n_data} data nodes, "
               f"{fwd.recon_mesh.n_vertices} reconstruction nodes) to {job.out_dir}")
     return 0
-
-
-def _read_meta(path: Path, mesh: Mesh) -> tuple[int, np.ndarray]:
-    """`n_data` and the flagged node ids of a stage on reconstruction `mesh`.
-
-    Raises
-    ------
-    ContractError
-        Naming the file and line of an entry that is unknown, repeated or
-        not integer, of an `n_data` not above the mesh's node count, and of
-        a flagged id that is not a node of the mesh.
-    """
-    n_recon = mesh.n_vertices
-    entries: dict[str, list[int]] = {}
-    for lineno, line in enumerate(_read_ascii(path).splitlines(), 1):
-        if not line.strip():
-            continue
-        name, _, rest = line.partition(" ")
-        where = f"{path}: line {lineno}"
-        if name not in ("n_data", "flagged"):
-            raise ContractError(f"{where}: unknown entry {name!r}")
-        if name in entries:
-            raise ContractError(f"{where}: repeated entry {name!r}")
-        try:
-            ids = [int(rest)] if name == "n_data" else [int(t) for t in rest.split()]
-        except ValueError:
-            raise ContractError(f"{where}: {name} expects integers, "
-                                f"got {rest!r}") from None
-        if name == "n_data" and ids[0] <= n_recon:
-            raise ContractError(f"{where}: n_data {ids[0]} must exceed the "
-                                f"{n_recon} reconstruction nodes")
-        if name == "flagged":
-            outside = [i for i in ids if not 0 <= i < n_recon]
-            if outside:
-                raise ContractError(f"{where}: flagged node {outside[0]} is not "
-                                    f"one of the {n_recon} reconstruction nodes")
-        entries[name] = ids
-    if "n_data" not in entries:
-        raise ContractError(f"{path}: missing n_data")
-    return entries["n_data"][0], np.array(entries.get("flagged", []), dtype=np.intp)
 
 
 def _read_stage_fields(out_dir: Path, mesh: Mesh) -> list[ScalarField]:
@@ -372,11 +327,8 @@ def _read_stage_fields(out_dir: Path, mesh: Mesh) -> list[ScalarField]:
 def _cmd_reconstruct(job: Job, quiet: bool) -> int:
     mesh = read_mesh(job.out_dir / "mesh.txt")
     h11, h12, h22, sigma_true, theta_true = _read_stage_fields(job.out_dir, mesh)
-    n_data, flagged = _read_meta(job.out_dir / "meta.txt", mesh)
-    fwd = ForwardData(recon_mesh=mesh, n_data=n_data, sigma_true=sigma_true,
-                      theta_true=theta_true,
-                      H=PowerDensity(h11, h12, h22, eps_d=job.config.eps_d),
-                      theta_flagged=flagged)
+    fwd = ForwardData(recon_mesh=mesh, sigma_true=sigma_true, theta_true=theta_true,
+                      H=PowerDensity(h11, h12, h22))
     t0 = time.perf_counter()
     recon = recon_stage(job.config, fwd)
     _write_results(job, PipelineResult(fwd, recon, 0.0, time.perf_counter() - t0),

@@ -27,9 +27,9 @@ element rows (from `local_stiffness` for the stiffness matrix) are held.
 Systems below `DIRECT_SOLVE_LIMIT` free unknowns are solved by SuperLU, whose
 module `scipy.sparse.linalg` loads on the first such solve only, so
 `import aet2d` stays free of it and of `scipy.linalg`. Larger ones run Jacobi
-PCG to the caller's relative residual `tol`; a solve that has not reached it
-after `MAX_ITER` iterations raises NumericalError. The cap is a constant, not
-a parameter.
+PCG to the caller's relative residual `tol` (`TOL` unless the caller says
+otherwise); a solve that has not reached it after `MAX_ITER` iterations
+raises NumericalError. The cap is a constant, not a parameter.
 """
 
 from __future__ import annotations
@@ -56,6 +56,9 @@ DIRECT_SOLVE_LIMIT = 3000
 # Conjugate-gradient iterations before a solve is reported stalled; each
 # h = 0.03 data solve takes about 1,400.
 MAX_ITER = 20_000
+
+# Relative residual every solve stops at unless its caller passes another.
+TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -211,7 +214,7 @@ class ConstrainedOperator:
     coupling: sp.csr_matrix
 
     def solve(self, fixed_values: np.ndarray, load: np.ndarray | None = None,
-              *, tol: float = 1e-10):
+              *, tol: float):
         """All nodal values, given values at `fixed` (in its order) and an
         optional load vector over all nodes (zero when None).
 
@@ -287,7 +290,7 @@ def _solve(mesh: Mesh, operator: ConstrainedOperator, nodes, values, load,
 
 def solve_mixed(mesh: Mesh, sigma: ScalarField, dirichlet_values: np.ndarray,
                 *, operator: ConstrainedOperator | None = None,
-                tol: float = 1e-10, return_info: bool = False):
+                tol: float = TOL, return_info: bool = False):
     """Solve -div(sigma grad u) = 0 with u prescribed on the controlled arc.
 
     The no-flux condition on untagged boundary edges is natural: it needs no
@@ -318,7 +321,7 @@ def solve_mixed(mesh: Mesh, sigma: ScalarField, dirichlet_values: np.ndarray,
 
 def solve_poisson_weak_div(mesh: Mesh, F: VectorField, boundary_values: np.ndarray,
                            *, operator: ConstrainedOperator | None = None,
-                           tol: float = 1e-10, return_info: bool = False):
+                           tol: float = TOL, return_info: bool = False):
     """Solve lap(w) = div(F) weakly with w given on the whole boundary.
 
     The right-hand side uses integral F.grad(v) per element, so F is never

@@ -70,11 +70,22 @@ def constant_conductivity(value: float) -> TestCaseConductivity:
     return TestCaseConductivity("constant", (value, value), evaluate)
 
 
+# the level cancels out of the reconstruction, which reads only gradients of
+# logs and ratios of the data plus the boundary trace
+CONSTANT = constant_conductivity(2.0)
+
+# the phantoms a run names by `RunConfig.case`
+CASES = {"case1": CASE1, "case2": CASE2, "constant": CONSTANT}
+
+# floor of the determinant root `PowerDensity.d`
+EPS_D = 1e-14
+
+
 @dataclass(frozen=True)
 class PowerDensity:
     """Symmetric 2x2 matrix field stored by its three nodal components.
 
-    The square-root determinant `d` is floored at `eps_d`; nodes where the
+    The square-root determinant `d` is floored at `EPS_D`; nodes where the
     floor fired are recorded in `d_clamp_nodes` so silent data degradation
     stays visible.  `eig_floor_nodes` is filled by the noise stage when
     eigenvalue regularization modifies entries, empty otherwise.
@@ -83,7 +94,6 @@ class PowerDensity:
     h11: ScalarField
     h12: ScalarField
     h22: ScalarField
-    eps_d: float = 1e-14
     eig_floor_nodes: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.intp))
 
@@ -94,10 +104,8 @@ class PowerDensity:
         mesh = self.h11.mesh
         if self.h12.mesh is not mesh or self.h22.mesh is not mesh:
             raise ContractError("power density components live on different meshes")
-        if not (np.isfinite(self.eps_d) and self.eps_d > 0.0):
-            raise ParameterError(f"eps_d must be positive, got {self.eps_d}")
         det = self.h11.values * self.h22.values - self.h12.values ** 2
-        floor = self.eps_d ** 2
+        floor = EPS_D ** 2
         definite = det >= floor
         bad = definite & ((self.h11.values <= 0.0) | (self.h22.values <= 0.0))
         if bad.any():
@@ -126,7 +134,7 @@ class PowerDensity:
 
 
 def power_density(mesh: Mesh, sigma: ScalarField, u1: ScalarField,
-                  u2: ScalarField, eps_d: float = 1e-14) -> PowerDensity:
+                  u2: ScalarField) -> PowerDensity:
     """Nodal matrix data sigma * grad(u_i).grad(u_j) from two potentials.
 
     Gradients are constant per element; sigma is sampled at the element
@@ -148,8 +156,7 @@ def power_density(mesh: Mesh, sigma: ScalarField, u1: ScalarField,
         e *= sig
         return ScalarField(mesh, project_to_nodes(mesh, e))
 
-    return PowerDensity(projected(g1, g1), projected(g1, g2), projected(g2, g2),
-                        eps_d=eps_d)
+    return PowerDensity(projected(g1, g1), projected(g1, g2), projected(g2, g2))
 
 
 def true_theta(mesh: Mesh, u1: ScalarField) -> tuple[ScalarField, np.ndarray]:
@@ -212,9 +219,9 @@ def restrict(source: ScalarField, target: Mesh) -> ScalarField:
 def det_diagnostics(H: PowerDensity) -> tuple[float, ScalarField]:
     """Minimum raw determinant and the nodal log-determinant field.
 
-    The log argument is floored at eps_d^2 so collapsed regions render as
+    The log argument is floored at EPS_D^2 so collapsed regions render as
     a flat plateau instead of -inf.
     """
     det = H.determinant()
-    log_det = np.log(np.maximum(det, H.eps_d ** 2))
+    log_det = np.log(np.maximum(det, EPS_D ** 2))
     return float(det.min()), ScalarField(H.mesh, log_det)

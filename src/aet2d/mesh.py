@@ -132,12 +132,13 @@ class Mesh:
     boundary_edges  (K, 2) vertex pairs walking the boundary counterclockwise
     boundary_tags   (K,)   DIRICHLET/NEUMANN per edge
     areas           (T,)   triangle areas (not a field)
+    n_edges         number of unique edges (not a field)
 
-    The triangle areas are computed on construction, by the checks. The
-    boundary edge and rim vertex angles, the P1 basis coefficients, the
-    vertex star areas and the mass matrix are computed on first read, once
-    per mesh. All arrays are read-only; operations return new meshes, which
-    compute their own.
+    The triangle areas and the edge count are computed on construction, by
+    the checks. The boundary edge and rim vertex angles, the P1 basis
+    coefficients, the vertex star areas and the mass matrix are computed on
+    first read, once per mesh. All arrays are read-only; operations return
+    new meshes, which compute their own.
     """
 
     vertices: np.ndarray
@@ -150,19 +151,21 @@ class Mesh:
         t = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
         be = np.asarray(self.boundary_edges, dtype=np.int64).reshape(-1, 2)
         tags = np.asarray(self.boundary_tags).reshape(-1)
-        areas = self._validate(v, t, be, tags)  # before a cast could wrap a tag
+        areas, n_edges = self._validate(v, t, be, tags)  # before a cast could wrap a tag
         tags = tags.astype(np.uint8, copy=False)
 
         object.__setattr__(self, "vertices", _frozen(v))
         object.__setattr__(self, "triangles", _frozen(t))
         object.__setattr__(self, "boundary_edges", _frozen(be))
         object.__setattr__(self, "boundary_tags", _frozen(tags))
-        # not a field, so `replace` builds a mesh that computes its own
+        # not fields, so `replace` builds a mesh that computes its own
         object.__setattr__(self, "areas", _frozen(areas))
+        object.__setattr__(self, "n_edges", n_edges)
 
     @staticmethod
-    def _validate(v, t, be, tags) -> np.ndarray:
-        """Check the triangulation; returns the triangle areas it computed."""
+    def _validate(v, t, be, tags) -> tuple[np.ndarray, int]:
+        """Check the triangulation; returns the triangle areas and the
+        unique edge count it computed."""
         if tags.shape[0] != be.shape[0]:
             raise ContractError("one tag per boundary edge required")
         if tags.size and not np.all((tags == NEUMANN) | (tags == DIRICHLET)):
@@ -196,7 +199,7 @@ class Mesh:
             raise ContractError("boundary edge shared by more than one triangle")
         if np.sum(counts == 1) != len(rim):
             raise ContractError("triangulation has untagged boundary edges")
-        return areas
+        return areas, len(uniq)
 
     # -- simple accessors ---------------------------------------------------
 

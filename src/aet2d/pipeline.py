@@ -11,7 +11,6 @@ data mesh's `dirichlet_nodes`, the truths at the recon mesh's `boundary_nodes`.
 """
 from __future__ import annotations
 
-import math
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
@@ -19,13 +18,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .fem import ScalarField, assemble_conductivity, constrain, solve_mixed
+from .fem import TOL, ScalarField, assemble_conductivity, constrain, solve_mixed
 from .forward import (
-    CASE1,
-    CASE2,
+    CASES,
     PowerDensity,
     TestCaseConductivity,
-    constant_conductivity,
     power_density,
     restrict,
     true_theta,
@@ -34,7 +31,6 @@ from .mesh import GAMMA_PRESETS, BoundarySpec, Mesh, build_disk_mesh, refine, ta
 from .noise import NoiseSpec, clamp_eigenvalues, is_count, perturb
 from .recon import ReconResult, boundary_theta, run_algorithm1
 
-_CASE_NAMES = ("case1", "case2", "constant")
 MAX_REFINE_LEVELS = 6
 
 
@@ -50,22 +46,18 @@ class RunConfig:
     """
 
     case: str = "case1"
-    constant_value: float = 2.0
     gamma: str = "medium"
     gamma_arcs: tuple[tuple[float, float], ...] | None = None
     target_h: float = 0.03
     refine_levels: int = 0
     noise: NoiseSpec = field(default_factory=NoiseSpec)
-    eps_d: float = 1e-14
     unwrap_arcs: tuple[tuple[float, float], ...] | None = None
-    tol: float = 1e-10
+    tol: float = TOL
 
     def __post_init__(self):
         # every bound a stage checks is checked here, before anything runs
-        if self.case not in _CASE_NAMES:
+        if self.case not in CASES:
             raise ParameterError(f"unknown conductivity case {self.case!r}")
-        if self.case == "constant" and not 0.0 < self.constant_value < math.inf:
-            raise ParameterError("constant conductivity must be positive and finite")
         if self.gamma_arcs is None and self.gamma not in GAMMA_PRESETS:
             raise ParameterError(f"unknown boundary preset {self.gamma!r}")
         if not 0.0 < self.target_h < 1.0:
@@ -75,8 +67,6 @@ class RunConfig:
             raise ParameterError(f"refine_levels must be an integer in 0..{MAX_REFINE_LEVELS}")
         if not isinstance(self.noise, NoiseSpec):
             raise ParameterError("noise must be a NoiseSpec")
-        if not 0.0 < self.eps_d < math.inf:
-            raise ParameterError("eps_d must be positive and finite")
         # a tolerance of 1 or more accepts the first iterate
         if not 0.0 < self.tol < 1.0:
             raise ParameterError("solver tolerance must lie in (0, 1)")
@@ -97,27 +87,22 @@ class RunConfig:
         return GAMMA_PRESETS[self.gamma]
 
     def conductivity(self) -> TestCaseConductivity:
-        if self.case == "case1":
-            return CASE1
-        if self.case == "case2":
-            return CASE2
-        return constant_conductivity(self.constant_value)
+        return CASES[self.case]
 
 
 @dataclass(frozen=True)
 class ForwardData:
-    """Synthesized inputs for one reconstruction, on the reconstruction mesh.
-
-    `theta_flagged` lists nodes where the angle truth is undefined (degenerate
-    gradient); it is empty for the shipped boundary conditions.
-    """
+    """Synthesized inputs for one reconstruction, on the reconstruction mesh."""
 
     recon_mesh: Mesh
-    n_data: int
     sigma_true: ScalarField
     theta_true: ScalarField
     H: PowerDensity
-    theta_flagged: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
+
+    @property
+    def n_data(self) -> int:
+        """Node count of the data mesh: `refine` adds one node per edge."""
+        return self.recon_mesh.n_vertices + self.recon_mesh.n_edges
 
 
 def _tangency_override(mesh: Mesh, u_rim: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -167,7 +152,8 @@ def forward_stage(config: RunConfig) -> ForwardData:
 
     The matrix components and the angle truth reach the reconstruction mesh
     by prefix restriction (exact, since the grids are nested); the
-    conductivity truth is re-evaluated there in closed form.
+    conductivity truth is re-evaluated there in closed form.  Raises
+    NumericalError where the angle truth is undefined on the rim.
     """
     recon_mesh = base_mesh(config)
     data_mesh = refine(recon_mesh)
@@ -182,11 +168,11 @@ def forward_stage(config: RunConfig) -> ForwardData:
     u2 = solve_mixed(data_mesh, sigma_data, y, operator=operator, tol=config.tol)
     del operator  # its matrix blocks are the data mesh's largest arrays
 
-    H_data = power_density(data_mesh, sigma_data, u1, u2, config.eps_d)
+    H_data = power_density(data_mesh, sigma_data, u1, u2)
     theta_data, flagged = true_theta(data_mesh, u1)
 
     h11, h12, h22 = (restrict(c, recon_mesh) for c in (H_data.h11, H_data.h12, H_data.h22))
-    H = PowerDensity(h11, h12, h22, eps_d=config.eps_d)
+    H = PowerDensity(h11, h12, h22)
 
     # the restriction averages nothing, so going through cosine and sine only
     # re-rounds the angle (the last bit at ~12% of nodes); it is kept so the
@@ -199,14 +185,17 @@ def forward_stage(config: RunConfig) -> ForwardData:
     u1_rim = restrict(u1, recon_mesh).values
     overridden = _tangency_override(recon_mesh, u1_rim, theta)
 
-    flagged = flagged[flagged < recon_mesh.n_vertices]
+    # the angle truth on the rim is the angle solve's boundary data
+    undefined = np.setdiff1d(np.intersect1d(flagged, recon_mesh.boundary_nodes),
+                             overridden)
+    if undefined.size:
+        raise NumericalError("angle truth is undefined on reconstruction boundary "
+                             f"nodes {undefined[:8].tolist()}")
     return ForwardData(
         recon_mesh=recon_mesh,
-        n_data=data_mesh.n_vertices,
         sigma_true=case.on_mesh(recon_mesh),
         theta_true=ScalarField(recon_mesh, theta),
         H=H,
-        theta_flagged=np.setdiff1d(flagged, overridden),
     )
 
 
@@ -230,9 +219,6 @@ def recon_stage(config: RunConfig, fwd: ForwardData) -> ReconResult:
     """Corrupt per config, rebuild boundary data from the truth, reconstruct."""
     mesh = fwd.recon_mesh
     boundary = mesh.boundary_nodes
-    if np.isin(fwd.theta_flagged, boundary).any():
-        raise NumericalError("angle truth is undefined on reconstruction boundary nodes")
-
     H = apply_noise(fwd.H, config.noise)
     theta_bc = boundary_theta(mesh, fwd.theta_true.values[boundary], config.unwrap_arcs)
     return run_algorithm1(mesh, H, theta_bc, fwd.sigma_true.values[boundary],

@@ -55,6 +55,12 @@ def fancy_index_split(matrix: sp.csr_matrix, fixed: np.ndarray):
     return rows[:, free], rows[:, fixed]
 
 
+def edge_count(mesh: Mesh) -> int:
+    """Number of distinct triangle sides, collected as vertex pairs."""
+    pairs = mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    return len({tuple(sorted(p)) for p in pairs.tolist()})
+
+
 def triangle_quality(mesh: Mesh) -> np.ndarray:
     """Aspect quality 2*inradius/circumradius per triangle (equilateral -> 1)."""
     p = mesh.vertices[mesh.triangles]

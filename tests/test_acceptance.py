@@ -50,8 +50,7 @@ def gamma_results():
 def test_criterion_01_exact_linear_case():
     # sigma = 2 with full control makes u_i = x^i exactly, so H = 2I; the
     # tight solver tolerance is what certifies 1e-9 at the gradient level
-    config = RunConfig(case="constant", constant_value=2.0, gamma="full",
-                       target_h=0.03, tol=1e-12)
+    config = RunConfig(case="constant", gamma="full", target_h=0.03, tol=1e-12)
     result = run_pipeline(config)
     H = result.forward.H
     deviation = max(np.abs(H.h11.values - 2.0).max(),

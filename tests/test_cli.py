@@ -12,9 +12,10 @@ from aet2d import (
     build_disk_mesh,
     read_mesh,
     tag_boundary,
+    true_theta,
     write_mesh,
 )
-from aet2d import cli
+from aet2d import cli, pipeline
 from aet2d.cli import Job, export_field, main, parse_config, read_field_csv
 from aet2d.errors import ContractError, ParameterError
 
@@ -47,8 +48,7 @@ class TestParseConfig:
             sigma.case = case2
             noise.alpha_percent = 5
             noise.seed = 50
-            noise.eig_floor = 1e-5
-            data.eps_d = 1e-13
+            noise.eig_floor = 1e-6
             solver.tol = 1e-11      # trailing comment
             output.dir = results/run1
             output.formats = csv, vtk
@@ -57,7 +57,7 @@ class TestParseConfig:
         assert (cfg.target_h, cfg.refine_levels) == (0.1, 1)
         assert (cfg.gamma, cfg.case) == ("small", "case2")
         assert (cfg.noise.alpha_percent, cfg.noise.seed) == (5.0, 50)
-        assert (cfg.noise.eig_floor, cfg.eps_d) == (1e-5, 1e-13)
+        assert cfg.noise.eig_floor == 1e-6
         assert cfg.tol == 1e-11
         assert str(job.out_dir) == "results/run1"
         assert job.formats == ("csv", "vtk")
@@ -232,6 +232,17 @@ class TestExitCodes:
         assert run_cli("run", "--config", cfg, "--out", str(tmp_path)) == 1
         assert "mesh.target_w" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["data.eps_d = 1e-13",
+                                      "sigma.constant_value = 3"])
+    def test_removed_settings_are_unknown_keys(self, tmp_path, capsys, line):
+        # the determinant-root floor and the constant phantom's level are
+        # the constants aet2d.forward.EPS_D and aet2d.forward.CONSTANT
+        cfg = write_config(tmp_path, COARSE + line + "\n")
+        assert run_cli("run", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+        key = line.split(" =")[0]
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "record.csv").exists()
+
     def test_iteration_cap_is_not_a_config_key(self, tmp_path, capsys):
         # the cap is the constant aet2d.fem.MAX_ITER
         cfg = write_config(tmp_path, COARSE + "solver.max_iter = 500\n")
@@ -304,15 +315,8 @@ class TestMalformedStageFiles:
     @pytest.mark.parametrize("name,corrupt", [
         ("mesh.txt", lambda t: t[:len(t) // 3]),
         ("mesh.txt", lambda t: _replace_line(t, "boundary_edges", "boundary_edges")),
-        ("meta.txt", lambda t: _replace_line(t, "n_data", "n_data abc")),
-        ("meta.txt", lambda t: _replace_line(t, "flagged", "flagged x")),
-        ("meta.txt", lambda t: _replace_line(t, "n_data", "n_data 1")),
-        ("meta.txt", lambda t: _replace_line(t, "flagged", "flagged 99999999 -3")),
-        ("meta.txt", lambda t: t + t),
         ("h11.csv", _nan_in_third_row),
-    ], ids=["mesh-truncated", "mesh-header-without-count", "meta-n-data",
-            "meta-flagged", "meta-n-data-not-finer", "meta-flagged-outside-mesh",
-            "meta-repeated-entries", "field-nan"])
+    ], ids=["mesh-truncated", "mesh-header-without-count", "field-nan"])
     def test_reconstruct_names_the_file(self, stage, tmp_path, capsys, name, corrupt):
         cfg, source = stage
         out = tmp_path / "stage"
@@ -336,6 +340,30 @@ class TestSubcommands:
         assert run_cli("reconstruct", "--config", cfg, "--out", str(two), "--quiet") == 0
         for name in ("record.csv", "sigma_recon.csv", "theta_recon.csv"):
             assert (one / name).read_bytes() == (two / name).read_bytes()
+
+    def test_stale_meta_file_is_ignored(self, tmp_path):
+        # the data-mesh size comes from mesh.txt; a `meta.txt` left by an
+        # older forward stage does not reach the record
+        cfg = write_config(tmp_path, COARSE)
+        one, two = tmp_path / "one", tmp_path / "two"
+        assert run_cli("run", "--config", cfg, "--out", str(one), "--quiet") == 0
+        assert run_cli("forward", "--config", cfg, "--out", str(two), "--quiet") == 0
+        (two / "meta.txt").write_text("n_data 999999\nflagged 0\n")
+        assert run_cli("reconstruct", "--config", cfg, "--out", str(two), "--quiet") == 0
+        assert (one / "record.csv").read_bytes() == (two / "record.csv").read_bytes()
+        assert "999999" not in (two / "record.csv").read_text()
+
+    def test_undefined_boundary_angle_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        def flag_a_controlled_node(mesh, u1):
+            theta, flagged = true_theta(mesh, u1)
+            return theta, np.union1d(flagged, mesh.dirichlet_nodes[:1])
+
+        monkeypatch.setattr(pipeline, "true_theta", flag_a_controlled_node)
+        cfg = write_config(tmp_path, COARSE)
+        out = tmp_path / "stage"
+        assert run_cli("forward", "--config", cfg, "--out", str(out), "--quiet") == 2
+        assert "boundary" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_identical_runs_are_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, COARSE + "noise.alpha_percent = 5\n"
@@ -400,9 +428,9 @@ class TestSubcommands:
 
 class TestJobDefaults:
     def test_job_is_frozen_with_defaults(self):
-        job = parse_config("sigma.case = constant\nsigma.constant_value = 3\n")
+        job = parse_config("sigma.case = constant\n")
         assert isinstance(job, Job)
-        assert job.config.constant_value == 3.0
+        assert job.config.conductivity().bounds == (2.0, 2.0)
         with pytest.raises(AttributeError):
             job.out_dir = None
 
@@ -430,6 +458,6 @@ class TestReadmeConfigTable:
         empty = parse_config("")
         concrete = [(key, cell[1:-1]) for key, cell in readme_config_rows()
                     if re.fullmatch(r"`[^`]+`", cell)]
-        assert len(concrete) >= 12
+        assert len(concrete) >= 10
         for key, default in concrete:
             assert parse_config(f"{key} = {default}\n") == empty, key

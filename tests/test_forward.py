@@ -18,7 +18,7 @@ from aet2d import (
     true_theta,
 )
 from aet2d.errors import ContractError, DomainError, ParameterError
-from aet2d.forward import restrict
+from aet2d.forward import EPS_D, restrict
 
 
 @pytest.fixture(scope="module")
@@ -106,9 +106,9 @@ def test_determinant_clamp_recorded(disk):
     h12 = np.zeros(n)
     h12[5] = 1.5  # negative determinant at one node
     H = PowerDensity(ScalarField(disk, h11), ScalarField(disk, h12),
-                     ScalarField(disk, h22), eps_d=1e-10)
+                     ScalarField(disk, h22))
     assert H.d_clamp_nodes.tolist() == [5]
-    assert H.d.values[5] == 1e-10
+    assert H.d.values[5] == EPS_D == 1e-14
     assert H.determinant()[5] == pytest.approx(-1.25)
 
 
@@ -227,7 +227,7 @@ def test_det_diagnostics_floor(disk):
     h12 = np.zeros(n)
     h12[3] = 2.0  # det = -3 at node 3
     H = PowerDensity(ScalarField(disk, np.ones(n)), ScalarField(disk, h12),
-                     ScalarField(disk, np.ones(n)), eps_d=1e-7)
+                     ScalarField(disk, np.ones(n)))
     min_det, log_det = det_diagnostics(H)
     assert min_det == pytest.approx(-3.0)
-    assert log_det.values[3] == pytest.approx(np.log(1e-14))
+    assert log_det.values[3] == pytest.approx(np.log(1e-28))

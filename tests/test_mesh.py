@@ -20,7 +20,7 @@ from aet2d import (
 )
 from aet2d.errors import ContractError, ParameterError
 from aet2d.mesh import basis_coefficients, canonical_angle, signed_areas
-from oracles import ring_loop_triangles, triangle_quality
+from oracles import edge_count, ring_loop_triangles, triangle_quality
 
 TWO_PI = 2.0 * math.pi
 
@@ -33,12 +33,6 @@ def coarse():
 @pytest.fixture(scope="module")
 def desk():
     return build_disk_mesh(0.03)
-
-
-def edge_count(mesh):
-    pairs = mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    keys = np.sort(pairs, axis=1)
-    return len(np.unique(keys[:, 0] * mesh.n_vertices + keys[:, 1]))
 
 
 def max_interior_angle(mesh):
@@ -256,6 +250,19 @@ def test_refine_commutes_with_tagging(coarse):
 
 def test_refine_stays_nonobtuse(coarse):
     assert max_interior_angle(refine(coarse)) <= np.pi / 2 + 1e-9
+
+
+def test_edge_count_is_the_refinement_node_gain(tmp_path):
+    # refine adds one node per edge, so the data mesh's size follows from
+    # the reconstruction mesh alone
+    mesh = tag_boundary(build_disk_mesh(0.3), GAMMA_MEDIUM)
+    for _ in range(3):
+        finer = refine(mesh)
+        assert mesh.n_edges == edge_count(mesh)
+        assert mesh.n_edges == finer.n_vertices - mesh.n_vertices
+        write_mesh(mesh, tmp_path / "mesh.txt")
+        assert read_mesh(tmp_path / "mesh.txt").n_edges == mesh.n_edges
+        mesh = finer
 
 
 # -- geometry computed once ----------------------------------------------------

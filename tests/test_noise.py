@@ -17,9 +17,9 @@ def disk():
     return tag_boundary(build_disk_mesh(0.2), GAMMA_FULL)
 
 
-def matrix_field(mesh, h11, h12, h22, **kw):
+def matrix_field(mesh, h11, h12, h22):
     return PowerDensity(ScalarField(mesh, h11), ScalarField(mesh, h12),
-                        ScalarField(mesh, h22), **kw)
+                        ScalarField(mesh, h22))
 
 
 def smooth_data(mesh):
@@ -103,12 +103,6 @@ def test_perturb_deterministic(disk):
     assert np.array_equal(a.h22.values, b.h22.values)
     c = perturb(H, NoiseSpec(alpha_percent=5.0, seed=51))
     assert not np.array_equal(a.h11.values, c.h11.values)
-
-
-def test_perturb_keeps_eps_d(disk):
-    x = np.ones(disk.n_vertices)
-    H = matrix_field(disk, 2.0 * x, 0.0 * x, 2.0 * x, eps_d=1e-9)
-    assert perturb(H, NoiseSpec(alpha_percent=1.0, seed=1)).eps_d == 1e-9
 
 
 # -- eigenvalue floor ------------------------------------------------------------

@@ -21,7 +21,8 @@ def test_all_names_resolve():
 
 
 def test_demo_imports_exist():
-    # parsed, not run: the demos solve full-size problems
+    # parsed, not run: the demos take about 9 s together, and CI's demo
+    # step runs them
     imported = [(path.name, node.module, alias.name)
                 for path in DEMOS
                 for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))

@@ -2,7 +2,6 @@
 import contextlib
 import io
 import math
-import re
 import tempfile
 from pathlib import Path
 
@@ -172,7 +171,7 @@ def test_boundary_theta_moves_angles_by_whole_turns(h, level, data):
 
 
 STAGE_FILES = ("mesh.txt", "h11.csv", "h12.csv", "h22.csv", "sigma_true.csv",
-               "theta_true.csv", "meta.txt")
+               "theta_true.csv")
 
 
 @pytest.fixture(scope="module")
@@ -190,11 +189,9 @@ def test_a_broken_stage_file_is_named(stage, name, truncate, data):
     cfg, files = stage
     text = files[name]
     if truncate:
-        # whole lines off the end; the flagged line of meta.txt is optional,
-        # so there only losing every line breaks the file
+        # whole lines off the end
         lines = text.splitlines(keepends=True)
-        keep = data.draw(st.integers(0, 0 if name == "meta.txt" else len(lines) - 1),
-                         label="lines kept")
+        keep = data.draw(st.integers(0, len(lines) - 1), label="lines kept")
         broken = b"".join(lines[:keep])
     else:
         # one byte that no number, name or separator of the format contains
@@ -213,7 +210,7 @@ def test_a_broken_stage_file_is_named(stage, name, truncate, data):
     assert "Traceback" not in err.getvalue()
 
 
-FIELD_FILES = STAGE_FILES[1:6]
+FIELD_FILES = STAGE_FILES[1:]
 
 
 def nudged(cell: bytes, way: float) -> bytes:
@@ -221,19 +218,14 @@ def nudged(cell: bytes, way: float) -> bytes:
     return b"%.17g" % np.nextafter(float(cell), way)
 
 
-@given(change=st.sampled_from(["n_data", "nudge", "swap", "mesh nudge"]),
+@given(change=st.sampled_from(["nudge", "swap", "mesh nudge"]),
        data=st.data())
 def test_a_wrong_stage_value_is_named(stage, change, data):
     # each file stays well formed; one value in it is wrong
     cfg, files = stage
     n = int(files["mesh.txt"].split(maxsplit=2)[1])
     way = data.draw(st.sampled_from([-math.inf, math.inf]), label="direction")
-    if change == "n_data":
-        name = "meta.txt"
-        n_data = data.draw(st.integers(-2, n), label="n_data")
-        broken = re.sub(rb"^n_data .*$", b"n_data %d" % n_data, files[name],
-                        count=1, flags=re.M)
-    elif change == "mesh nudge":
+    if change == "mesh nudge":
         # one vertex coordinate off in its last digit; the mesh still loads,
         # and every field file then disagrees with it
         name = "mesh.txt"
