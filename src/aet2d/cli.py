@@ -89,7 +89,6 @@ _KEYS = {
     "noise.alpha_percent": ("alpha_percent", float),
     "noise.seed": ("seed", int),
     "noise.eig_floor": ("eig_floor", float),
-    "solver.tol": ("tol", float),
     "recon.unwrap_arcs": ("unwrap_arcs", _parse_arcs),
     "output.dir": ("out_dir", Path),
     "output.formats": ("formats", _parse_formats),
@@ -211,14 +210,6 @@ def _read_ascii(path: Path) -> str:
         raise ContractError(f"{path}: not ASCII text") from None
 
 
-class _CoordinateMismatch(ContractError):
-    """A field export whose node coordinates differ from its mesh's."""
-
-    def __init__(self, path, node: int):
-        super().__init__(f"{path}: node {node} coordinates do not match the mesh")
-        self.node = node
-
-
 def read_field_csv(path, mesh: Mesh) -> ScalarField:
     """Read a field export back onto the mesh it came from, bit exact.
 
@@ -251,7 +242,7 @@ def read_field_csv(path, mesh: Mesh) -> ScalarField:
         raise ContractError(f"{path}: node ids out of order at row {bad[0]}")
     bad = np.flatnonzero((rows[:, 1:3] != mesh.vertices).any(axis=1))
     if bad.size:
-        raise _CoordinateMismatch(path, int(bad[0]))
+        raise ContractError(f"{path}: node {bad[0]} coordinates do not match the mesh")
     values = rows[:, 3].copy()
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
@@ -299,34 +290,29 @@ def _cmd_forward(job: Job, quiet: bool) -> int:
     return 0
 
 
-def _read_stage_fields(out_dir: Path, mesh: Mesh) -> list[ScalarField]:
-    """The five field files of a forward stage, read onto its `mesh.txt`.
-
-    Raises
-    ------
-    ContractError
-        Naming `mesh.txt` when every field file's coordinates differ from it
-        at the same node, else the first field file that is broken or
-        differs.
-    """
-    fields, mismatches = [], []
-    for name in ("h11", "h12", "h22", "sigma_true", "theta_true"):
-        try:
-            fields.append(read_field_csv(out_dir / f"{name}.csv", mesh))
-        except _CoordinateMismatch as exc:
-            mismatches.append(exc)
-    if mismatches:
-        nodes = {exc.node for exc in mismatches}
-        if len(mismatches) == 5 and len(nodes) == 1:
-            raise ContractError(f"{out_dir / 'mesh.txt'}: node {nodes.pop()} "
-                                "coordinates differ from every field file's")
-        raise mismatches[0]
-    return fields
+def _same_mesh(a: Mesh, b: Mesh) -> bool:
+    """Whether two meshes hold the same arrays, bit for bit."""
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in ((a.vertices, b.vertices), (a.triangles, b.triangles),
+                            (a.boundary_edges, b.boundary_edges),
+                            (a.boundary_tags, b.boundary_tags)))
 
 
 def _cmd_reconstruct(job: Job, quiet: bool) -> int:
-    mesh = read_mesh(job.out_dir / "mesh.txt")
-    h11, h12, h22, sigma_true, theta_true = _read_stage_fields(job.out_dir, mesh)
+    # a stage is reconstructed only with the config it was made with: the
+    # mesh and the truth on it must be the ones that config gives
+    path = job.out_dir / "mesh.txt"
+    mesh = read_mesh(path)
+    if not _same_mesh(mesh, base_mesh(job.config)):
+        raise ContractError(f"{path}: not the mesh of this config (mesh.target_h, "
+                            "mesh.refine_levels, gamma.preset, gamma.arcs)")
+    h11, h12, h22, sigma_true, theta_true = (
+        read_field_csv(job.out_dir / f"{name}.csv", mesh)
+        for name in ("h11", "h12", "h22", "sigma_true", "theta_true"))
+    if (sigma_true.values.tobytes()
+            != job.config.conductivity().on_mesh(mesh).values.tobytes()):
+        raise ContractError(f"{job.out_dir / 'sigma_true.csv'}: not the conductivity "
+                            "of this config (sigma.case)")
     fwd = ForwardData(recon_mesh=mesh, sigma_true=sigma_true, theta_true=theta_true,
                       H=PowerDensity(h11, h12, h22))
     t0 = time.perf_counter()

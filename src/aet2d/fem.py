@@ -27,9 +27,9 @@ element rows (from `local_stiffness` for the stiffness matrix) are held.
 Systems below `DIRECT_SOLVE_LIMIT` free unknowns are solved by SuperLU, whose
 module `scipy.sparse.linalg` loads on the first such solve only, so
 `import aet2d` stays free of it and of `scipy.linalg`. Larger ones run Jacobi
-PCG to the caller's relative residual `tol` (`TOL` unless the caller says
-otherwise); a solve that has not reached it after `MAX_ITER` iterations
-raises NumericalError. The cap is a constant, not a parameter.
+PCG to the relative residual `TOL`; a solve that has not reached it after
+`MAX_ITER` iterations raises NumericalError. Both are constants, read at call
+time, not parameters.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ DIRECT_SOLVE_LIMIT = 3000
 # h = 0.03 data solve takes about 1,400.
 MAX_ITER = 20_000
 
-# Relative residual every solve stops at unless its caller passes another.
+# Relative residual every conjugate-gradient solve stops at.
 TOL = 1e-10
 
 
@@ -159,7 +159,7 @@ def assemble_conductivity(mesh: Mesh, sigma: ScalarField) -> sp.csr_matrix:
 # Linear solvers
 # ---------------------------------------------------------------------------
 
-def _pcg(A: sp.csr_matrix, rhs: np.ndarray, tol: float):
+def _pcg(A: sp.csr_matrix, rhs: np.ndarray):
     """Conjugate gradients with Jacobi preconditioning on an SPD matrix."""
     diag = A.diagonal()
     if np.any(diag <= 0.0):
@@ -185,7 +185,7 @@ def _pcg(A: sp.csr_matrix, rhs: np.ndarray, tol: float):
         x += np.multiply(alpha, p, out=step)
         r -= np.multiply(alpha, Ap, out=step)
         # sqrt(r @ r) is what `np.linalg.norm` computes for real 1-D input
-        if math.sqrt(float(r @ r)) <= tol * bnorm:
+        if math.sqrt(float(r @ r)) <= TOL * bnorm:
             return x, it
         np.multiply(inv_diag, r, out=z)
         rz_next = float(r @ z)
@@ -194,7 +194,7 @@ def _pcg(A: sp.csr_matrix, rhs: np.ndarray, tol: float):
         rz = rz_next
     raise NumericalError(
         f"conjugate gradients stalled: residual {np.linalg.norm(r) / bnorm:.3e} "
-        f"(target {tol:.1e}) after MAX_ITER = {MAX_ITER} iterations")
+        f"(target {TOL:.1e}) after MAX_ITER = {MAX_ITER} iterations")
 
 
 @dataclass(frozen=True)
@@ -213,8 +213,7 @@ class ConstrainedOperator:
     free_block: sp.csr_matrix
     coupling: sp.csr_matrix
 
-    def solve(self, fixed_values: np.ndarray, load: np.ndarray | None = None,
-              *, tol: float):
+    def solve(self, fixed_values: np.ndarray, load: np.ndarray | None = None):
         """All nodal values, given values at `fixed` (in its order) and an
         optional load vector over all nodes (zero when None).
 
@@ -236,14 +235,14 @@ class ConstrainedOperator:
             iterations = 0
             method = "direct"
         else:
-            x_f, iterations = _pcg(A_ff, b_f, tol)
+            x_f, iterations = _pcg(A_ff, b_f)
             method = "pcg"
         if not np.all(np.isfinite(x_f)):
             raise NumericalError("linear solve produced non-finite values")
 
         bnorm = np.linalg.norm(b_f)
         res = np.linalg.norm(A_ff @ x_f - b_f) / (bnorm if bnorm > 0 else 1.0)
-        if res > 100.0 * max(tol, 1e-14):
+        if res > 100.0 * TOL:
             raise NumericalError(f"linear solve inaccurate: relative residual {res:.3e}")
         x[self.free] = x_f
         return x, SolveInfo(method, iterations, float(res))
@@ -280,17 +279,17 @@ def fixed_values(nodes: np.ndarray, values) -> np.ndarray:
 
 
 def _solve(mesh: Mesh, operator: ConstrainedOperator, nodes, values, load,
-           tol: float, return_info: bool):
+           return_info: bool):
     if operator.n != mesh.n_vertices or not np.array_equal(operator.fixed, nodes):
         raise ContractError("operator was built for other Dirichlet nodes")
-    x, info = operator.solve(fixed_values(nodes, values), load, tol=tol)
+    x, info = operator.solve(fixed_values(nodes, values), load)
     field = ScalarField(mesh, x)
     return (field, info) if return_info else field
 
 
 def solve_mixed(mesh: Mesh, sigma: ScalarField, dirichlet_values: np.ndarray,
                 *, operator: ConstrainedOperator | None = None,
-                tol: float = TOL, return_info: bool = False):
+                return_info: bool = False):
     """Solve -div(sigma grad u) = 0 with u prescribed on the controlled arc.
 
     The no-flux condition on untagged boundary edges is natural: it needs no
@@ -316,12 +315,12 @@ def solve_mixed(mesh: Mesh, sigma: ScalarField, dirichlet_values: np.ndarray,
             "no Dirichlet nodes: the pure-Neumann problem is singular")
     if operator is None:
         operator = constrain(assemble_conductivity(mesh, sigma), nodes)
-    return _solve(mesh, operator, nodes, dirichlet_values, None, tol, return_info)
+    return _solve(mesh, operator, nodes, dirichlet_values, None, return_info)
 
 
 def solve_poisson_weak_div(mesh: Mesh, F: VectorField, boundary_values: np.ndarray,
                            *, operator: ConstrainedOperator | None = None,
-                           tol: float = TOL, return_info: bool = False):
+                           return_info: bool = False):
     """Solve lap(w) = div(F) weakly with w given on the whole boundary.
 
     The right-hand side uses integral F.grad(v) per element, so F is never
@@ -340,7 +339,7 @@ def solve_poisson_weak_div(mesh: Mesh, F: VectorField, boundary_values: np.ndarr
     np.add.at(rhs, mesh.triangles.ravel(), contrib.ravel())
     if operator is None:
         operator = laplacian_operator(mesh)
-    return _solve(mesh, operator, mesh.boundary_nodes, boundary_values, rhs, tol,
+    return _solve(mesh, operator, mesh.boundary_nodes, boundary_values, rhs,
                   return_info)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .fem import TOL, ScalarField, assemble_conductivity, constrain, solve_mixed
+from .fem import ScalarField, assemble_conductivity, constrain, solve_mixed
 from .forward import (
     CASES,
     PowerDensity,
@@ -52,7 +52,6 @@ class RunConfig:
     refine_levels: int = 0
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     unwrap_arcs: tuple[tuple[float, float], ...] | None = None
-    tol: float = TOL
 
     def __post_init__(self):
         # every bound a stage checks is checked here, before anything runs
@@ -67,9 +66,6 @@ class RunConfig:
             raise ParameterError(f"refine_levels must be an integer in 0..{MAX_REFINE_LEVELS}")
         if not isinstance(self.noise, NoiseSpec):
             raise ParameterError("noise must be a NoiseSpec")
-        # a tolerance of 1 or more accepts the first iterate
-        if not 0.0 < self.tol < 1.0:
-            raise ParameterError("solver tolerance must lie in (0, 1)")
         if self.gamma_arcs is not None:
             object.__setattr__(self, "gamma_arcs",
                                tuple((float(a), float(b)) for a, b in self.gamma_arcs))
@@ -164,8 +160,8 @@ def forward_stage(config: RunConfig) -> ForwardData:
     x, y = data_mesh.vertices[controlled].T  # the potentials' Dirichlet data
     # one sigma and one set of Dirichlet nodes: both potentials share an operator
     operator = constrain(assemble_conductivity(data_mesh, sigma_data), controlled)
-    u1 = solve_mixed(data_mesh, sigma_data, x, operator=operator, tol=config.tol)
-    u2 = solve_mixed(data_mesh, sigma_data, y, operator=operator, tol=config.tol)
+    u1 = solve_mixed(data_mesh, sigma_data, x, operator=operator)
+    u2 = solve_mixed(data_mesh, sigma_data, y, operator=operator)
     del operator  # its matrix blocks are the data mesh's largest arrays
 
     H_data = power_density(data_mesh, sigma_data, u1, u2)
@@ -222,7 +218,7 @@ def recon_stage(config: RunConfig, fwd: ForwardData) -> ReconResult:
     H = apply_noise(fwd.H, config.noise)
     theta_bc = boundary_theta(mesh, fwd.theta_true.values[boundary], config.unwrap_arcs)
     return run_algorithm1(mesh, H, theta_bc, fwd.sigma_true.values[boundary],
-                          truth=(fwd.theta_true, fwd.sigma_true), tol=config.tol)
+                          truth=(fwd.theta_true, fwd.sigma_true))
 
 
 @dataclass(frozen=True)

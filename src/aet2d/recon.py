@@ -20,7 +20,6 @@ from .errors import ContractError, DomainError
 from .fem import (
     ScalarField,
     SolveInfo,
-    TOL,
     ConstrainedOperator,
     VectorField,
     element_gradient,
@@ -160,15 +159,14 @@ def sigma_rhs(theta: ScalarField, fields: TransferFields) -> VectorField:
 
 
 def reconstruct_sigma(mesh: Mesh, G: VectorField, sigma_boundary: np.ndarray,
-                      *, operator: ConstrainedOperator | None = None,
-                      tol: float = TOL, return_info: bool = False):
+                      *, operator: ConstrainedOperator | None = None):
     """Conductivity from its boundary trace and the divergence of `G`.
 
     `sigma_boundary` holds the conductivity at each node of
     `mesh.boundary_nodes`, in that sorted order.  The solve runs in log
     space, so the returned field is positive by construction whatever the
     data quality.  `operator` is the mesh's `laplacian_operator`, built by
-    the solve when omitted.
+    the solve when omitted.  Returns (ScalarField, SolveInfo).
     """
     nodes = mesh.boundary_nodes
     sigma_boundary = fixed_values(nodes, sigma_boundary)
@@ -179,9 +177,8 @@ def reconstruct_sigma(mesh: Mesh, G: VectorField, sigma_boundary: np.ndarray,
     # math.log, not np.log: the two differ in the last bit on some values
     log_bc = np.fromiter(map(math.log, sigma_boundary), np.float64, count=nodes.size)
     w, info = solve_poisson_weak_div(mesh, G, log_bc, operator=operator,
-                                     tol=tol, return_info=True)
-    sigma = ScalarField(mesh, np.exp(w.values))
-    return (sigma, info) if return_info else sigma
+                                     return_info=True)
+    return ScalarField(mesh, np.exp(w.values)), info
 
 
 @dataclass(frozen=True)
@@ -228,8 +225,7 @@ class ReconResult:
 
 def run_algorithm1(mesh: Mesh, H: PowerDensity, theta_boundary: np.ndarray,
                    sigma_boundary: np.ndarray,
-                   truth: tuple[ScalarField, ScalarField] | None = None,
-                   *, tol: float = TOL) -> ReconResult:
+                   truth: tuple[ScalarField, ScalarField] | None = None) -> ReconResult:
     """Full reconstruction: fields, angle solve, conductivity solve.
 
     The boundary angle and conductivity are given at each node of
@@ -244,11 +240,9 @@ def run_algorithm1(mesh: Mesh, H: PowerDensity, theta_boundary: np.ndarray,
     fields = vector_fields(H)
     laplacian = laplacian_operator(mesh)
     theta, theta_info = solve_poisson_weak_div(mesh, fields.f, theta_boundary,
-                                               operator=laplacian, tol=tol,
-                                               return_info=True)
+                                               operator=laplacian, return_info=True)
     G = sigma_rhs(theta, fields)
-    sigma, sigma_info = reconstruct_sigma(mesh, G, sigma_boundary, operator=laplacian,
-                                          tol=tol, return_info=True)
+    sigma, sigma_info = reconstruct_sigma(mesh, G, sigma_boundary, operator=laplacian)
     diagnostics = ReconDiagnostics(
         min_det=float(H.determinant().min()),
         d_clamp_count=int(H.d_clamp_nodes.size),

@@ -33,6 +33,7 @@ from aet2d import (
     tag_boundary,
     vector_fields,
 )
+from aet2d import fem
 from aet2d.cli import main as cli_main
 from oracles import angle_gradient
 
@@ -47,10 +48,12 @@ def gamma_results():
             for case in CASES for gamma in GAMMAS}
 
 
-def test_criterion_01_exact_linear_case():
-    # sigma = 2 with full control makes u_i = x^i exactly, so H = 2I; the
-    # tight solver tolerance is what certifies 1e-9 at the gradient level
-    config = RunConfig(case="constant", gamma="full", target_h=0.03, tol=1e-12)
+def test_criterion_01_exact_linear_case(monkeypatch):
+    # sigma = 2 with full control makes u_i = x^i exactly, so H = 2I; a
+    # solver precision tighter than fem.TOL's 1e-10 is what certifies 1e-9 at
+    # the gradient level (1e-10 leaves max |H - 2I| at about 3e-8)
+    monkeypatch.setattr(fem, "TOL", 1e-12)
+    config = RunConfig(case="constant", gamma="full", target_h=0.03)
     result = run_pipeline(config)
     H = result.forward.H
     deviation = max(np.abs(H.h11.values - 2.0).max(),
@@ -61,7 +64,8 @@ def test_criterion_01_exact_linear_case():
     assert sigma_error <= 1e-6, f"constant recovery error {sigma_error:.3e}"
 
 
-def test_criterion_02_discrete_maximum_principle():
+def test_criterion_02_discrete_maximum_principle(monkeypatch):
+    monkeypatch.setattr(fem, "TOL", 1e-12)
     mesh = tag_boundary(build_disk_mesh(0.03), GAMMA_MEDIUM)
     sigma = CASE1.on_mesh(mesh)
     nodes = mesh.dirichlet_nodes
@@ -69,7 +73,7 @@ def test_criterion_02_discrete_maximum_principle():
     worst = 0.0
     for _ in range(50):
         values = rng.uniform(-1.0, 1.0, nodes.size)
-        u = solve_mixed(mesh, sigma, values, tol=1e-12).values
+        u = solve_mixed(mesh, sigma, values).values
         worst = max(worst, float(values.min() - u.min()),
                     float(u.max() - values.max()))
     assert worst <= 1e-9, f"extremum escapes the controlled arc by {worst:.3e}"

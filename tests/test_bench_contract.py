@@ -59,7 +59,7 @@ def assert_traced(tracer, mixed: int, poisson: int):
         "fem.solve_mixed": mixed, "fem.solve_poisson": poisson}
     for _, info in tracer.solves:
         assert isinstance(info, SolveInfo)
-        assert info.relative_residual <= 100.0 * CONFIG.tol
+        assert info.relative_residual <= 100.0 * aet2d.fem.TOL
 
 
 def test_noisy_pipeline(tracer):

@@ -48,8 +48,7 @@ class TestParseConfig:
             sigma.case = case2
             noise.alpha_percent = 5
             noise.seed = 50
-            noise.eig_floor = 1e-6
-            solver.tol = 1e-11      # trailing comment
+            noise.eig_floor = 1e-6      # trailing comment
             output.dir = results/run1
             output.formats = csv, vtk
         """)
@@ -58,7 +57,6 @@ class TestParseConfig:
         assert (cfg.gamma, cfg.case) == ("small", "case2")
         assert (cfg.noise.alpha_percent, cfg.noise.seed) == (5.0, 50)
         assert cfg.noise.eig_floor == 1e-6
-        assert cfg.tol == 1e-11
         assert str(job.out_dir) == "results/run1"
         assert job.formats == ("csv", "vtk")
 
@@ -233,10 +231,12 @@ class TestExitCodes:
         assert "mesh.target_w" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["data.eps_d = 1e-13",
-                                      "sigma.constant_value = 3"])
+                                      "sigma.constant_value = 3",
+                                      "solver.tol = 1e-11"])
     def test_removed_settings_are_unknown_keys(self, tmp_path, capsys, line):
-        # the determinant-root floor and the constant phantom's level are
-        # the constants aet2d.forward.EPS_D and aet2d.forward.CONSTANT
+        # the determinant-root floor, the constant phantom's level and the
+        # solver precision are the constants aet2d.forward.EPS_D,
+        # aet2d.forward.CONSTANT and aet2d.fem.TOL
         cfg = write_config(tmp_path, COARSE + line + "\n")
         assert run_cli("run", "--config", cfg, "--out", str(tmp_path / "o")) == 1
         key = line.split(" =")[0]
@@ -273,8 +273,8 @@ class TestExitCodes:
         assert "2 levels" in err and "at most 4" in err
         assert not (tmp_path / "t" / "table2.csv").exists()
 
-    @pytest.mark.parametrize("line", ["solver.tol = inf", "solver.tol = 1",
-                                      "data.eps_d = inf"])
+    @pytest.mark.parametrize("line", ["noise.eig_floor = inf", "mesh.target_h = 1",
+                                      "noise.alpha_percent = nan"])
     def test_out_of_range_values_are_config_errors(self, tmp_path, capsys, line):
         # rejected before any solve, not as a numerical failure after one
         cfg = write_config(tmp_path, COARSE + line + "\n")
@@ -328,6 +328,26 @@ class TestMalformedStageFiles:
         err = capsys.readouterr().err
         assert name in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text,name,key", [
+        ("mesh.target_h = 0.35\n", "mesh.txt", "mesh.target_h"),
+        (COARSE + "gamma.preset = large\n", "mesh.txt", "gamma.preset"),
+        (COARSE + "sigma.case = case2\n", "sigma_true.csv", "sigma.case"),
+    ], ids=["target_h", "gamma", "case"])
+    def test_reconstruct_rejects_another_config(self, stage, tmp_path, capsys,
+                                                text, name, key):
+        # the stage is well formed but was made with another mesh, arc or
+        # phantom; reconstructing it would record this config's labels
+        _, source = stage
+        out = tmp_path / "stage"
+        shutil.copytree(source, out)
+        cfg = write_config(tmp_path, text)
+        assert run_cli("reconstruct", "--config", cfg, "--out", str(out),
+                       "--quiet") == 1
+        err = capsys.readouterr().err
+        assert name in err and key in err
+        assert "Traceback" not in err
+        assert not (out / "record.csv").exists()
 
 
 class TestSubcommands:
@@ -458,6 +478,8 @@ class TestReadmeConfigTable:
         empty = parse_config("")
         concrete = [(key, cell[1:-1]) for key, cell in readme_config_rows()
                     if re.fullmatch(r"`[^`]+`", cell)]
-        assert len(concrete) >= 10
+        # every key but the two whose default is unset has a concrete one
+        assert {key for key, _ in concrete} == set(cli._KEYS) - {"gamma.arcs",
+                                                                 "recon.unwrap_arcs"}
         for key, default in concrete:
             assert parse_config(f"{key} = {default}\n") == empty, key

@@ -38,16 +38,16 @@ class TestRunConfig:
         {"refine_levels": -1},
         {"refine_levels": 7},
         {"gamma_arcs": ((1.0, 1.0),)},
-        {"tol": 0.0},
-        {"tol": float("nan")},
+        {"gamma_arcs": ((float("nan"), 1.0),)},
+        {"refine_levels": "1"},
         {"noise": 0.05},
         {"target_h": 1.0},
         {"refine_levels": 1.5},
         {"gamma_arcs": ((2.0, 1.0),)},
         {"unwrap_arcs": ((float("nan"), 1.0),)},
         {"unwrap_arcs": ((0.5, 1.0), (2.0, float("inf")))},
-        {"tol": 1.0},
-        {"tol": float("inf")},
+        {"target_h": float("inf")},
+        {"noise": None},
         {"gamma_arcs": ((0.0, 2.0), (1.0, 3.0))},
         {"gamma_arcs": ((0.0, 7.0),)},
         {"target_h": float("nan")},
@@ -119,8 +119,7 @@ class TestForwardStage:
         for axis, ((_, _, bc), _, _) in enumerate(calls):
             assert bc.tobytes() == mesh.vertices[controlled, axis].tobytes()
         for (mesh, sigma, bc), kwargs, shared in calls:
-            alone, info = solve_mixed(mesh, sigma, bc, tol=kwargs["tol"],
-                                      return_info=True)
+            alone, info = solve_mixed(mesh, sigma, bc, return_info=True)
             assert info.method == "pcg"
             assert shared.values.tobytes() == alone.values.tobytes()
 

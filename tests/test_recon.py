@@ -258,7 +258,7 @@ def test_sigma_rhs_zero_fields(disk):
 def test_sigma_from_zero_rhs(disk):
     zero = VectorField(disk, np.zeros((disk.n_triangles, 2)))
     for level in (1.0, np.e):
-        sigma = reconstruct_sigma(disk, zero, np.full(disk.boundary_nodes.size, level))
+        sigma, _ = reconstruct_sigma(disk, zero, np.full(disk.boundary_nodes.size, level))
         assert np.abs(sigma.values - level).max() <= 1e-12 * level
 
 
