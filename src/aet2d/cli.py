@@ -6,6 +6,12 @@ atomically (temp file, then rename) and all floats at 17 significant digits,
 so a repeated run with the same config and seed reproduces every output
 byte for byte.
 
+A forward stage directory holds the four data fields (`h11`, `h12`, `h22`,
+`theta_true` CSVs) and `stage.txt`, the stage's config keys as
+`key = repr(value)` lines. `reconstruct` runs only with a config that gives
+the same `stage.txt` text, and rebuilds the mesh and the true conductivity
+from it.
+
 Exit codes: 0 success, 1 configuration or I/O problem, 2 numerical failure
 (the message carries the solver's residual report).
 """
@@ -16,6 +22,7 @@ import os
 import re
 import sys
 import time
+import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from pathlib import Path
@@ -31,7 +38,7 @@ from .errors import (
 )
 from .fem import ScalarField
 from .forward import PowerDensity
-from .mesh import Mesh, _raise_bad_row, read_mesh, read_rows, write_mesh
+from .mesh import Mesh, write_mesh
 from .metrics import (
     noise_sweep,
     record_from_run,
@@ -93,6 +100,10 @@ _KEYS = {
     "output.dir": ("out_dir", Path),
     "output.formats": ("formats", _parse_formats),
 }
+
+# the keys a forward stage depends on, in the order stage.txt lists them
+_STAGE_KEYS = tuple(key for key in _KEYS
+                    if key.split(".", 1)[0] not in ("noise", "recon", "output"))
 
 
 def _convert(key: str, value: str):
@@ -210,6 +221,44 @@ def _read_ascii(path: Path) -> str:
         raise ContractError(f"{path}: not ASCII text") from None
 
 
+def _read_rows(where, source) -> np.ndarray:
+    """Comma-separated float rows of `source` (lines, or an open text file)
+    as a 2-D array.
+
+    Rows without data give shape (0, 1), without a warning. loadtxt skips
+    blank lines, so the caller checks the row count.
+
+    Raises
+    ------
+    ContractError
+        Prefixed by `where`, with loadtxt's report of the row and column of
+        a value that does not parse.
+    """
+    try:
+        with warnings.catch_warnings():
+            # a source without rows is the caller's case, not a warning
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(source, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:  # UnicodeDecodeError included
+        # the message names the row; its advice after the ';' is dropped
+        raise ContractError(f"{where}: {str(exc).split(';')[0]}") from None
+
+
+def _raise_bad_row(path, lines: list[str]) -> None:
+    """Name the first line of a field export after its header that is blank
+    or not 4 float values."""
+    for lineno, row in enumerate(lines[1:], 2):
+        if not row.strip():
+            raise ContractError(f"{path}: line {lineno}: blank field row")
+        try:
+            ok = _read_rows(path, [row]).size == 4
+        except ContractError:
+            ok = False
+        if not ok:
+            raise ContractError(f"{path}: line {lineno}: expected 4 "
+                                f"float64 values, got {row!r}")
+
+
 def read_field_csv(path, mesh: Mesh) -> ScalarField:
     """Read a field export back onto the mesh it came from, bit exact.
 
@@ -224,10 +273,10 @@ def read_field_csv(path, mesh: Mesh) -> ScalarField:
             if f.readline() != "node_id,x,y,value\n":
                 raise ContractError(f"{path}: not a field export")
             try:
-                rows = read_rows(path, f, delimiter=",")
+                rows = _read_rows(path, f)
             except ContractError:
                 rows = None
-    except UnicodeDecodeError as exc:  # in the first block read; a later one fails read_rows
+    except UnicodeDecodeError as exc:  # in the first block read; a later one fails _read_rows
         raise ContractError(f"{path}: {exc}") from None
     n = mesh.n_vertices
     if rows is None or rows.shape != (n, 4):
@@ -235,7 +284,7 @@ def read_field_csv(path, mesh: Mesh) -> ScalarField:
         # so a file that fails is read again, as lines, for the line to name
         with open(path, "r", encoding="ascii", errors="replace") as f:
             lines = f.read().splitlines()
-        _raise_bad_row(path, "field", lines[1:], 2, 4, np.float64, delimiter=",")
+        _raise_bad_row(path, lines)
         raise ContractError(f"{path}: {len(lines) - 1} rows for a mesh with {n} nodes")
     bad = np.flatnonzero(rows[:, 0] != np.arange(n))
     if bad.size:
@@ -276,45 +325,49 @@ def _cmd_run(job: Job, quiet: bool) -> int:
     return 0
 
 
+def _stage_text(config: RunConfig) -> str:
+    """`key = repr(value)` of each config key a forward stage depends on."""
+    return "".join(f"{key} = {getattr(config, _KEYS[key][0])!r}\n"
+                   for key in _STAGE_KEYS)
+
+
 def _cmd_forward(job: Job, quiet: bool) -> int:
     fwd = forward_stage(job.config)
-    tmp = job.out_dir / "mesh.txt.tmp"
-    write_mesh(fwd.recon_mesh, tmp)
-    os.replace(tmp, job.out_dir / "mesh.txt")
+    # stage.txt goes first and comes back last, so a forward that stops
+    # part way leaves no stage for reconstruct to mix with another config's
+    stage = job.out_dir / "stage.txt"
+    stage.unlink(missing_ok=True)
     _write_fields(replace(job, formats=("csv",)),
                   {"h11": fwd.H.h11, "h12": fwd.H.h12, "h22": fwd.H.h22,
-                   "sigma_true": fwd.sigma_true, "theta_true": fwd.theta_true})
+                   "theta_true": fwd.theta_true})
+    _atomic_text(stage, _stage_text(job.config))
     if not quiet:
         print(f"wrote forward data ({fwd.n_data} data nodes, "
               f"{fwd.recon_mesh.n_vertices} reconstruction nodes) to {job.out_dir}")
     return 0
 
 
-def _same_mesh(a: Mesh, b: Mesh) -> bool:
-    """Whether two meshes hold the same arrays, bit for bit."""
-    return all(x.shape == y.shape and x.tobytes() == y.tobytes()
-               for x, y in ((a.vertices, b.vertices), (a.triangles, b.triangles),
-                            (a.boundary_edges, b.boundary_edges),
-                            (a.boundary_tags, b.boundary_tags)))
+def _check_stage(path: Path, config: RunConfig) -> None:
+    """Raise ContractError unless `path` is the stage.txt `config` writes."""
+    text = _read_ascii(path)
+    want = _stage_text(config)
+    if text != want:
+        have = text.splitlines()
+        keys = [key for key, line in zip(_STAGE_KEYS, want.splitlines())
+                if line not in have]
+        raise ContractError(f"{path}: not the stage of this config "
+                            f"({', '.join(keys) or 'extra lines'})")
 
 
 def _cmd_reconstruct(job: Job, quiet: bool) -> int:
-    # a stage is reconstructed only with the config it was made with: the
-    # mesh and the truth on it must be the ones that config gives
-    path = job.out_dir / "mesh.txt"
-    mesh = read_mesh(path)
-    if not _same_mesh(mesh, base_mesh(job.config)):
-        raise ContractError(f"{path}: not the mesh of this config (mesh.target_h, "
-                            "mesh.refine_levels, gamma.preset, gamma.arcs)")
-    h11, h12, h22, sigma_true, theta_true = (
-        read_field_csv(job.out_dir / f"{name}.csv", mesh)
-        for name in ("h11", "h12", "h22", "sigma_true", "theta_true"))
-    if (sigma_true.values.tobytes()
-            != job.config.conductivity().on_mesh(mesh).values.tobytes()):
-        raise ContractError(f"{job.out_dir / 'sigma_true.csv'}: not the conductivity "
-                            "of this config (sigma.case)")
-    fwd = ForwardData(recon_mesh=mesh, sigma_true=sigma_true, theta_true=theta_true,
-                      H=PowerDensity(h11, h12, h22))
+    # a stage is reconstructed only with the config it was made with, which
+    # gives the mesh and the true conductivity on it
+    _check_stage(job.out_dir / "stage.txt", job.config)
+    mesh = base_mesh(job.config)
+    h11, h12, h22, theta_true = (read_field_csv(job.out_dir / f"{name}.csv", mesh)
+                                 for name in ("h11", "h12", "h22", "theta_true"))
+    fwd = ForwardData(recon_mesh=mesh, sigma_true=job.config.conductivity().on_mesh(mesh),
+                      theta_true=theta_true, H=PowerDensity(h11, h12, h22))
     t0 = time.perf_counter()
     recon = recon_stage(job.config, fwd)
     _write_results(job, PipelineResult(fwd, recon, 0.0, time.perf_counter() - t0),

@@ -12,7 +12,6 @@ Angles are canonicalized to (-pi, pi] throughout.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -476,91 +475,3 @@ def write_mesh(mesh: Mesh, path) -> None:
         f.writelines([f"{i} {j} {k}\n" for i, j, k in mesh.triangles.tolist()])
         f.write(f"boundary_edges {len(edges)}\n")
         f.writelines([f"{a} {b} {tag}\n" for a, b, tag in edges])
-
-
-def read_rows(where, source, *, delimiter=None, dtype=np.float64) -> np.ndarray:
-    """Numeric rows of `source` (lines, or an open text file) as a 2-D array.
-
-    The one parser of numeric text. Rows without data give shape (0, 1),
-    without a warning. loadtxt skips blank lines, so callers check the row
-    count against what the format expects.
-
-    Raises
-    ------
-    ContractError
-        Prefixed by `where`, with loadtxt's report of the row and column of
-        a value that does not parse.
-    """
-    try:
-        with warnings.catch_warnings():
-            # a source without rows is the callers' case, not a warning
-            warnings.simplefilter("ignore", UserWarning)
-            # numpy 1.x only warns before truncating '1.7' to an int; as an
-            # error it is a value that does not parse, as in numpy 2
-            warnings.simplefilter("error", DeprecationWarning)
-            return np.loadtxt(source, dtype=dtype, delimiter=delimiter,
-                              comments=None, ndmin=2)
-    except ValueError as exc:  # UnicodeDecodeError included
-        # the message names the row; its advice after the ';' is dropped
-        raise ContractError(f"{where}: {str(exc).split(';')[0]}") from None
-
-
-def _raise_bad_row(path, word, rows, first, width, dtype, delimiter=None):
-    """Name the file line of the first of `rows` (line `first` on) that is
-    blank or not `width` values of `dtype`."""
-    for lineno, row in enumerate(rows, first):
-        if not row.strip():
-            raise ContractError(f"{path}: line {lineno}: blank {word} row")
-        try:
-            ok = read_rows(path, [row], delimiter=delimiter, dtype=dtype).size == width
-        except ContractError:
-            ok = False
-        if not ok:
-            raise ContractError(f"{path}: line {lineno}: expected {width} "
-                                f"{np.dtype(dtype).name} values, got {row!r}")
-
-
-def read_mesh(path) -> Mesh:
-    """Read a mesh written by `write_mesh`.
-
-    Raises
-    ------
-    ContractError
-        Naming the file, and the line where one is known, if the text is not
-        a well-formed mesh.
-    """
-    try:
-        with open(path, "r", encoding="ascii") as f:
-            lines = f.read().splitlines()
-    except UnicodeDecodeError:
-        raise ContractError(f"{path}: not an ASCII mesh file") from None
-    pos = 0
-    blocks = []
-    for word, width, dtype in (("vertices", 2, np.float64),
-                               ("triangles", 3, np.int64),
-                               ("boundary_edges", 3, np.int64)):
-        head = lines[pos].split() if pos < len(lines) else []
-        if len(head) != 2 or head[0] != word or not head[1].isdigit():
-            raise ContractError(f"{path}: line {pos + 1}: expected '{word} <count>'")
-        count = int(head[1])
-        rows = lines[pos + 1:pos + 1 + count]
-        if len(rows) < count:
-            raise ContractError(f"{path}: file ends after {len(rows)} of {count} "
-                                f"{word} rows")
-        try:
-            block = read_rows(path, rows, dtype=dtype)
-        except ContractError:
-            block = None
-        # loadtxt skips blank rows and counts the rest from 0 or 1 by the
-        # fault, so a bad block is scanned again for the file line to name
-        if block is None or block.shape[0] != count or block.size != count * width:
-            _raise_bad_row(path, word, rows, pos + 2, width, dtype)
-        blocks.append(block.reshape(count, width))
-        pos += 1 + count
-    if any(line.strip() for line in lines[pos:]):
-        raise ContractError(f"{path}: line {pos + 1}: trailing data after the mesh")
-    vertices, triangles, edges = blocks
-    try:
-        return Mesh(vertices, triangles, edges[:, :2], edges[:, 2])
-    except ContractError as exc:
-        raise ContractError(f"{path}: {exc}") from None

@@ -10,7 +10,6 @@ from aet2d import (
     GAMMA_MEDIUM,
     ScalarField,
     build_disk_mesh,
-    read_mesh,
     tag_boundary,
     true_theta,
     write_mesh,
@@ -301,10 +300,6 @@ def stage(tmp_path_factory):
     return cfg, root / "out"
 
 
-def _replace_line(text, prefix, line):
-    return re.sub(rf"^{prefix}.*$", line, text, count=1, flags=re.M)
-
-
 def _nan_in_third_row(text):
     lines = text.splitlines(keepends=True)
     lines[3] = lines[3].rsplit(",", 1)[0] + ",nan\n"
@@ -313,10 +308,10 @@ def _nan_in_third_row(text):
 
 class TestMalformedStageFiles:
     @pytest.mark.parametrize("name,corrupt", [
-        ("mesh.txt", lambda t: t[:len(t) // 3]),
-        ("mesh.txt", lambda t: _replace_line(t, "boundary_edges", "boundary_edges")),
+        ("stage.txt", lambda t: t[:len(t) // 3]),
+        ("stage.txt", lambda t: t + "noise.seed = 3\n"),
         ("h11.csv", _nan_in_third_row),
-    ], ids=["mesh-truncated", "mesh-header-without-count", "field-nan"])
+    ], ids=["stage-truncated", "stage-extra-line", "field-nan"])
     def test_reconstruct_names_the_file(self, stage, tmp_path, capsys, name, corrupt):
         cfg, source = stage
         out = tmp_path / "stage"
@@ -329,23 +324,59 @@ class TestMalformedStageFiles:
         assert name in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("text,name,key", [
-        ("mesh.target_h = 0.35\n", "mesh.txt", "mesh.target_h"),
-        (COARSE + "gamma.preset = large\n", "mesh.txt", "gamma.preset"),
-        (COARSE + "sigma.case = case2\n", "sigma_true.csv", "sigma.case"),
-    ], ids=["target_h", "gamma", "case"])
+    @pytest.mark.parametrize("made,text,key", [
+        (None, "mesh.target_h = 0.35\n", "mesh.target_h"),
+        (None, COARSE + "gamma.preset = large\n", "gamma.preset"),
+        (None, COARSE + "sigma.case = case2\n", "sigma.case"),
+        (COARSE + "gamma.arcs = 0.5, 2.5\n",
+         COARSE + "gamma.arcs = 0.5, 2.5\ngamma.preset = large\n", "gamma.preset"),
+    ], ids=["target_h", "gamma", "case", "gamma-label"])
     def test_reconstruct_rejects_another_config(self, stage, tmp_path, capsys,
-                                                text, name, key):
-        # the stage is well formed but was made with another mesh, arc or
-        # phantom; reconstructing it would record this config's labels
-        _, source = stage
+                                                made, text, key):
+        # the stage is well formed but was made with another mesh, arc,
+        # phantom or arc label; reconstructing it would record this config's
+        # labels
         out = tmp_path / "stage"
-        shutil.copytree(source, out)
+        if made is None:
+            shutil.copytree(stage[1], out)
+        else:
+            assert run_cli("forward", "--config", write_config(tmp_path, made, "made.cfg"),
+                           "--out", str(out), "--quiet") == 0
         cfg = write_config(tmp_path, text)
         assert run_cli("reconstruct", "--config", cfg, "--out", str(out),
                        "--quiet") == 1
         err = capsys.readouterr().err
-        assert name in err and key in err
+        assert "stage.txt" in err and key in err
+        assert "Traceback" not in err
+        assert not (out / "record.csv").exists()
+
+    def test_a_stage_without_stage_txt_names_it(self, stage, tmp_path, capsys):
+        # a stage an older version wrote has the fields but no stage.txt
+        cfg, source = stage
+        out = tmp_path / "stage"
+        shutil.copytree(source, out)
+        (out / "stage.txt").unlink()
+        assert run_cli("reconstruct", "--config", cfg, "--out", str(out),
+                       "--quiet") == 1
+        err = capsys.readouterr().err
+        assert "stage.txt" in err
+        assert "Traceback" not in err
+        assert not (out / "record.csv").exists()
+
+    def test_an_interrupted_forward_leaves_no_stage(self, tmp_path, capsys):
+        # the second forward fails after writing h11.csv: the directory then
+        # holds fields of two configs, and no stage.txt vouches for them
+        large = write_config(tmp_path, COARSE + "gamma.preset = large\n", "large.cfg")
+        medium = write_config(tmp_path, COARSE + "gamma.preset = medium\n", "medium.cfg")
+        out = tmp_path / "stage"
+        assert run_cli("forward", "--config", large, "--out", str(out), "--quiet") == 0
+        (out / "h12.csv.tmp").mkdir()
+        assert run_cli("forward", "--config", medium, "--out", str(out), "--quiet") == 1
+        capsys.readouterr()
+        assert run_cli("reconstruct", "--config", medium, "--out", str(out),
+                       "--quiet") == 1
+        err = capsys.readouterr().err
+        assert "stage.txt" in err
         assert "Traceback" not in err
         assert not (out / "record.csv").exists()
 
@@ -362,15 +393,21 @@ class TestSubcommands:
             assert (one / name).read_bytes() == (two / name).read_bytes()
 
     def test_stale_meta_file_is_ignored(self, tmp_path):
-        # the data-mesh size comes from mesh.txt; a `meta.txt` left by an
-        # older forward stage does not reach the record
+        # the mesh and the true conductivity come from the config; the
+        # `meta.txt`, `mesh.txt` and `sigma_true.csv` an older forward stage
+        # left do not reach the record
         cfg = write_config(tmp_path, COARSE)
         one, two = tmp_path / "one", tmp_path / "two"
         assert run_cli("run", "--config", cfg, "--out", str(one), "--quiet") == 0
         assert run_cli("forward", "--config", cfg, "--out", str(two), "--quiet") == 0
         (two / "meta.txt").write_text("n_data 999999\nflagged 0\n")
+        other = tag_boundary(build_disk_mesh(0.5), GAMMA_MEDIUM)
+        write_mesh(other, two / "mesh.txt")
+        export_field(ScalarField(other, np.full(other.n_vertices, 7.0)),
+                     two / "sigma_true.csv")
         assert run_cli("reconstruct", "--config", cfg, "--out", str(two), "--quiet") == 0
-        assert (one / "record.csv").read_bytes() == (two / "record.csv").read_bytes()
+        for name in ("record.csv", "sigma_true.csv", "sigma_recon.csv"):
+            assert (one / name).read_bytes() == (two / name).read_bytes()
         assert "999999" not in (two / "record.csv").read_text()
 
     def test_undefined_boundary_angle_is_exit_2(self, tmp_path, capsys, monkeypatch):
@@ -433,8 +470,8 @@ class TestSubcommands:
         out = tmp_path / "m"
         assert run_cli("export-mesh", "--config", cfg, "--out", str(out),
                        "--quiet") == 0
-        mesh = read_mesh(out / "mesh.txt")
-        assert mesh.n_vertices > 0
+        mesh = pipeline.base_mesh(parse_config(COARSE).config)
+        assert (out / "mesh.txt").read_text() == reference_mesh_text(mesh)
         assert (out / "mesh.vtk").exists()
 
     def test_vtk_output_format(self, tmp_path):

@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -12,11 +11,10 @@ from aet2d import (
     GAMMA_MEDIUM,
     GAMMA_SMALL,
     NEUMANN,
+    Mesh,
     build_disk_mesh,
-    read_mesh,
     refine,
     tag_boundary,
-    write_mesh,
 )
 from aet2d.errors import ContractError, ParameterError
 from aet2d.mesh import basis_coefficients, canonical_angle, signed_areas
@@ -252,7 +250,7 @@ def test_refine_stays_nonobtuse(coarse):
     assert max_interior_angle(refine(coarse)) <= np.pi / 2 + 1e-9
 
 
-def test_edge_count_is_the_refinement_node_gain(tmp_path):
+def test_edge_count_is_the_refinement_node_gain():
     # refine adds one node per edge, so the data mesh's size follows from
     # the reconstruction mesh alone
     mesh = tag_boundary(build_disk_mesh(0.3), GAMMA_MEDIUM)
@@ -260,8 +258,6 @@ def test_edge_count_is_the_refinement_node_gain(tmp_path):
         finer = refine(mesh)
         assert mesh.n_edges == edge_count(mesh)
         assert mesh.n_edges == finer.n_vertices - mesh.n_vertices
-        write_mesh(mesh, tmp_path / "mesh.txt")
-        assert read_mesh(tmp_path / "mesh.txt").n_edges == mesh.n_edges
         mesh = finer
 
 
@@ -303,79 +299,19 @@ def test_rim_angles_are_computed_on_first_read():
             a[0] = 1.0
 
 
-# -- serialization -----------------------------------------------------------
+# -- checks on construction ---------------------------------------------------
 
-def test_mesh_roundtrip(tmp_path, coarse):
-    tagged = tag_boundary(coarse, GAMMA_SMALL)
-    path = tmp_path / "mesh.txt"
-    write_mesh(tagged, path)
-    back = read_mesh(path)
-    assert np.array_equal(back.vertices, tagged.vertices)
-    assert np.array_equal(back.triangles, tagged.triangles)
-    assert np.array_equal(back.boundary_edges, tagged.boundary_edges)
-    assert np.array_equal(back.boundary_tags, tagged.boundary_tags)
-
-
-def test_read_mesh_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("vertices 2\n0 0\n1 0\n")
-    with pytest.raises(ContractError):
-        read_mesh(path)
-
-
-def _broken_mesh_file(tmp_path, mesh, line, text):
-    """The mesh's file with 1-based `line` replaced by `text`."""
-    path = tmp_path / "mesh.txt"
-    write_mesh(mesh, path)
-    lines = path.read_text().splitlines()
-    lines[line - 1] = text
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
-@pytest.mark.parametrize("line,text,message", [
-    (4, "", "line 4: blank vertices row"),
-    (4, "   ", "line 4: blank vertices row"),
-    (4, "0.5 x", "line 4: expected 2 float64 values, got '0.5 x'"),
-    (4, "0.5 0.5 0.5", "line 4: expected 2 float64 values, got '0.5 0.5 0.5'"),
-    (5, "0.5", "line 5: expected 2 float64 values, got '0.5'"),
-])
-def test_read_mesh_names_the_broken_row(tmp_path, coarse, line, text, message):
-    path = _broken_mesh_file(tmp_path, coarse, line, text)
-    with pytest.raises(ContractError, match=re.escape(f"{path}: {message}")):
-        read_mesh(path)
-
-
-# outside pytest's error filter, as a command-line run sees it: numpy only
-# warns before truncating 1.5 to 1
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
-@pytest.mark.parametrize("block,text", [("triangles", "0 1.5 2"), ("tags", "1.5")])
-def test_read_mesh_rejects_fractional_integers(tmp_path, coarse, block, text):
-    if block == "triangles":
-        line, row = 3 + coarse.n_vertices, text
-    else:
-        line = 3 + coarse.n_vertices + coarse.n_triangles + len(coarse.boundary_edges)
-        a, b = coarse.boundary_edges[-1]
-        row = f"{a} {b} {text}"
-    path = _broken_mesh_file(tmp_path, coarse, line, row)
-    with pytest.raises(ContractError, match=re.escape(
-            f"{path}: line {line}: expected 3 int64 values, got {row!r}")):
-        read_mesh(path)
-
-
-@pytest.mark.parametrize("tag", ["2", "-1", "256", "257"])
-def test_read_mesh_rejects_unknown_tags(tmp_path, coarse, tag):
+@pytest.mark.parametrize("tag", [2, -1, 256, 257])
+def test_read_mesh_rejects_unknown_tags(coarse, tag):
     # 256 and 257 would wrap to valid tags in a uint8 cast
-    last = 3 + coarse.n_vertices + coarse.n_triangles + len(coarse.boundary_edges)
-    a, b = coarse.boundary_edges[-1]
-    path = _broken_mesh_file(tmp_path, coarse, last, f"{a} {b} {tag}")
+    tags = coarse.boundary_tags.astype(np.int64)
+    tags[-1] = tag
     with pytest.raises(ContractError, match="DIRICHLET or NEUMANN"):
-        read_mesh(path)
+        Mesh(coarse.vertices, coarse.triangles, coarse.boundary_edges, tags)
 
 
-def test_read_mesh_accepts_zero_row_blocks(tmp_path):
-    path = tmp_path / "empty.txt"
-    path.write_text("vertices 0\ntriangles 0\nboundary_edges 0\n")
-    mesh = read_mesh(path)
+def test_read_mesh_accepts_zero_row_blocks():
+    mesh = Mesh(np.empty((0, 2)), np.empty((0, 3), dtype=np.int64),
+                np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64))
     assert mesh.vertices.shape == (0, 2) and mesh.triangles.shape == (0, 3)
     assert mesh.boundary_edges.shape == (0, 2) and mesh.boundary_tags.dtype == np.uint8

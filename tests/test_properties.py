@@ -170,8 +170,7 @@ def test_boundary_theta_moves_angles_by_whole_turns(h, level, data):
     assert np.abs(np.diff(full[loop])).max() <= math.pi + 1e-12
 
 
-STAGE_FILES = ("mesh.txt", "h11.csv", "h12.csv", "h22.csv", "sigma_true.csv",
-               "theta_true.csv")
+STAGE_FILES = ("stage.txt", "h11.csv", "h12.csv", "h22.csv", "theta_true.csv")
 
 
 @pytest.fixture(scope="module")
@@ -214,7 +213,7 @@ FIELD_FILES = STAGE_FILES[1:]
 
 
 def nudged(cell: bytes, way: float) -> bytes:
-    """A coordinate written as it is in the stage files, moved by one ulp."""
+    """A number of the stage files, moved by one ulp and written at 17 digits."""
     return b"%.17g" % np.nextafter(float(cell), way)
 
 
@@ -223,18 +222,15 @@ def nudged(cell: bytes, way: float) -> bytes:
 def test_a_wrong_stage_value_is_named(stage, change, data):
     # each file stays well formed; one value in it is wrong
     cfg, files = stage
-    n = int(files["mesh.txt"].split(maxsplit=2)[1])
+    n = files["h11.csv"].count(b"\n") - 1  # a header, then one line per node
     way = data.draw(st.sampled_from([-math.inf, math.inf]), label="direction")
     if change == "mesh nudge":
-        # one vertex coordinate off in its last digit; the mesh still loads,
-        # and every field file then disagrees with it
-        name = "mesh.txt"
-        lines = files[name].split(b"\n")  # "vertices n", then n vertex rows
-        row = data.draw(st.integers(1, n), label="row")
-        col = data.draw(st.sampled_from([0, 1]), label="column")
-        cells = lines[row].split(b" ")
-        cells[col] = nudged(cells[col], way)
-        lines[row] = b" ".join(cells)
+        # the mesh size one ulp off; the stage then is another config's
+        name = "stage.txt"
+        key = b"mesh.target_h = "
+        lines = files[name].split(b"\n")
+        row = next(i for i, line in enumerate(lines) if line.startswith(key))
+        lines[row] = key + nudged(lines[row][len(key):], way)
         broken = b"\n".join(lines)
     else:
         name = data.draw(st.sampled_from(FIELD_FILES), label="field file")
