@@ -18,11 +18,11 @@ Exit codes: 0 success, 1 configuration or I/O problem, 2 numerical failure
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
 import time
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from pathlib import Path
@@ -195,6 +195,15 @@ def _vtk_text(field: ScalarField, name: str, text: _MeshText) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _mesh_text_for(mesh: Mesh, mesh_text: _MeshText | None) -> _MeshText:
+    """`mesh_text`, checked to be `mesh`'s, or `mesh`'s text when it is None."""
+    if mesh_text is None:
+        return _MeshText(mesh)
+    if mesh_text.mesh is not mesh:
+        raise ContractError("mesh_text belongs to another mesh")
+    return mesh_text
+
+
 def export_field(field: ScalarField, path, fmt: str = "csv", *,
                  name: str = "value", mesh_text: _MeshText | None = None) -> None:
     """One nodal field to disk, as `node_id,x,y,value` CSV or legacy VTK.
@@ -202,10 +211,7 @@ def export_field(field: ScalarField, path, fmt: str = "csv", *,
     `mesh_text` carries the mesh's formatted nodes and cells from an earlier
     call on the same mesh, so writing several fields formats them once.
     """
-    if mesh_text is None:
-        mesh_text = _MeshText(field.mesh)
-    elif mesh_text.mesh is not field.mesh:
-        raise ContractError("mesh_text belongs to another mesh")
+    mesh_text = _mesh_text_for(field.mesh, mesh_text)
     if fmt == "csv":
         _atomic_text(Path(path), _field_csv(field, mesh_text))
     elif fmt == "vtk":
@@ -221,100 +227,58 @@ def _read_ascii(path: Path) -> str:
         raise ContractError(f"{path}: not ASCII text") from None
 
 
-def _read_rows(where, source) -> np.ndarray:
-    """Comma-separated float rows of `source` (lines, or an open text file)
-    as a 2-D array.
-
-    Rows without data give shape (0, 1), without a warning. loadtxt skips
-    blank lines, so the caller checks the row count.
-
-    Raises
-    ------
-    ContractError
-        Prefixed by `where`, with loadtxt's report of the row and column of
-        a value that does not parse.
-    """
-    try:
-        with warnings.catch_warnings():
-            # a source without rows is the caller's case, not a warning
-            warnings.simplefilter("ignore", UserWarning)
-            return np.loadtxt(source, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:  # UnicodeDecodeError included
-        # the message names the row; its advice after the ';' is dropped
-        raise ContractError(f"{where}: {str(exc).split(';')[0]}") from None
-
-
-def _raise_bad_row(path, lines: list[str]) -> None:
-    """Name the first line of a field export after its header that is blank
-    or not 4 float values."""
-    for lineno, row in enumerate(lines[1:], 2):
-        if not row.strip():
-            raise ContractError(f"{path}: line {lineno}: blank field row")
-        try:
-            ok = _read_rows(path, [row]).size == 4
-        except ContractError:
-            ok = False
-        if not ok:
-            raise ContractError(f"{path}: line {lineno}: expected 4 "
-                                f"float64 values, got {row!r}")
-
-
-def read_field_csv(path, mesh: Mesh) -> ScalarField:
+def read_field_csv(path, mesh: Mesh, *,
+                   mesh_text: _MeshText | None = None) -> ScalarField:
     """Read a field export back onto the mesh it came from, bit exact.
 
+    Node k's row is accepted only as the `node_id,x,y,` text `export_field`
+    writes for it, followed by a finite value. `mesh_text` is as in
+    `export_field`.
+
     Raises
     ------
     ContractError
-        Naming the file, and the line or node where one is known, if the
-        text is not an export of a finite field on `mesh`.
+        Naming the file, and the line of the first bad row, if the text is
+        not an export of a finite field on `mesh`.
     """
-    try:
-        with open(path, "r", encoding="ascii") as f:
-            if f.readline() != "node_id,x,y,value\n":
-                raise ContractError(f"{path}: not a field export")
-            try:
-                rows = _read_rows(path, f)
-            except ContractError:
-                rows = None
-    except UnicodeDecodeError as exc:  # in the first block read; a later one fails _read_rows
-        raise ContractError(f"{path}: {exc}") from None
-    n = mesh.n_vertices
-    if rows is None or rows.shape != (n, 4):
-        # loadtxt skips blank lines and counts rows from 0 or 1 by the fault,
-        # so a file that fails is read again, as lines, for the line to name
-        with open(path, "r", encoding="ascii", errors="replace") as f:
-            lines = f.read().splitlines()
-        _raise_bad_row(path, lines)
-        raise ContractError(f"{path}: {len(lines) - 1} rows for a mesh with {n} nodes")
-    bad = np.flatnonzero(rows[:, 0] != np.arange(n))
-    if bad.size:
-        raise ContractError(f"{path}: node ids out of order at row {bad[0]}")
-    bad = np.flatnonzero((rows[:, 1:3] != mesh.vertices).any(axis=1))
-    if bad.size:
-        raise ContractError(f"{path}: node {bad[0]} coordinates do not match the mesh")
-    values = rows[:, 3].copy()
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise ContractError(f"{path}: node {bad[0]} value is not finite")
-    return ScalarField(mesh, values)
+    prefixes = _mesh_text_for(mesh, mesh_text).csv_prefixes
+    header, *rows = _read_ascii(Path(path)).removesuffix("\n").split("\n")
+    if header != "node_id,x,y,value":
+        raise ContractError(f"{path}: not a field export")
+    if len(rows) != len(prefixes):
+        raise ContractError(f"{path}: {len(rows)} rows for a mesh with "
+                            f"{len(prefixes)} nodes")
+    values = []
+    for lineno, (prefix, row) in enumerate(zip(prefixes, rows), 2):
+        try:
+            value = float(row[len(prefix):]) if row.startswith(prefix) else math.nan
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ContractError(f"{path}: line {lineno}: expected {prefix!r} "
+                                f"and a finite value, got {row!r}")
+        values.append(value)
+    return ScalarField(mesh, np.array(values))
 
 
-def _write_fields(job: Job, fields: dict[str, ScalarField]) -> None:
+def _write_fields(job: Job, fields: dict[str, ScalarField],
+                  mesh_text: _MeshText | None = None) -> None:
     """Every field on one mesh, in every format of the job."""
-    mesh_text = _MeshText(next(iter(fields.values())).mesh)
+    mesh_text = _mesh_text_for(next(iter(fields.values())).mesh, mesh_text)
     for name, field in fields.items():
         for fmt in job.formats:
             export_field(field, job.out_dir / f"{name}.{fmt}", fmt, name=name,
                          mesh_text=mesh_text)
 
 
-def _write_results(job: Job, result: PipelineResult, quiet: bool) -> None:
+def _write_results(job: Job, result: PipelineResult, quiet: bool,
+                   mesh_text: _MeshText | None = None) -> None:
     record = record_from_run(job.config, result)
     _atomic_text(job.out_dir / "record.csv", records_to_csv([record]))
     fwd, recon = result.forward, result.recon
     _write_fields(job, {"sigma_recon": recon.sigma, "theta_recon": recon.theta,
                         "sigma_true": fwd.sigma_true,
-                        "theta_true": fwd.theta_true})
+                        "theta_true": fwd.theta_true}, mesh_text)
     if not quiet:
         print(render_table([record]), end="")
         print(f"wrote {job.out_dir}")
@@ -364,14 +328,16 @@ def _cmd_reconstruct(job: Job, quiet: bool) -> int:
     # gives the mesh and the true conductivity on it
     _check_stage(job.out_dir / "stage.txt", job.config)
     mesh = base_mesh(job.config)
-    h11, h12, h22, theta_true = (read_field_csv(job.out_dir / f"{name}.csv", mesh)
-                                 for name in ("h11", "h12", "h22", "theta_true"))
+    mesh_text = _MeshText(mesh)  # for the four reads and the writes
+    h11, h12, h22, theta_true = (
+        read_field_csv(job.out_dir / f"{name}.csv", mesh, mesh_text=mesh_text)
+        for name in ("h11", "h12", "h22", "theta_true"))
     fwd = ForwardData(recon_mesh=mesh, sigma_true=job.config.conductivity().on_mesh(mesh),
                       theta_true=theta_true, H=PowerDensity(h11, h12, h22))
     t0 = time.perf_counter()
     recon = recon_stage(job.config, fwd)
     _write_results(job, PipelineResult(fwd, recon, 0.0, time.perf_counter() - t0),
-                   quiet)
+                   quiet, mesh_text)
     return 0
 
 

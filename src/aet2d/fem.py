@@ -335,8 +335,8 @@ def solve_poisson_weak_div(mesh: Mesh, F: VectorField, boundary_values: np.ndarr
     b, c = mesh.basis
     # integral over K of F.grad(phi_i) = (b_i Fx + c_i Fy)/2
     contrib = 0.5 * (b * F.vectors[:, 0, None] + c * F.vectors[:, 1, None])
-    rhs = np.zeros(mesh.n_vertices)
-    np.add.at(rhs, mesh.triangles.ravel(), contrib.ravel())
+    rhs = np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
+                      minlength=mesh.n_vertices)
     if operator is None:
         operator = laplacian_operator(mesh)
     return _solve(mesh, operator, mesh.boundary_nodes, boundary_values, rhs,

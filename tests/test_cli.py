@@ -87,6 +87,19 @@ class TestParseConfig:
             parse_config(line + "\n")
 
 
+def _nudge_x(row, after):
+    """x one ulp off, written at 17 digits as the exporter writes it."""
+    cells = row.split(",")
+    cells[1] = "%.17g" % np.nextafter(float(cells[1]), np.inf)
+    return ",".join(cells), after
+
+
+def _swap_ids(row, after):
+    """The two rows trade node ids, keeping their coordinates and values."""
+    (a, rest_a), (b, rest_b) = row.split(",", 1), after.split(",", 1)
+    return f"{b},{rest_a}", f"{a},{rest_b}"
+
+
 class TestExportField:
     def test_csv_round_trip_is_exact(self, mesh, tmp_path):
         rng = np.random.default_rng(3)
@@ -128,22 +141,26 @@ class TestExportField:
         with pytest.raises(ContractError, match="rows"):
             read_field_csv(tmp_path / "f.csv", other)
 
-    @pytest.mark.parametrize("change,message", [
-        (lambda row: row.replace(",", ",x", 1), "expected 4 float64 values, got {row!r}"),
-        (lambda row: row + ",0", "expected 4 float64 values, got {row!r}"),
-        (lambda row: "", "blank field row"),
-    ], ids=["bad-value", "five-columns", "blank"])
-    def test_read_names_the_broken_line(self, tmp_path, change, message):
+    @pytest.mark.parametrize("change", [
+        lambda row, after: (row.replace(",", ",x", 1), after),
+        lambda row, after: (row + ",0", after),
+        lambda row, after: ("", after),
+        _nudge_x,
+        _swap_ids,
+    ], ids=["bad-value", "five-columns", "blank", "coordinate-nudge", "swapped-ids"])
+    def test_read_names_the_broken_line(self, tmp_path, change):
         # the header is line 1, so line 4 holds node 2 of the 217
         mesh = build_disk_mesh(0.3)
         assert mesh.n_vertices == 217
         path = tmp_path / "f.csv"
         export_field(ScalarField(mesh, np.ones(mesh.n_vertices)), path)
         lines = path.read_text().splitlines()
-        lines[3] = row = change(lines[3])
+        prefix = lines[3].rsplit(",", 1)[0] + ","
+        lines[3:5] = change(*lines[3:5])
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ContractError, match=re.escape(
-                f"{path}: line 4: {message.format(row=row)}")):
+                f"{path}: line 4: expected {prefix!r} and a finite value, "
+                f"got {lines[3]!r}")):
             read_field_csv(path, mesh)
 
     def test_unknown_format_rejected(self, mesh, tmp_path):
