@@ -232,7 +232,8 @@ def read_field_csv(path, mesh: Mesh, *,
     """Read a field export back onto the mesh it came from, bit exact.
 
     Node k's row is accepted only as the `node_id,x,y,` text `export_field`
-    writes for it, followed by a finite value. `mesh_text` is as in
+    writes for it, followed by a finite value in the text it writes for that
+    value (`1.0`, ` 1` or `1_0` is not the text of 1). `mesh_text` is as in
     `export_field`.
 
     Raises
@@ -250,11 +251,12 @@ def read_field_csv(path, mesh: Mesh, *,
                             f"{len(prefixes)} nodes")
     values = []
     for lineno, (prefix, row) in enumerate(zip(prefixes, rows), 2):
+        text = row[len(prefix):]
         try:
-            value = float(row[len(prefix):]) if row.startswith(prefix) else math.nan
+            value = float(text) if row.startswith(prefix) else math.nan
         except ValueError:
             value = math.nan
-        if not math.isfinite(value):
+        if not math.isfinite(value) or f"{value:.17g}" != text:
             raise ContractError(f"{path}: line {lineno}: expected {prefix!r} "
                                 f"and a finite value, got {row!r}")
         values.append(value)

@@ -8,9 +8,11 @@ stays positive definite for conjugate gradients; a `ConstrainedOperator` does
 that split once and then serves every right-hand side with the same matrix
 and fixed nodes.
 
-Boundary data are float arrays, one value per fixed node in sorted order (the
-order of `ConstrainedOperator.fixed`): the mesh's tags fix the nodes, its
-`dirichlet_nodes` for mixed solves and its `boundary_nodes` for Poisson ones.
+A `ConstrainedOperator` is the one record of which nodes a solve fixes, and
+boundary data are float arrays with one value per node of its `fixed`, in
+that sorted order. The operators built here fix the mesh's `dirichlet_nodes`
+for mixed solves and its `boundary_nodes` for Poisson ones; a caller may pass
+any other nonempty set.
 
 Data move between nodes and elements through three functions only:
 `element_gradient` (nodal field to its constant gradient per triangle),
@@ -199,12 +201,12 @@ def _pcg(A: sp.csr_matrix, rhs: np.ndarray):
 
 @dataclass(frozen=True)
 class ConstrainedOperator:
-    """A symmetric stiffness matrix split once around its Dirichlet nodes.
+    """A symmetric stiffness matrix split once around its fixed nodes.
 
     Holds the free block A_ff and the coupling A_fc to the sorted `fixed`
-    nodes.  Every solve with the same matrix and fixed nodes (both forward
-    potentials; the angle and log-conductivity solves) shares one operator;
-    build it with `constrain`.
+    nodes, the only record of which nodes a solve fixes.  Every solve with
+    the same matrix and fixed nodes (both forward potentials; the angle and
+    log-conductivity solves) shares one operator; build it with `constrain`.
     """
 
     n: int
@@ -213,20 +215,25 @@ class ConstrainedOperator:
     free_block: sp.csr_matrix
     coupling: sp.csr_matrix
 
-    def solve(self, fixed_values: np.ndarray, load: np.ndarray | None = None):
-        """All nodal values, given values at `fixed` (in its order) and an
+    def solve(self, values, load: np.ndarray | None = None):
+        """All nodal values, given `values` at `fixed` (in its order) and an
         optional load vector over all nodes (zero when None).
 
-        Constraints are eliminated symmetrically; the free block is solved
-        directly below DIRECT_SOLVE_LIMIT unknowns, by Jacobi PCG above.
-        Returns (values, SolveInfo).
+        `values` must hold one finite value per fixed node and `load` one
+        value per node (ContractError otherwise). Constraints are eliminated
+        symmetrically; the free block is solved directly below
+        DIRECT_SOLVE_LIMIT unknowns, by Jacobi PCG above. Returns (values,
+        SolveInfo).
         """
+        values = fixed_values(self.fixed, values)
+        if load is not None and load.shape != (self.n,):
+            raise ContractError(f"expected a load on {self.n} nodes, got {load.shape}")
         x = np.zeros(self.n)
-        x[self.fixed] = fixed_values
+        x[self.fixed] = values
         if len(self.free) == 0:
             return x, SolveInfo("trivial", 0, 0.0)
         b = np.zeros(self.n) if load is None else load
-        b_f = b[self.free] - self.coupling @ fixed_values
+        b_f = b[self.free] - self.coupling @ values
         A_ff = self.free_block
 
         if len(self.free) < DIRECT_SOLVE_LIMIT:
@@ -249,9 +256,16 @@ class ConstrainedOperator:
 
 
 def constrain(matrix: sp.csr_matrix, fixed) -> ConstrainedOperator:
-    """Split `matrix` around the node ids `fixed` (sorted and deduplicated)."""
+    """Split `matrix` around the node ids `fixed` (sorted and deduplicated).
+
+    Raises SingularSystemError when `fixed` is empty: a stiffness matrix
+    annihilates constants, so it needs at least one fixed node.
+    """
     n = matrix.shape[0]
     fixed = np.unique(np.asarray(fixed, dtype=np.int64))
+    if fixed.size == 0:
+        raise SingularSystemError(
+            "no fixed nodes: the pure-Neumann problem is singular")
     free_mask = np.ones(n, dtype=bool)
     free_mask[fixed] = False
     free = np.flatnonzero(free_mask)
@@ -278,56 +292,46 @@ def fixed_values(nodes: np.ndarray, values) -> np.ndarray:
     return vals
 
 
-def _solve(mesh: Mesh, operator: ConstrainedOperator, nodes, values, load,
-           return_info: bool):
-    if operator.n != mesh.n_vertices or not np.array_equal(operator.fixed, nodes):
-        raise ContractError("operator was built for other Dirichlet nodes")
-    x, info = operator.solve(fixed_values(nodes, values), load)
-    field = ScalarField(mesh, x)
-    return (field, info) if return_info else field
-
-
 def solve_mixed(mesh: Mesh, sigma: ScalarField, dirichlet_values: np.ndarray,
                 *, operator: ConstrainedOperator | None = None,
                 return_info: bool = False):
-    """Solve -div(sigma grad u) = 0 with u prescribed on the controlled arc.
+    """Solve -div(sigma grad u) = 0 with u prescribed at the operator's nodes.
 
-    The no-flux condition on untagged boundary edges is natural: it needs no
-    boundary terms, only the absence of constraints there.
+    The no-flux condition on unconstrained boundary edges is natural: it
+    needs no boundary terms, only the absence of constraints there.
 
     Parameters
     ----------
-    dirichlet_values : (len(mesh.dirichlet_nodes),) array_like
-        The prescribed value at each node of `mesh.dirichlet_nodes`, in that
-        sorted order. A mesh without such nodes raises SingularSystemError.
+    dirichlet_values : (len(operator.fixed),) array_like
+        The prescribed value at each node of `operator.fixed`, in that sorted
+        order.
     operator : ConstrainedOperator, optional
-        ``constrain(assemble_conductivity(mesh, sigma), mesh.dirichlet_nodes)``
-        built once and shared by solves with the same sigma; assembled here
-        when omitted.
+        Shared by solves with the same sigma and fixed nodes. When omitted it
+        is ``constrain(assemble_conductivity(mesh, sigma), mesh.dirichlet_nodes)``,
+        which raises SingularSystemError on a mesh without Dirichlet nodes.
 
     Returns
     -------
     ScalarField, or (ScalarField, SolveInfo) when return_info is set.
     """
-    nodes = mesh.dirichlet_nodes
-    if nodes.size == 0:
-        raise SingularSystemError(
-            "no Dirichlet nodes: the pure-Neumann problem is singular")
     if operator is None:
-        operator = constrain(assemble_conductivity(mesh, sigma), nodes)
-    return _solve(mesh, operator, nodes, dirichlet_values, None, return_info)
+        operator = constrain(assemble_conductivity(mesh, sigma), mesh.dirichlet_nodes)
+    x, info = operator.solve(dirichlet_values)
+    u = ScalarField(mesh, x)
+    return (u, info) if return_info else u
 
 
 def solve_poisson_weak_div(mesh: Mesh, F: VectorField, boundary_values: np.ndarray,
                            *, operator: ConstrainedOperator | None = None,
                            return_info: bool = False):
-    """Solve lap(w) = div(F) weakly with w given on the whole boundary.
+    """Solve lap(w) = div(F) weakly with w given at the operator's nodes.
 
     The right-hand side uses integral F.grad(v) per element, so F is never
-    differentiated. `boundary_values` holds one value per node of
-    `mesh.boundary_nodes`, in that sorted order. `operator` is
-    `laplacian_operator(mesh)`, shared between solves on one mesh; it is
-    built here when omitted.
+    differentiated, and where the operator leaves boundary nodes free the
+    natural condition dw/dn = F.n holds. `boundary_values` holds one value
+    per node of `operator.fixed`, in that sorted order. `operator` is shared
+    between solves on one mesh; when omitted it is `laplacian_operator(mesh)`,
+    which fixes the whole boundary.
     """
     if F.mesh is not mesh:
         raise ContractError("F lives on a different mesh")
@@ -339,8 +343,9 @@ def solve_poisson_weak_div(mesh: Mesh, F: VectorField, boundary_values: np.ndarr
                       minlength=mesh.n_vertices)
     if operator is None:
         operator = laplacian_operator(mesh)
-    return _solve(mesh, operator, mesh.boundary_nodes, boundary_values, rhs,
-                  return_info)
+    x, info = operator.solve(boundary_values, rhs)
+    w = ScalarField(mesh, x)
+    return (w, info) if return_info else w
 
 
 # ---------------------------------------------------------------------------

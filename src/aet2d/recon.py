@@ -4,9 +4,9 @@ The matrix data is reduced to three element vector fields and the
 determinant root.  The gradient angle of the first potential solves a
 Poisson problem driven by those fields; the log conductivity solves a
 second one whose right side rotates the same fields by twice the angle.
-Both solves need Dirichlet data: the angle on the whole boundary and the
-conductivity on the whole boundary, each an array with one value per node of
-`mesh.boundary_nodes`, in that sorted order.
+Each solve takes an operator that names the nodes it fixes, and data with one
+value per node of that operator's `fixed`, in that sorted order.  The full
+reconstruction fixes the whole boundary in both, through one shared Laplacian.
 """
 from __future__ import annotations
 
@@ -158,25 +158,27 @@ def sigma_rhs(theta: ScalarField, fields: TransferFields) -> VectorField:
     return VectorField(mesh, cos2 * base + sin2 * _rot90(base))
 
 
-def reconstruct_sigma(mesh: Mesh, G: VectorField, sigma_boundary: np.ndarray,
-                      *, operator: ConstrainedOperator | None = None):
-    """Conductivity from its boundary trace and the divergence of `G`.
+def reconstruct_sigma(mesh: Mesh, G: VectorField, sigma_fixed: np.ndarray,
+                      operator: ConstrainedOperator):
+    """Conductivity from its values at the operator's nodes and div `G`.
 
-    `sigma_boundary` holds the conductivity at each node of
-    `mesh.boundary_nodes`, in that sorted order.  The solve runs in log
+    `operator` is a unit-conductivity stiffness matrix constrained on some
+    nonempty node set, such as the mesh's `laplacian_operator`, and
+    `sigma_fixed` holds the conductivity at each node of `operator.fixed`, in
+    that sorted order.  Where the operator leaves boundary nodes free, the
+    natural condition d(log sigma)/dn = G.n holds.  The solve runs in log
     space, so the returned field is positive by construction whatever the
-    data quality.  `operator` is the mesh's `laplacian_operator`, built by
-    the solve when omitted.  Returns (ScalarField, SolveInfo).
+    data quality.  Returns (ScalarField, SolveInfo).
     """
-    nodes = mesh.boundary_nodes
-    sigma_boundary = fixed_values(nodes, sigma_boundary)
-    bad = nodes[sigma_boundary <= 0.0]
+    nodes = operator.fixed
+    sigma_fixed = fixed_values(nodes, sigma_fixed)
+    bad = nodes[sigma_fixed <= 0.0]
     if bad.size:
-        raise DomainError("boundary conductivity must be positive, offending "
-                          f"nodes {bad[:8].tolist()}")
+        raise DomainError("conductivity at fixed nodes must be positive, "
+                          f"offending nodes {bad[:8].tolist()}")
     # math.log, not np.log: the two differ in the last bit on some values
-    log_bc = np.fromiter(map(math.log, sigma_boundary), np.float64, count=nodes.size)
-    w, info = solve_poisson_weak_div(mesh, G, log_bc, operator=operator,
+    log_fixed = np.fromiter(map(math.log, sigma_fixed), np.float64, count=nodes.size)
+    w, info = solve_poisson_weak_div(mesh, G, log_fixed, operator=operator,
                                      return_info=True)
     return ScalarField(mesh, np.exp(w.values)), info
 
@@ -242,7 +244,7 @@ def run_algorithm1(mesh: Mesh, H: PowerDensity, theta_boundary: np.ndarray,
     theta, theta_info = solve_poisson_weak_div(mesh, fields.f, theta_boundary,
                                                operator=laplacian, return_info=True)
     G = sigma_rhs(theta, fields)
-    sigma, sigma_info = reconstruct_sigma(mesh, G, sigma_boundary, operator=laplacian)
+    sigma, sigma_info = reconstruct_sigma(mesh, G, sigma_boundary, laplacian)
     diagnostics = ReconDiagnostics(
         min_det=float(H.determinant().min()),
         d_clamp_count=int(H.d_clamp_nodes.size),

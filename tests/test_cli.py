@@ -147,7 +147,10 @@ class TestExportField:
         lambda row, after: ("", after),
         _nudge_x,
         _swap_ids,
-    ], ids=["bad-value", "five-columns", "blank", "coordinate-nudge", "swapped-ids"])
+        lambda row, after: (row.rsplit(",", 1)[0] + ", 1_0 ", after),
+        lambda row, after: (row + ".0", after),
+    ], ids=["bad-value", "five-columns", "blank", "coordinate-nudge", "swapped-ids",
+            "underscore-value", "trailing-zero"])
     def test_read_names_the_broken_line(self, tmp_path, change):
         # the header is line 1, so line 4 holds node 2 of the 217
         mesh = build_disk_mesh(0.3)

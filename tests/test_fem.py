@@ -255,7 +255,9 @@ def test_constraint_order_does_not_change_a_bit():
     assert np.array_equal(loop[order], mesh.dirichlet_nodes)
     u = solve_mixed(mesh, bump(mesh), g[order], operator=operator)
     assert np.array_equal(u.values[loop], g)
-    with pytest.raises(ContractError, match="other Dirichlet nodes"):
+    # an operator that fixes other nodes takes one value per node it fixes
+    with pytest.raises(ContractError, match=rf"expected {loop.size - 1} finite .* "
+                                            rf"got {loop.size},"):
         solve_mixed(mesh, bump(mesh), g[order], operator=constrain(A, loop[1:]))
 
 
@@ -264,6 +266,11 @@ def test_no_dirichlet_nodes_is_singular():
     assert untagged.dirichlet_nodes.size == 0
     with pytest.raises(SingularSystemError):
         solve_mixed(untagged, bump(untagged), [])
+
+
+def test_no_fixed_nodes_is_singular(small):
+    with pytest.raises(SingularSystemError, match="no fixed nodes"):
+        constrain(assemble_conductivity(small, bump(small)), [])
 
 
 def test_mixed_rejects_wrong_length(small):
@@ -335,6 +342,34 @@ def test_poisson_requires_full_boundary(medium):
     bc[7] = np.nan
     with pytest.raises(ContractError, match="1 not finite"):
         solve_poisson_weak_div(medium, F, bc)
+
+
+@pytest.mark.parametrize("h, method, tol", [(0.1, "direct", 1e-12), (0.04, "pcg", 1e-8)])
+def test_poisson_on_the_arc_only_reproduces_linear(h, method, tol):
+    # fixed on the controlled arc alone, the solve keeps the natural condition
+    # dw/dn = F.n on the no-flux arc, which w = x meets for F = grad x
+    mesh = tag_boundary(build_disk_mesh(h), GAMMA_MEDIUM)
+    ones = ScalarField(mesh, np.ones(mesh.n_vertices))
+    operator = constrain(assemble_conductivity(mesh, ones), mesh.dirichlet_nodes)
+    assert operator.fixed.size < mesh.boundary_nodes.size
+    F = VectorField(mesh, np.tile([1.0, 0.0], (mesh.n_triangles, 1)))
+    w, info = solve_poisson_weak_div(mesh, F, coord_bc(mesh), operator=operator,
+                                     return_info=True)
+    assert info.method == method
+    assert np.abs(w.values - mesh.vertices[:, 0]).max() <= tol
+
+
+def test_operator_from_another_mesh_is_refused(small, medium):
+    # the node counts differ both ways; each solve still takes one value per
+    # node the operator fixes
+    for mesh, other in ((small, medium), (medium, small)):
+        operator = fem.laplacian_operator(other)
+        values = np.zeros(operator.fixed.size)
+        F = VectorField(mesh, np.zeros((mesh.n_triangles, 2)))
+        with pytest.raises(ContractError):
+            solve_poisson_weak_div(mesh, F, values, operator=operator)
+        with pytest.raises(ContractError):
+            solve_mixed(mesh, bump(mesh), values, operator=operator)
 
 
 # -- gradients, projections, norms --------------------------------------------

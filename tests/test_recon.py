@@ -3,6 +3,7 @@ import pytest
 
 from aet2d import (
     GAMMA_FULL,
+    GAMMA_MEDIUM,
     PowerDensity,
     ScalarField,
     VectorField,
@@ -13,7 +14,12 @@ from aet2d import (
 )
 from aet2d import recon
 from aet2d.errors import ContractError, DomainError
-from aet2d.fem import solve_poisson_weak_div
+from aet2d.fem import (
+    assemble_conductivity,
+    constrain,
+    laplacian_operator,
+    solve_poisson_weak_div,
+)
 from aet2d.recon import (
     TransferFields,
     boundary_theta,
@@ -258,7 +264,8 @@ def test_sigma_rhs_zero_fields(disk):
 def test_sigma_from_zero_rhs(disk):
     zero = VectorField(disk, np.zeros((disk.n_triangles, 2)))
     for level in (1.0, np.e):
-        sigma, _ = reconstruct_sigma(disk, zero, np.full(disk.boundary_nodes.size, level))
+        sigma, _ = reconstruct_sigma(disk, zero, np.full(disk.boundary_nodes.size, level),
+                                     laplacian_operator(disk))
         assert np.abs(sigma.values - level).max() <= 1e-12 * level
 
 
@@ -268,18 +275,30 @@ def test_sigma_boundary_must_be_positive(disk):
     bc = np.ones(nodes.size)
     bc[[0, 5]] = 0.0, -1.0
     with pytest.raises(DomainError, match=rf"\[{nodes[0]}, {nodes[5]}\]"):
-        reconstruct_sigma(disk, zero, bc)
+        reconstruct_sigma(disk, zero, bc, laplacian_operator(disk))
 
 
 def test_sigma_boundary_must_cover_the_boundary(disk):
     zero = VectorField(disk, np.zeros((disk.n_triangles, 2)))
     n = disk.boundary_nodes.size
     with pytest.raises(ContractError, match=rf"expected {n} finite .* got {n + 1},"):
-        reconstruct_sigma(disk, zero, np.ones(n + 1))
+        reconstruct_sigma(disk, zero, np.ones(n + 1), laplacian_operator(disk))
     bc = np.ones(n)
     bc[3] = np.inf
     with pytest.raises(ContractError, match="1 not finite"):
-        reconstruct_sigma(disk, zero, bc)
+        reconstruct_sigma(disk, zero, bc, laplacian_operator(disk))
+
+
+def test_sigma_fixed_on_the_arc_only():
+    # an operator that fixes the controlled arc alone needs sigma there only
+    mesh = tag_boundary(build_disk_mesh(0.1), GAMMA_MEDIUM)
+    ones = ScalarField(mesh, np.ones(mesh.n_vertices))
+    operator = constrain(assemble_conductivity(mesh, ones), mesh.dirichlet_nodes)
+    G = VectorField(mesh, np.tile([1.0, 0.0], (mesh.n_triangles, 1)))
+    sigma_arc = np.exp(mesh.vertices[mesh.dirichlet_nodes, 0])
+    sigma, _ = reconstruct_sigma(mesh, G, sigma_arc, operator)
+    want = np.exp(mesh.vertices[:, 0])
+    assert np.abs(sigma.values / want - 1.0).max() <= 1e-12
 
 
 # -- end to end ------------------------------------------------------------------
