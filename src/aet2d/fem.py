@@ -26,12 +26,11 @@ scipy's own `sum_duplicates` adds them. A row's sum needs that row alone, so
 every sum is taken in the same order, bit for bit, while only one block's
 element rows (from `local_stiffness` for the stiffness matrix) are held.
 
-Systems below `DIRECT_SOLVE_LIMIT` free unknowns are solved by SuperLU, whose
-module `scipy.sparse.linalg` loads on the first such solve only, so
-`import aet2d` stays free of it and of `scipy.linalg`. Larger ones run Jacobi
-PCG to the relative residual `TOL`; a solve that has not reached it after
-`MAX_ITER` iterations raises NumericalError. Both are constants, read at call
-time, not parameters.
+Every constrained solve, whatever its size, runs Jacobi PCG to the relative
+residual `TOL`; a solve that has not reached it after `MAX_ITER` iterations
+raises NumericalError. Both are constants, read at call time, not
+parameters. No solve loads scipy's direct solvers (SuperLU, LAPACK): loading
+them alone raises a run's peak RSS by about 10 MB.
 """
 
 from __future__ import annotations
@@ -49,11 +48,6 @@ from .errors import (
     SingularSystemError,
 )
 from .mesh import Mesh, assemble_elements
-
-# Below this many free unknowns a sparse direct factorization is cheaper and
-# exact; above it the diagonally preconditioned CG takes over. Only small
-# test systems fall below it, so SuperLU is imported on first use.
-DIRECT_SOLVE_LIMIT = 3000
 
 # Conjugate-gradient iterations before a solve is reported stalled; each
 # h = 0.03 data solve takes about 1,400.
@@ -221,8 +215,8 @@ class ConstrainedOperator:
 
         `values` must hold one finite value per fixed node and `load` one
         value per node (ContractError otherwise). Constraints are eliminated
-        symmetrically; the free block is solved directly below
-        DIRECT_SOLVE_LIMIT unknowns, by Jacobi PCG above. Returns (values,
+        symmetrically and the free block is solved by Jacobi PCG; with no
+        free node there is nothing to solve ("trivial"). Returns (values,
         SolveInfo).
         """
         values = fixed_values(self.fixed, values)
@@ -235,15 +229,7 @@ class ConstrainedOperator:
         b = np.zeros(self.n) if load is None else load
         b_f = b[self.free] - self.coupling @ values
         A_ff = self.free_block
-
-        if len(self.free) < DIRECT_SOLVE_LIMIT:
-            from scipy.sparse.linalg import spsolve
-            x_f = spsolve(A_ff.tocsc(), b_f)
-            iterations = 0
-            method = "direct"
-        else:
-            x_f, iterations = _pcg(A_ff, b_f)
-            method = "pcg"
+        x_f, iterations = _pcg(A_ff, b_f)
         if not np.all(np.isfinite(x_f)):
             raise NumericalError("linear solve produced non-finite values")
 
@@ -252,7 +238,7 @@ class ConstrainedOperator:
         if res > 100.0 * TOL:
             raise NumericalError(f"linear solve inaccurate: relative residual {res:.3e}")
         x[self.free] = x_f
-        return x, SolveInfo(method, iterations, float(res))
+        return x, SolveInfo("pcg", iterations, float(res))
 
 
 def constrain(matrix: sp.csr_matrix, fixed) -> ConstrainedOperator:

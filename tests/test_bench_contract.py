@@ -6,8 +6,16 @@ passes `return_info=True` to the wrapped solves, and hands
 A change that drops any of these makes every benchmark unit fail; here it
 fails a test instead. The harness is imported read-only: it is executed from
 its file without writing bytecode next to it.
+
+The `noise-sweep` workload's reference check runs here too, at h = 0.06, so a
+solver change that moves `sigma_error` past the benchmark's tolerance fails
+tier-1 as well; it only reads `bench/`.
 """
+import ast
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -18,7 +26,8 @@ import aet2d
 import aet2d.cli
 from aet2d import NoiseSpec, RunConfig, SolveInfo
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SPANS = BENCH / "spans.py"
 
 # sites the harness names that the package no longer has; the benchmark
 # change that drops them from `bench/spans.py` empties this set
@@ -93,3 +102,44 @@ def test_cli_forward_then_reconstruct(tracer, tmp_path):
     assert_traced(tracer, mixed=2, poisson=2)
     assert tracer.counts["cli.read_calls"] == 4  # the four field files
     assert tracer.counts["cli.files_written"] > 0
+
+
+def _bench_constant(name: str):
+    """A constant `bench/run.py` assigns, read from its source without running it."""
+    tree = ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == [name])
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@pytest.mark.skipif(_usable_cpus() < 2,
+                    reason="the reference was recorded at two BLAS threads")
+def test_noise_sweep_matches_the_reference():
+    # seeds 0 and 63 are the first and last the reference records
+    reference = json.loads((BENCH / "reference.json").read_text(encoding="ascii"))
+    code = ("import json, aet2d\n"
+            "for seed in (0, 63):\n"
+            "    config = aet2d.RunConfig(case='case2', gamma='medium', target_h=0.06,\n"
+            "                             noise=aet2d.NoiseSpec(seed=seed))\n"
+            "    print(json.dumps([[r.alpha_percent, r.eig_floor, r.noise_seed, r.sigma_error]\n"
+            "                      for r in aet2d.noise_sweep(config)]))")
+    src = str(Path(aet2d.__file__).resolve().parents[1])
+    env = dict(os.environ, OMP_NUM_THREADS="2", OPENBLAS_NUM_THREADS="2",
+               MKL_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True)
+    assert run.returncode == 0, run.stderr
+    rtol = _bench_constant("SIGMA_RTOL")
+    table = reference["h0.06"]["sigma_error"]
+    records = [record for line in run.stdout.splitlines() for record in json.loads(line)]
+    assert [record[2] for record in records] == [0, 0, 0, 63, 63, 63]
+    for alpha, floor, seed, got in records:
+        want = table[f"{alpha:g}/{floor:g}"][seed]
+        assert abs(got - want) <= rtol * abs(want), (alpha, seed, got, want)

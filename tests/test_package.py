@@ -60,10 +60,20 @@ def test_readme_examples_run():
 @pytest.mark.parametrize("module", ["scipy.spatial", "scipy.sparse.linalg",
                                     "scipy.linalg"])
 def test_import_does_not_load(module):
-    # SuperLU (scipy.sparse.linalg, which pulls in scipy.linalg) loads on
-    # the first direct solve only
     code = f"import sys, aet2d; print({module!r} in sys.modules)"
     assert _fresh_python(code).strip() == "False"
+
+
+def test_runs_do_not_load_scipy_linear_algebra():
+    # every solve runs PCG in numpy; loading SuperLU (scipy.sparse.linalg,
+    # which pulls in scipy.linalg) alone raises the peak RSS by 10.2 MB
+    code = ("import sys, aet2d\n"
+            "config = aet2d.RunConfig(case='case2', gamma='medium', target_h=0.3,\n"
+            "                         noise=aet2d.NoiseSpec(alpha_percent=5.0, seed=1))\n"
+            "aet2d.run_pipeline(config)\n"
+            "aet2d.noise_sweep(config)\n"
+            "print(sorted({'scipy.sparse.linalg', 'scipy.linalg'} & set(sys.modules)))")
+    assert _fresh_python(code).strip() == "[]"
 
 
 def _peak_rise_mb(setup: str, work: str) -> float:

@@ -181,9 +181,9 @@ class TestReconStage:
 
 class TestRunPipeline:
     def test_constant_case_recovers_exactly(self):
-        # h = 0.3 solves directly, exact to 3e-15; at h = 0.15 PCG leaves the
-        # zero angle truth a roundoff norm of about 1e-9, which the metrics
-        # must not divide by
+        # PCG leaves the errors under 4e-10 and det H within 6e-9 of 4 on
+        # both meshes; it also leaves the zero angle truth a roundoff norm,
+        # about 1e-9 at h = 0.15, which the metrics must not divide by
         for target_h in (0.3, 0.15):
             out = run_pipeline(RunConfig(case="constant", gamma="full",
                                          target_h=target_h))
