@@ -91,7 +91,6 @@ _KEYS = {
     "mesh.target_h": ("target_h", float),
     "mesh.refine_levels": ("refine_levels", int),
     "gamma.preset": ("gamma", str),
-    "gamma.arcs": ("gamma_arcs", _parse_arcs),
     "sigma.case": ("case", str),
     "noise.alpha_percent": ("alpha_percent", float),
     "noise.seed": ("seed", int),
@@ -119,8 +118,8 @@ def _convert(key: str, value: str):
 def parse_config(text: str) -> Job:
     """Flat dotted-key config text to a validated Job.
 
-    A config that sets `gamma.arcs` but no `gamma.preset` labels its run
-    `custom`.
+    The controlled arc is the preset `gamma.preset` names.  An unknown,
+    duplicate or malformed entry raises ParameterError naming it.
     """
     seen: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -138,8 +137,6 @@ def parse_config(text: str) -> Job:
         seen[key] = value
 
     kwargs = {"run": {}, "noise": {}, "output": {}}
-    if "gamma.arcs" in seen and "gamma.preset" not in seen:
-        kwargs["run"]["gamma"] = "custom"
     for key, value in seen.items():
         name, parsed = _convert(key, value)
         section = key.split(".", 1)[0]

@@ -375,10 +375,7 @@ def project_to_nodes(mesh: Mesh, element_values: np.ndarray) -> np.ndarray:
 
     Accepts per-element scalars (T,) or vectors (T, 2); returns (N,) or (N, 2).
     """
-    if isinstance(element_values, VectorField):
-        vals = element_values.vectors
-    else:
-        vals = np.asarray(element_values, dtype=np.float64)
+    vals = np.asarray(element_values, dtype=np.float64)
     if vals.shape[0] != mesh.n_triangles:
         raise ContractError("expected one value per triangle")
     areas, den = mesh.areas, mesh.star_areas

@@ -36,73 +36,36 @@ def canonical_angle(t):
 # Boundary arc specification
 # ---------------------------------------------------------------------------
 
-def _canonical_arc(a: float, b: float) -> tuple[float, float]:
-    """[a, b) moved by whole turns so that a lies in [0, 2*pi), width kept."""
-    start = a % TWO_PI
-    if start == TWO_PI:  # a tiny negative a rounds up to a whole turn
-        start = 0.0
-    return (a, b) if start == a else (start, start + (b - a))
-
-
 @dataclass(frozen=True)
 class BoundarySpec:
-    """The controlled boundary arc as half-open angle intervals [a, b).
+    """The controlled boundary arc, the half-open angle interval [start, end).
 
-    Intervals are read counterclockwise; b may exceed 2*pi to express arcs
-    crossing the positive x-axis. Intervals must be non-empty, pairwise
-    disjoint modulo 2*pi, and cover at most the full circle. Each is stored
-    moved by whole turns to start in [0, 2*pi), so arcs that differ by whole
-    turns give equal specs and classify every angle alike.
+    The arc is read counterclockwise from `start`, which lies in [0, 2*pi);
+    its width `end - start` lies in (0, 2*pi], so `end` passes 2*pi on an arc
+    that crosses the positive x-axis.
     """
 
-    arcs: tuple[tuple[float, float], ...]
+    start: float
+    end: float
 
     def __post_init__(self):
-        if not self.arcs:
-            raise ParameterError("BoundarySpec needs at least one arc")
-        arcs = []
-        for a, b in self.arcs:
-            a, b = float(a), float(b)
-            if not (0.0 < b - a <= TWO_PI + 1e-12):
-                raise ParameterError(f"arc [{a}, {b}) must have width in (0, 2*pi]")
-            arcs.append(_canonical_arc(a, b))
-        object.__setattr__(self, "arcs", tuple(arcs))
-        segments = []
-        for start, b in arcs:
-            end = start + min(b - start, TWO_PI)
-            if end <= TWO_PI + 1e-12:
-                segments.append((start, end))
-            else:
-                segments.append((start, TWO_PI))
-                segments.append((0.0, end - TWO_PI))
-        segments.sort()
-        for (_, e0), (s1, _) in zip(segments, segments[1:]):
-            if s1 < e0 - 1e-12:
-                raise ParameterError("arcs overlap modulo 2*pi")
-        if self.measure() > TWO_PI + 1e-12:
-            raise ParameterError("total arc measure exceeds 2*pi")
-
-    def measure(self) -> float:
-        """Total angular measure of the arcs."""
-        return sum(min(b - a, TWO_PI) for a, b in self.arcs)
+        if not (0.0 <= self.start < TWO_PI and 0.0 < self.end - self.start <= TWO_PI):
+            raise ParameterError(f"arc [{self.start}, {self.end}) must start in "
+                                 "[0, 2*pi) and have width in (0, 2*pi]")
 
     def contains(self, t) -> np.ndarray:
         """Vectorized membership test for angles t (any canonical branch)."""
         t = np.asarray(t, dtype=float)
-        inside = np.zeros(t.shape, dtype=bool)
-        for a, b in self.arcs:
-            width = min(b - a, TWO_PI)
-            if width >= TWO_PI - 1e-15:
-                inside |= True
-            else:
-                inside |= np.mod(t - a, TWO_PI) < width
-        return inside
+        width = self.end - self.start
+        if width >= TWO_PI - 1e-15:
+            return np.ones(t.shape, dtype=bool)
+        return np.mod(t - self.start, TWO_PI) < width
 
 
-GAMMA_FULL = BoundarySpec(((0.0, TWO_PI),))
-GAMMA_LARGE = BoundarySpec(((3 * math.pi / 8, 17 * math.pi / 8),))
-GAMMA_MEDIUM = BoundarySpec(((3 * math.pi / 4, 7 * math.pi / 4),))
-GAMMA_SMALL = BoundarySpec(((9 * math.pi / 8, 11 * math.pi / 8),))
+GAMMA_FULL = BoundarySpec(0.0, TWO_PI)
+GAMMA_LARGE = BoundarySpec(3 * math.pi / 8, 17 * math.pi / 8)
+GAMMA_MEDIUM = BoundarySpec(3 * math.pi / 4, 7 * math.pi / 4)
+GAMMA_SMALL = BoundarySpec(9 * math.pi / 8, 11 * math.pi / 8)
 
 GAMMA_PRESETS = {
     "full": GAMMA_FULL,

@@ -74,7 +74,7 @@ def _sweep_records(configs: list[RunConfig]) -> list[ExperimentRecord]:
 def table_gamma_sweep(config: RunConfig) -> list[ExperimentRecord]:
     """Both cases against shrinking control arcs, noiseless."""
     return _sweep_records([
-        replace(config, case=case, gamma=gamma, gamma_arcs=None, noise=NoiseSpec())
+        replace(config, case=case, gamma=gamma, noise=NoiseSpec())
         for case in ("case1", "case2") for gamma in ("large", "medium", "small")])
 
 
@@ -96,7 +96,7 @@ def table_mesh_sweep(config: RunConfig) -> list[ExperimentRecord]:
             f"levels further and refine_levels is at most {MAX_REFINE_LEVELS}, "
             f"so it must be at most {MAX_REFINE_LEVELS - 2}")
     return _sweep_records([
-        replace(config, case="case1", gamma="medium", gamma_arcs=None,
+        replace(config, case="case1", gamma="medium",
                 refine_levels=config.refine_levels + step, noise=NoiseSpec())
         for step in range(3)])
 
@@ -108,7 +108,7 @@ def noise_sweep(config: RunConfig) -> list[ExperimentRecord]:
     forward stage.
     """
     return _sweep_records([
-        replace(config, case="case2", gamma="medium", gamma_arcs=None,
+        replace(config, case="case2", gamma="medium",
                 noise=NoiseSpec(alpha_percent=alpha, seed=config.noise.seed,
                                 eig_floor=floor))
         for alpha, floor in NOISE_LADDER])

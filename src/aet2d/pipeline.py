@@ -38,8 +38,7 @@ MAX_REFINE_LEVELS = 6
 class RunConfig:
     """Everything a run depends on; validated on construction.
 
-    `gamma` names a preset unless `gamma_arcs` gives explicit intervals, in
-    which case the name is kept only as a label for records.  `refine_levels`
+    `gamma` names the preset of the controlled arc.  `refine_levels`
     counts extra refinements of the reconstruction mesh; the data mesh is
     always one refinement finer.  `unwrap_arcs` of None selects automatic
     unwrapping of the boundary angle.
@@ -47,7 +46,6 @@ class RunConfig:
 
     case: str = "case1"
     gamma: str = "medium"
-    gamma_arcs: tuple[tuple[float, float], ...] | None = None
     target_h: float = 0.03
     refine_levels: int = 0
     noise: NoiseSpec = field(default_factory=NoiseSpec)
@@ -57,7 +55,7 @@ class RunConfig:
         # every bound a stage checks is checked here, before anything runs
         if self.case not in CASES:
             raise ParameterError(f"unknown conductivity case {self.case!r}")
-        if self.gamma_arcs is None and self.gamma not in GAMMA_PRESETS:
+        if self.gamma not in GAMMA_PRESETS:
             raise ParameterError(f"unknown boundary preset {self.gamma!r}")
         if not 0.0 < self.target_h < 1.0:
             raise ParameterError("target_h must lie in (0, 1)")
@@ -66,10 +64,6 @@ class RunConfig:
             raise ParameterError(f"refine_levels must be an integer in 0..{MAX_REFINE_LEVELS}")
         if not isinstance(self.noise, NoiseSpec):
             raise ParameterError("noise must be a NoiseSpec")
-        if self.gamma_arcs is not None:
-            object.__setattr__(self, "gamma_arcs",
-                               tuple((float(a), float(b)) for a, b in self.gamma_arcs))
-            BoundarySpec(self.gamma_arcs)
         if self.unwrap_arcs is not None:
             object.__setattr__(self, "unwrap_arcs",
                                tuple((float(a), float(b)) for a, b in self.unwrap_arcs))
@@ -78,8 +72,6 @@ class RunConfig:
                 raise ParameterError("unwrap_arcs endpoints must be finite")
 
     def boundary_spec(self) -> BoundarySpec:
-        if self.gamma_arcs is not None:
-            return BoundarySpec(self.gamma_arcs)
         return GAMMA_PRESETS[self.gamma]
 
     def conductivity(self) -> TestCaseConductivity:

@@ -84,8 +84,8 @@ def _bulk_angle_residual(fwd, fields) -> float:
     # carry data-solve gradient singularities where neither derivative
     # route is resolved, and they sharpen rather than converge
     mesh = fwd.recon_mesh
-    grad_true = project_to_nodes(mesh, angle_gradient(mesh, fwd.theta_true))
-    drive = project_to_nodes(mesh, fields.f)
+    grad_true = project_to_nodes(mesh, angle_gradient(mesh, fwd.theta_true).vectors)
+    drive = project_to_nodes(mesh, fields.f.vectors)
     bulk = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1]) <= 0.9
     return float(np.linalg.norm(grad_true[bulk] - drive[bulk])
                  / np.linalg.norm(grad_true[bulk]))

@@ -60,23 +60,15 @@ class TestParseConfig:
         assert job.formats == ("csv", "vtk")
 
     def test_explicit_arcs(self):
-        job = parse_config("gamma.arcs = 0.5, 1.5; 3.0, 4.0\n"
-                           "recon.unwrap_arcs = 2.0, 2.5\n")
-        assert job.config.gamma_arcs == ((0.5, 1.5), (3.0, 4.0))
-        assert job.config.unwrap_arcs == ((2.0, 2.5),)
-
-    def test_explicit_arcs_without_a_preset_are_labelled_custom(self):
-        arcs = "gamma.arcs = 0.5, 2.5; 3.0, 4.0\n"
-        assert parse_config(arcs).config.gamma == "custom"
-        assert parse_config(arcs + "gamma.preset = small\n").config.gamma == "small"
-        assert parse_config("gamma.preset = small\n").config.gamma == "small"
+        job = parse_config("recon.unwrap_arcs = 2.0, 2.5; 3.0, 4.0\n")
+        assert job.config.unwrap_arcs == ((2.0, 2.5), (3.0, 4.0))
 
     @pytest.mark.parametrize("line,fragment", [
         ("mesh.targeth = 0.1", "mesh.targeth"),
         ("mesh.target_h = fine", "mesh.target_h"),
         ("mesh.target_h = 0.1\nmesh.target_h = 0.2", "duplicate"),
         ("mesh.target_h 0.1", "key = value"),
-        ("gamma.arcs = 0.5, 1.5, 3.0", "even number"),
+        ("recon.unwrap_arcs = 0.5, 1.5, 3.0", "even number"),
         ("output.formats = csv, png", "png"),
         ("gamma.preset = tiny", "tiny"),
         ("noise.seed = -1", "seed"),
@@ -251,27 +243,22 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("line", ["data.eps_d = 1e-13",
                                       "sigma.constant_value = 3",
-                                      "solver.tol = 1e-11"])
+                                      "solver.tol = 1e-11",
+                                      "solver.max_iter = 500",
+                                      "gamma.arcs = 0.5, 2.5"])
     def test_removed_settings_are_unknown_keys(self, tmp_path, capsys, line):
-        # the determinant-root floor, the constant phantom's level and the
-        # solver precision are the constants aet2d.forward.EPS_D,
-        # aet2d.forward.CONSTANT and aet2d.fem.TOL
+        # the determinant-root floor, the constant phantom's level, the
+        # solver precision and its iteration cap are the constants
+        # aet2d.forward.EPS_D, aet2d.forward.CONSTANT, aet2d.fem.TOL and
+        # aet2d.fem.MAX_ITER, and the controlled arc is the preset
+        # gamma.preset names
         cfg = write_config(tmp_path, COARSE + line + "\n")
         assert run_cli("run", "--config", cfg, "--out", str(tmp_path / "o")) == 1
         key = line.split(" =")[0]
-        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"unknown config key {key!r}" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "o" / "record.csv").exists()
-
-    def test_iteration_cap_is_not_a_config_key(self, tmp_path, capsys):
-        # the cap is the constant aet2d.fem.MAX_ITER
-        cfg = write_config(tmp_path, COARSE + "solver.max_iter = 500\n")
-        assert run_cli("run", "--config", cfg, "--out", str(tmp_path / "o")) == 1
-        assert "unknown config key 'solver.max_iter'" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "record.csv").exists()
-
-    def test_zero_measure_arc_is_config_error(self, tmp_path):
-        cfg = write_config(tmp_path, COARSE + "gamma.arcs = 0.5, 0.5\n")
-        assert run_cli("run", "--config", cfg, "--out", str(tmp_path)) == 1
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli("run", "--config", str(tmp_path / "nope.cfg")) == 1
@@ -344,24 +331,18 @@ class TestMalformedStageFiles:
         assert name in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("made,text,key", [
-        (None, "mesh.target_h = 0.35\n", "mesh.target_h"),
-        (None, COARSE + "gamma.preset = large\n", "gamma.preset"),
-        (None, COARSE + "sigma.case = case2\n", "sigma.case"),
-        (COARSE + "gamma.arcs = 0.5, 2.5\n",
-         COARSE + "gamma.arcs = 0.5, 2.5\ngamma.preset = large\n", "gamma.preset"),
-    ], ids=["target_h", "gamma", "case", "gamma-label"])
+    @pytest.mark.parametrize("text,key", [
+        ("mesh.target_h = 0.35\n", "mesh.target_h"),
+        (COARSE + "gamma.preset = large\n", "gamma.preset"),
+        (COARSE + "sigma.case = case2\n", "sigma.case"),
+        (COARSE + "mesh.refine_levels = 1\n", "mesh.refine_levels"),
+    ], ids=["target_h", "gamma", "case", "refine_levels"])
     def test_reconstruct_rejects_another_config(self, stage, tmp_path, capsys,
-                                                made, text, key):
-        # the stage is well formed but was made with another mesh, arc,
-        # phantom or arc label; reconstructing it would record this config's
-        # labels
+                                                text, key):
+        # the stage is well formed but was made with another mesh, arc or
+        # phantom; reconstructing it would record this config's labels
         out = tmp_path / "stage"
-        if made is None:
-            shutil.copytree(stage[1], out)
-        else:
-            assert run_cli("forward", "--config", write_config(tmp_path, made, "made.cfg"),
-                           "--out", str(out), "--quiet") == 0
+        shutil.copytree(stage[1], out)
         cfg = write_config(tmp_path, text)
         assert run_cli("reconstruct", "--config", cfg, "--out", str(out),
                        "--quiet") == 1
@@ -535,8 +516,7 @@ class TestReadmeConfigTable:
         empty = parse_config("")
         concrete = [(key, cell[1:-1]) for key, cell in readme_config_rows()
                     if re.fullmatch(r"`[^`]+`", cell)]
-        # every key but the two whose default is unset has a concrete one
-        assert {key for key, _ in concrete} == set(cli._KEYS) - {"gamma.arcs",
-                                                                 "recon.unwrap_arcs"}
+        # every key but the one whose default is unset has a concrete one
+        assert {key for key, _ in concrete} == set(cli._KEYS) - {"recon.unwrap_arcs"}
         for key, default in concrete:
             assert parse_config(f"{key} = {default}\n") == empty, key

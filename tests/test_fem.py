@@ -405,12 +405,6 @@ def test_project_vector_shape(small):
     assert proj.shape == (small.n_vertices, 2)
 
 
-def test_project_accepts_vector_field(small):
-    cent = small.vertices[small.triangles].mean(axis=1)
-    wrapped = project_to_nodes(small, VectorField(small, cent))
-    assert np.array_equal(wrapped, project_to_nodes(small, cent))
-
-
 @pytest.mark.parametrize("level", [0, 1])
 def test_element_mean_is_the_gathered_mean_bit_for_bit(level):
     mesh = build_disk_mesh(0.2)

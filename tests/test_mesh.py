@@ -58,16 +58,17 @@ def test_canonical_angle_interval():
 # -- BoundarySpec ------------------------------------------------------------
 
 def test_boundary_spec_validation():
-    with pytest.raises(ParameterError):
-        BoundarySpec(())
-    with pytest.raises(ParameterError):
-        BoundarySpec(((0.0, 0.0),))
-    with pytest.raises(ParameterError):
-        BoundarySpec(((0.0, 3 * np.pi),))
-    with pytest.raises(ParameterError):
-        BoundarySpec(((0.0, 1.0), (0.5, 1.5)))  # overlap
-    with pytest.raises(ParameterError):
-        BoundarySpec(((0.0, np.pi), (np.pi, 2.5 * np.pi)))  # wraps onto first
+    for start, end in ((-0.5, 1.0),                  # starts below 0
+                       (-1e-300, 1.0),
+                       (TWO_PI, TWO_PI + 1.0),       # starts at a whole turn
+                       (7.0, 8.0),
+                       (1.0, 1.0),                   # zero width
+                       (2.0, 1.0),
+                       (0.0, 3 * np.pi),             # wider than the circle
+                       (1.0, 1.0 + TWO_PI + 1e-9),
+                       (np.nan, 1.0), (1.0, np.nan)):
+        with pytest.raises(ParameterError):
+            BoundarySpec(start, end)
 
 
 def test_boundary_spec_membership_wrapping():
@@ -78,9 +79,14 @@ def test_boundary_spec_membership_wrapping():
     assert GAMMA_SMALL.contains(canonical_angle(9.5 * np.pi / 8))
     assert not GAMMA_SMALL.contains(0.0)
     assert GAMMA_FULL.contains(np.linspace(-np.pi, np.pi, 33)).all()
-    assert GAMMA_LARGE.measure() == pytest.approx(7 * np.pi / 4)
-    assert GAMMA_MEDIUM.measure() == pytest.approx(np.pi)
-    assert GAMMA_SMALL.measure() == pytest.approx(np.pi / 4)
+    # each preset tags its README share of the rim, to within one edge
+    mesh = build_disk_mesh(0.06)
+    shares = ((GAMMA_FULL, 1.0), (GAMMA_LARGE, 7 / 8), (GAMMA_MEDIUM, 1 / 2),
+              (GAMMA_SMALL, 1 / 8))
+    for m in (mesh, refine(mesh)):
+        for spec, share in shares:
+            tags = tag_boundary(m, spec).boundary_tags
+            assert abs(np.count_nonzero(tags == DIRICHLET) - share * len(tags)) <= 1
 
 
 # -- generator ---------------------------------------------------------------

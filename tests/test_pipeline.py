@@ -31,25 +31,25 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"case": "case3"},
-        {"gamma_arcs": ()},
+        {"gamma": "custom"},
         {"gamma": "huge"},
         {"target_h": 0.0},
         {"target_h": 1.5},
         {"refine_levels": -1},
         {"refine_levels": 7},
-        {"gamma_arcs": ((1.0, 1.0),)},
-        {"gamma_arcs": ((float("nan"), 1.0),)},
+        {"gamma": "Medium"},
+        {"case": ""},
         {"refine_levels": "1"},
         {"noise": 0.05},
         {"target_h": 1.0},
         {"refine_levels": 1.5},
-        {"gamma_arcs": ((2.0, 1.0),)},
+        {"target_h": -0.1},
         {"unwrap_arcs": ((float("nan"), 1.0),)},
         {"unwrap_arcs": ((0.5, 1.0), (2.0, float("inf")))},
         {"target_h": float("inf")},
         {"noise": None},
-        {"gamma_arcs": ((0.0, 2.0), (1.0, 3.0))},
-        {"gamma_arcs": ((0.0, 7.0),)},
+        {"refine_levels": 2.0},
+        {"unwrap_arcs": ((float("-inf"), 1.0),)},
         {"target_h": float("nan")},
         {"refine_levels": True},
         {"noise": {"seed": True}},
@@ -60,10 +60,6 @@ class TestRunConfig:
             if isinstance(kwargs.get("noise"), dict):
                 kwargs = {**kwargs, "noise": NoiseSpec(**kwargs["noise"])}
             RunConfig(**kwargs)
-
-    def test_explicit_arcs_override_preset_name(self):
-        cfg = RunConfig(gamma="custom", gamma_arcs=((0.0, np.pi),))
-        assert cfg.boundary_spec().arcs == ((0.0, np.pi),)
 
 
 class TestForwardStage:

@@ -13,67 +13,27 @@ from hypothesis import strategies as st
 from aet2d import (BoundarySpec, Mesh, ScalarField, boundary_theta, build_disk_mesh,
                    floor_symmetric_2x2, refine)
 from aet2d.cli import main
-from aet2d.errors import ContractError, ParameterError
+from aet2d.errors import ContractError
 from aet2d.forward import restrict
 
 TWO_PI = 2.0 * math.pi
 turns = st.integers(-3, 3).filter(bool)
 
-# TWO_PI is a multiple of 2**-47 (its last three mantissa bits are zero), so
-# angles on this grid below 32 in magnitude move by up to three whole turns
-# without rounding
-GRID = 2.0 ** -47
 
-
-@given(start=st.floats(-10.0, 10.0), width=st.floats(1e-3, TWO_PI),
-       inside=st.floats(1e-6, 1.0 - 1e-6), width2=st.floats(1e-3, 3.0),
-       turn=turns)
-def test_boundary_spec_rejects_overlap_across_two_pi(start, width, inside,
-                                                     width2, turn):
-    # the second arc starts inside the first, moved whole turns away, so the
-    # two are disjoint on the line and overlap on the circle
-    begin = start + inside * width + turn * TWO_PI
-    with pytest.raises(ParameterError, match="overlap"):
-        BoundarySpec(((start, start + width), (begin, begin + width2)))
-
-
-@given(start=st.floats(-10.0, 10.0), width=st.floats(1e-3, TWO_PI - 1e-3),
-       turn=turns,
+@given(start=st.floats(0.0, TWO_PI, exclude_max=True),
+       width=st.floats(1e-3, TWO_PI - 1e-3), turn=turns,
        t=st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=40))
 def test_contains_is_unchanged_by_a_whole_turn(start, width, turn, t):
     t = np.array(t)
-    shift = start + turn * TWO_PI
-    got = BoundarySpec(((shift, shift + width),)).contains(t)
-    want = BoundarySpec(((start, start + width),)).contains(t)
-    # the shifted endpoints round differently; compare away from them
+    spec = BoundarySpec(start, start + width)
+    got = spec.contains(t + turn * TWO_PI)
+    want = spec.contains(t)
+    # the moved angles round differently; compare away from the endpoints
     clear = np.ones(t.shape, dtype=bool)
     for end in (start, start + width):
         gap = np.mod(t - end, TWO_PI)
         clear &= np.minimum(gap, TWO_PI - gap) > 1e-9
     assert np.array_equal(got[clear], want[clear])
-
-
-@given(start=st.integers(0, int(TWO_PI / GRID) - 1),
-       width=st.integers(1, int(TWO_PI / GRID)), turn=turns,
-       t=st.lists(st.floats(-10.0, 10.0), max_size=20))
-def test_arcs_a_whole_turn_apart_are_one_spec(start, width, turn, t):
-    start, width = start * GRID, width * GRID
-    moved = start + turn * TWO_PI
-    assert moved - turn * TWO_PI == start  # the move is exact
-    base = BoundarySpec(((start, start + width),))
-    other = BoundarySpec(((moved, moved + width),))
-    assert other == base
-    probe = np.array(t + [v for end in (start, start + width, moved, moved + width)
-                          for v in (np.nextafter(end, -np.inf), end,
-                                    np.nextafter(end, np.inf))])
-    assert np.array_equal(other.contains(probe), base.contains(probe))
-
-
-@given(start=st.floats(-30.0, 30.0), width=st.floats(1e-3, TWO_PI))
-def test_arcs_are_stored_from_zero_to_two_pi(start, width):
-    (a, b), = BoundarySpec(((start, start + width),)).arcs
-    assert 0.0 <= a < TWO_PI
-    assert b - a == pytest.approx(width, abs=1e-13)
 
 
 entry = st.floats(-1e3, 1e3)
