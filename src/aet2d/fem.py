@@ -26,6 +26,12 @@ scipy's own `sum_duplicates` adds them. A row's sum needs that row alone, so
 every sum is taken in the same order, bit for bit, while only one block's
 element rows (from `local_stiffness` for the stiffness matrix) are held.
 
+No P1 basis is kept per mesh. Assembly computes the gradient coefficients of
+one block's triangles at a time, and `element_gradient` and the weak
+divergence load one vertex column (b_k, c_k) at a time, with the same
+subtractions and sums in the same order, so every value is the one the whole
+(T, 3) coefficient arrays give.
+
 Every constrained solve, whatever its size, runs Jacobi PCG to the relative
 residual `TOL`; a solve that has not reached it after `MAX_ITER` iterations
 raises NumericalError. Both are constants, read at call time, not
@@ -47,7 +53,7 @@ from .errors import (
     NumericalError,
     SingularSystemError,
 )
-from .mesh import Mesh, assemble_elements
+from .mesh import Mesh, assemble_elements, basis_coefficients, basis_column
 
 # Conjugate-gradient iterations before a solve is reported stalled; each
 # h = 0.03 data solve takes about 1,400.
@@ -102,29 +108,29 @@ class SolveInfo:
 # Assembly
 # ---------------------------------------------------------------------------
 
-def local_stiffness(b, c, scale, t, i) -> np.ndarray:
+def local_stiffness(b, c, scale, i) -> np.ndarray:
     """Rows of P1 element stiffness matrices, as `assemble_elements` takes them.
 
     Parameters
     ----------
-    b, c : (T, 3) basis coefficients, grad phi_j = (b_j, c_j) / (2 * area),
-        as `Mesh.basis` holds them.
-    scale : (T,) vertex mean of sigma over 4 * area per triangle; vertex
-        quadrature reduces to scaling the constant-sigma matrix by that mean.
-    t, i : (S,) triangle ids and local rows (0, 1 or 2).
+    b, c : (S, 3) basis coefficients of each row's triangle, grad phi_j =
+        (b_j, c_j) / (2 * area), as `aet2d.mesh.basis_coefficients` gives
+        them for those triangles.
+    scale : (S,) vertex mean of sigma over 4 * area of each row's triangle;
+        vertex quadrature reduces to scaling the constant-sigma matrix by
+        that mean.
+    i : (S,) local rows (0, 1 or 2).
 
     Returns
     -------
-    (S, 3) rows: entry [s, j] is (b_i b_j + c_i c_j) * scale of triangle
-    t[s], with i = i[s], evaluated in that order.
+    (S, 3) rows: entry [s, j] is (b_i b_j + c_i c_j) * scale of row s,
+    with i = i[s], evaluated in that order.
     """
-    slot = 3 * t + i  # flat position of (b, c)[t, i]
-    K = np.take(b, t, axis=0)
-    K *= np.take(b, slot)[:, None]
-    cc = np.take(c, t, axis=0)
-    cc *= np.take(c, slot)[:, None]
+    pick = np.arange(0, 3 * len(i), 3) + i  # flat position of (b, c)[s, i[s]]
+    K = b * np.take(b, pick)[:, None]
+    cc = c * np.take(c, pick)[:, None]
     K += cc
-    K *= np.take(scale, t)[:, None]
+    K *= scale[:, None]
     return K
 
 
@@ -147,8 +153,13 @@ def assemble_conductivity(mesh: Mesh, sigma: ScalarField) -> sp.csr_matrix:
         raise DomainError(f"sigma must be positive; offending nodes {bad[:10].tolist()}")
     scale = element_mean(mesh, sigma.values)
     scale /= 4.0 * mesh.areas
-    b, c = mesh.basis
-    return assemble_elements(mesh, lambda t, i: local_stiffness(b, c, scale, t, i))
+
+    def element_rows(t, i):
+        # the basis of this block's triangles only
+        b, c = basis_coefficients(mesh.vertices, np.take(mesh.triangles, t, axis=0))
+        return local_stiffness(b, c, np.take(scale, t), i)
+
+    return assemble_elements(mesh, element_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +333,16 @@ def solve_poisson_weak_div(mesh: Mesh, F: VectorField, boundary_values: np.ndarr
     if F.mesh is not mesh:
         raise ContractError("F lives on a different mesh")
 
-    b, c = mesh.basis
-    # integral over K of F.grad(phi_i) = (b_i Fx + c_i Fy)/2
-    contrib = 0.5 * (b * F.vectors[:, 0, None] + c * F.vectors[:, 1, None])
+    # integral over K of F.grad(phi_k) = (b_k Fx + c_k Fy)/2, one vertex
+    # column at a time, laid out as the triangles are for the vertex sums
+    Fx, Fy = F.vectors[:, 0], F.vectors[:, 1]
+    contrib = np.empty((mesh.n_triangles, 3))
+    for k in range(3):
+        b, c = basis_column(mesh.vertices, mesh.triangles, k)
+        b *= Fx
+        c *= Fy
+        b += c
+        np.multiply(0.5, b, out=contrib[:, k])
     rhs = np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
                       minlength=mesh.n_vertices)
     if operator is None:
@@ -342,17 +360,23 @@ def element_gradient(mesh: Mesh, field: ScalarField) -> VectorField:
     """Exact gradient of the P1 interpolant, constant per triangle."""
     if field.mesh is not mesh:
         raise ContractError("field lives on a different mesh")
-    tri, (b, c) = mesh.triangles, mesh.basis
-    u0, u1, u2 = (field.values[tri[:, k]] for k in range(3))
+    tri = mesh.triangles
+    # (p0 + p1) + p2, the order `.sum(axis=1)` takes over the (T, 3)
+    # products, one vertex column at a time instead of all three
+    for k in range(3):
+        b, c = basis_column(mesh.vertices, tri, k)
+        u = field.values[tri[:, k]]
+        b *= u
+        c *= u
+        if k == 0:
+            gx, gy = b, c
+        else:
+            gx += b
+            gy += c
     two_area = 2.0 * mesh.areas
     g = np.empty((mesh.n_triangles, 2))
-    for j, coef in enumerate((b, c)):
-        # (p0 + p1) + p2, the order `.sum(axis=1)` takes over the (T, 3)
-        # products, one vertex column at a time instead of all three
-        s = u0 * coef[:, 0]
-        s += u1 * coef[:, 1]
-        s += u2 * coef[:, 2]
-        np.divide(s, two_area, out=g[:, j])
+    np.divide(gx, two_area, out=g[:, 0])
+    np.divide(gy, two_area, out=g[:, 1])
     return VectorField(mesh, g)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError, ParameterError
 from .fem import ScalarField, element_gradient, element_mean, project_to_nodes
-from .mesh import Mesh
+from .mesh import Mesh, basis_column
 
 
 @dataclass(frozen=True)
@@ -173,20 +173,25 @@ def true_theta(mesh: Mesh, u1: ScalarField) -> tuple[ScalarField, np.ndarray]:
     g = element_gradient(mesh, u1).vectors
     norms = np.hypot(g[:, 0], g[:, 1])
     # a gradient below the roundoff bound of its own assembly has no
-    # trustworthy direction; the bound scales with the nodal magnitudes
-    (b, c), tri = mesh.basis, mesh.triangles
-    weighted = u1.values[tri]
-    np.abs(weighted, out=weighted)
+    # trustworthy direction; the bound scales with the nodal magnitudes,
+    # sum_k |u_k| |(b_k, c_k)|, taken one vertex column at a time in
+    # `.sum(axis=1)`'s order
+    tri = mesh.triangles
     for k in range(3):
-        weighted[:, k] *= np.hypot(b[:, k], c[:, k])
-    noise_floor = weighted.sum(axis=1)
-    del weighted
+        weight = np.hypot(*basis_column(mesh.vertices, tri, k))
+        weight *= np.abs(u1.values[tri[:, k]])
+        if k == 0:
+            noise_floor = weight
+        else:
+            noise_floor += weight
     noise_floor *= 1e-13
     noise_floor /= 2.0 * mesh.areas
     degenerate = norms <= noise_floor
-    # the unit directions overwrite the gradients they come from
+    # the unit directions overwrite the gradients they come from; the rest
+    # goes before the projection, which sets this function's peak
     unit = np.divide(g, norms[:, None], out=g, where=~degenerate[:, None])
     unit[degenerate] = 0.0
+    del norms, weight, noise_floor
     averaged = project_to_nodes(mesh, unit)
 
     flagged = np.zeros(mesh.n_vertices, dtype=bool)

@@ -12,7 +12,7 @@ Angles are canonicalized to (-pi, pi] throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -97,10 +97,13 @@ class Mesh:
     n_edges         number of unique edges (not a field)
 
     The triangle areas and the edge count are computed on construction, by
-    the checks. The boundary edge and rim vertex angles, the P1 basis
-    coefficients, the vertex star areas and the mass matrix are computed on
-    first read, once per mesh. All arrays are read-only; operations return
-    new meshes, which compute their own.
+    the checks. The boundary edge and rim vertex angles, the vertex star
+    areas and the mass matrix are computed on first read, once per mesh.
+    The P1 basis coefficients are not kept: each user computes them from
+    `vertices` and `triangles` (`basis_column`, `basis_coefficients`). All
+    arrays are read-only; operations return new meshes, which compute their
+    own geometry, except that `tag_boundary` carries the areas and the edge
+    count over.
     """
 
     vertices: np.ndarray
@@ -120,7 +123,7 @@ class Mesh:
         object.__setattr__(self, "triangles", _frozen(t))
         object.__setattr__(self, "boundary_edges", _frozen(be))
         object.__setattr__(self, "boundary_tags", _frozen(tags))
-        # not fields, so `replace` builds a mesh that computes its own
+        # not fields: a mesh built from arrays computes its own
         object.__setattr__(self, "areas", _frozen(areas))
         object.__setattr__(self, "n_edges", n_edges)
 
@@ -128,10 +131,7 @@ class Mesh:
     def _validate(v, t, be, tags) -> tuple[np.ndarray, int]:
         """Check the triangulation; returns the triangle areas and the
         unique edge count it computed."""
-        if tags.shape[0] != be.shape[0]:
-            raise ContractError("one tag per boundary edge required")
-        if tags.size and not np.all((tags == NEUMANN) | (tags == DIRICHLET)):
-            raise ContractError("tags must be DIRICHLET or NEUMANN")
+        Mesh._check_tags(be, tags)
         if not np.all(np.isfinite(v)):
             raise ContractError("vertex coordinates must be finite")
         if t.min(initial=0) < 0 or t.max(initial=-1) >= len(v):
@@ -162,6 +162,13 @@ class Mesh:
         if np.sum(counts == 1) != len(rim):
             raise ContractError("triangulation has untagged boundary edges")
         return areas, len(uniq)
+
+    @staticmethod
+    def _check_tags(be, tags) -> None:
+        if tags.shape[0] != be.shape[0]:
+            raise ContractError("one tag per boundary edge required")
+        if tags.size and not np.all((tags == NEUMANN) | (tags == DIRICHLET)):
+            raise ContractError("tags must be DIRICHLET or NEUMANN")
 
     # -- simple accessors ---------------------------------------------------
 
@@ -202,12 +209,6 @@ class Mesh:
         """Polar angle of each `boundary_loop` vertex, in that order."""
         xy = self.vertices[self.boundary_loop]
         return _frozen(np.arctan2(xy[:, 1], xy[:, 0]))
-
-    @cached_property
-    def basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-triangle (b, c) with grad phi_i = (b_i, c_i) / (2 * area)."""
-        b, c = basis_coefficients(self.vertices, self.triangles)
-        return _frozen(b), _frozen(c)
 
     @cached_property
     def star_areas(self) -> np.ndarray:
@@ -301,11 +302,26 @@ def signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 
 
 def basis_coefficients(vertices: np.ndarray, triangles: np.ndarray):
-    """P1 gradient coefficients (b, c), each (T, 3), of every triangle."""
-    p = vertices[triangles]
-    x, y = p[..., 0], p[..., 1]
-    b = np.stack((y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]), axis=1)
-    c = np.stack((x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]), axis=1)
+    """P1 gradient coefficients (b, c), each (T, 3), of every triangle:
+    grad phi_k = (b[:, k], c[:, k]) / (2 * area), column k from `basis_column`."""
+    b, c = np.empty(triangles.shape), np.empty(triangles.shape)
+    for k in range(3):
+        b[:, k], c[:, k] = basis_column(vertices, triangles, k)
+    return b, c
+
+
+def basis_column(vertices: np.ndarray, triangles: np.ndarray, k: int):
+    """Column k of `basis_coefficients`, (b[:, k], c[:, k]), alone.
+
+    With i, j the next two corners after k, b_k = y_i - y_j and
+    c_k = x_j - x_i, each (T,).
+    """
+    x, y = vertices[:, 0], vertices[:, 1]
+    i, j = triangles[:, (k + 1) % 3], triangles[:, (k + 2) % 3]
+    b = y[i]
+    b -= y[j]
+    c = x[j]
+    c -= x[i]
     return b, c
 
 
@@ -378,10 +394,20 @@ def build_disk_mesh(target_h: float) -> Mesh:
 
 def tag_boundary(mesh: Mesh, gamma: BoundarySpec) -> Mesh:
     """Return a copy of `mesh` with edges tagged DIRICHLET iff their midpoint
-    angle lies in `gamma`. The input mesh is untouched."""
+    angle lies in `gamma`. The input mesh is untouched.
+
+    Only the tags are new, so only they are checked; the copy shares the
+    input's arrays, triangle areas and edge count, and computes the rest of
+    its geometry on first read.
+    """
     inside = gamma.contains(mesh.edge_angles)
     tags = np.where(inside, DIRICHLET, NEUMANN).astype(np.uint8)
-    return replace(mesh, boundary_tags=tags)
+    Mesh._check_tags(mesh.boundary_edges, tags)
+    tagged = object.__new__(Mesh)
+    for name in ("vertices", "triangles", "boundary_edges", "areas", "n_edges"):
+        object.__setattr__(tagged, name, getattr(mesh, name))
+    object.__setattr__(tagged, "boundary_tags", _frozen(tags))
+    return tagged
 
 
 def refine(mesh: Mesh) -> Mesh:

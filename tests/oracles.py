@@ -9,7 +9,8 @@ import scipy.sparse as sp
 
 from aet2d import ScalarField, VectorField, l2_norm
 from aet2d.errors import ContractError, DomainError
-from aet2d.mesh import TWO_PI, Mesh, _ring_start
+from aet2d.fem import project_to_nodes
+from aet2d.mesh import TWO_PI, Mesh, _ring_start, basis_coefficients
 
 
 def ring_loop_triangles(target_h: float) -> np.ndarray:
@@ -99,10 +100,62 @@ def angle_gradient(mesh: Mesh, theta: ScalarField) -> VectorField:
     """
     if theta.mesh is not mesh:
         raise ContractError("field lives on a different mesh")
-    areas, (b, c) = mesh.areas, mesh.basis
+    areas, (b, c) = mesh.areas, basis_coefficients(mesh.vertices, mesh.triangles)
     v = theta.values[mesh.triangles]
     d = v - v[:, :1]
     v = v[:, :1] + (d - TWO_PI * np.round(d / TWO_PI))
     gx = (v * b).sum(axis=1) / (2.0 * areas)
     gy = (v * c).sum(axis=1) / (2.0 * areas)
     return VectorField(mesh, np.column_stack((gx, gy)))
+
+
+# -- the P1 basis over whole (T, 3) arrays --------------------------------------
+
+def basis_by_gather(vertices: np.ndarray, triangles: np.ndarray):
+    """P1 gradient coefficients (b, c), each (T, 3), from one (T, 3, 2)
+    gather of every triangle's corners, all three columns at once."""
+    p = vertices[triangles]
+    x, y = p[..., 0], p[..., 1]
+    b = np.stack((y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]), axis=1)
+    c = np.stack((x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]), axis=1)
+    return b, c
+
+
+def gradient_by_rows(mesh: Mesh, values: np.ndarray) -> np.ndarray:
+    """(T, 2) element gradients of a nodal field: each component the row sum
+    of the (T, 3) products of corner values and coefficients, over 2 * area."""
+    b, c = basis_by_gather(mesh.vertices, mesh.triangles)
+    u = values[mesh.triangles]
+    two_area = 2.0 * mesh.areas
+    return np.column_stack(((u * b).sum(axis=1) / two_area,
+                            (u * c).sum(axis=1) / two_area))
+
+
+def weak_div_load_by_rows(mesh: Mesh, vectors: np.ndarray) -> np.ndarray:
+    """Nodal load of integral F.grad(phi_i), the (T, 3) element loads
+    (b_i Fx + c_i Fy) / 2 summed into their vertices."""
+    b, c = basis_by_gather(mesh.vertices, mesh.triangles)
+    contrib = 0.5 * (b * vectors[:, 0, None] + c * vectors[:, 1, None])
+    return np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
+                       minlength=mesh.n_vertices)
+
+
+def true_theta_by_rows(mesh: Mesh, u1: ScalarField):
+    """`aet2d.forward.true_theta`'s nodal angle and flagged nodes, with the
+    gradient and its noise floor taken over whole (T, 3) arrays."""
+    g = gradient_by_rows(mesh, u1.values)
+    norms = np.hypot(g[:, 0], g[:, 1])
+    b, c = basis_by_gather(mesh.vertices, mesh.triangles)
+    weighted = np.abs(u1.values[mesh.triangles]) * np.hypot(b, c)
+    noise_floor = weighted.sum(axis=1) * 1e-13 / (2.0 * mesh.areas)
+    degenerate = norms <= noise_floor
+    unit = np.divide(g, norms[:, None], out=np.zeros_like(g),
+                     where=~degenerate[:, None])
+    averaged = project_to_nodes(mesh, unit)
+    flagged = np.zeros(mesh.n_vertices, dtype=bool)
+    flagged[np.unique(mesh.triangles[degenerate])] = True
+    flagged |= np.hypot(averaged[:, 0], averaged[:, 1]) <= 1e-12
+    theta = np.arctan2(averaged[:, 1], averaged[:, 0])
+    theta[theta <= -np.pi] = np.pi
+    theta[flagged] = 0.0
+    return theta, np.flatnonzero(flagged)

@@ -18,9 +18,17 @@ from aet2d.fem import (
     solve_mixed,
     solve_poisson_weak_div,
 )
-from aet2d.forward import CASE2
+from aet2d.forward import CASE2, true_theta
 from aet2d.mesh import basis_coefficients, signed_areas
-from oracles import coo_assembly, fancy_index_split, l2_relative_error
+from oracles import (
+    basis_by_gather,
+    coo_assembly,
+    fancy_index_split,
+    gradient_by_rows,
+    l2_relative_error,
+    true_theta_by_rows,
+    weak_div_load_by_rows,
+)
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +58,8 @@ def element_stiffness(coords, sigma_vertices):
     tri = np.array([[0, 1, 2]])
     b, c = basis_coefficients(coords, tri)
     scale = sigma_vertices.mean(keepdims=True) / (4.0 * signed_areas(coords, tri))
-    return local_stiffness(b, c, scale, np.zeros(3, dtype=np.int64), np.arange(3))
+    rows = np.zeros(3, dtype=np.int64)  # each row's triangle
+    return local_stiffness(b[rows], c[rows], scale[rows], np.arange(3))
 
 
 def test_reference_element_matrix():
@@ -81,7 +90,7 @@ def csr_bytes(M):
 
 def coo_stiffness(mesh, sigma):
     """The conductivity matrix from broadcast element matrices and COO sums."""
-    b, c = mesh.basis
+    b, c = basis_coefficients(mesh.vertices, mesh.triangles)
     scale = sigma.values[mesh.triangles].mean(axis=1) / (4.0 * mesh.areas)
     local = b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
     return coo_assembly(mesh, local * scale[:, None, None])
@@ -110,6 +119,40 @@ def test_constrained_blocks_are_the_coo_blocks_bit_for_bit(nested):
     free_block, coupling = fancy_index_split(coo_stiffness(nested, sigma), fixed)
     assert csr_bytes(operator.free_block) == csr_bytes(free_block)
     assert csr_bytes(operator.coupling) == csr_bytes(coupling)
+
+
+class LoadProbe:
+    """Stands in for a solve's operator and keeps the load it is given."""
+
+    def solve(self, values, load):
+        self.load = load
+        return np.zeros(load.shape), None
+
+
+def test_basis_columns_give_the_whole_array_values_bit_for_bit(nested):
+    # the package takes the basis one vertex column (or one block) at a
+    # time; every value must be the one the whole (T, 3) arrays give
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal(nested.n_vertices)
+    x, y = nested.vertices.T
+    u[x < -0.5] = 0.0  # all-zero triangles: undefined angles
+    # gradients from 1e-15 to 1e-9: some lie near the angle's noise floor
+    near = x > 0.5
+    u[near] = 1.0 + x[near] * 10.0 ** (-15.0 + 3.0 * (y[near] + 1.0))
+    field = ScalarField(nested, u)
+    F = rng.standard_normal((nested.n_triangles, 2))
+    b, c = basis_coefficients(nested.vertices, nested.triangles)
+    want_b, want_c = basis_by_gather(nested.vertices, nested.triangles)
+    assert b.tobytes() == want_b.tobytes() and c.tobytes() == want_c.tobytes()
+    assert element_gradient(nested, field).vectors.tobytes() == \
+        gradient_by_rows(nested, u).tobytes()
+    probe = LoadProbe()
+    solve_poisson_weak_div(nested, VectorField(nested, F), None, operator=probe)
+    assert probe.load.tobytes() == weak_div_load_by_rows(nested, F).tobytes()
+    theta, flagged = true_theta(nested, field)
+    want_theta, want_flagged = true_theta_by_rows(nested, field)
+    assert flagged.size and flagged.tolist() == want_flagged.tolist()
+    assert theta.values.tobytes() == want_theta.tobytes()
 
 
 @pytest.mark.parametrize("levels", [0, 1], ids=lambda n: f"refine_levels={n}")

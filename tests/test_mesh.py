@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import aet2d.mesh
 from aet2d import (
     BoundarySpec,
     DIRICHLET,
@@ -17,7 +18,7 @@ from aet2d import (
     tag_boundary,
 )
 from aet2d.errors import ContractError, ParameterError
-from aet2d.mesh import basis_coefficients, canonical_angle, signed_areas
+from aet2d.mesh import _edge_keys, canonical_angle, signed_areas
 from oracles import edge_count, ring_loop_triangles, triangle_quality
 
 TWO_PI = 2.0 * math.pi
@@ -271,24 +272,39 @@ def test_edge_count_is_the_refinement_node_gain():
 
 def test_geometry_cache_is_read_only_and_exact():
     mesh = build_disk_mesh(0.3)
-    b, c = mesh.basis
-    fresh_b, fresh_c = basis_coefficients(mesh.vertices, mesh.triangles)
     assert mesh.areas.tobytes() == signed_areas(mesh.vertices, mesh.triangles).tobytes()
-    assert b.tobytes() == fresh_b.tobytes() and c.tobytes() == fresh_c.tobytes()
-    assert mesh.basis[0] is b and mesh.mass is mesh.mass
-    for a in (mesh.areas, b, c, mesh.mass.data, mesh.mass.indices, mesh.mass.indptr):
+    assert mesh.mass is mesh.mass
+    for a in (mesh.areas, mesh.mass.data, mesh.mass.indices, mesh.mass.indptr):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
 
 
 def test_derived_meshes_do_not_inherit_the_cache():
     mesh = build_disk_mesh(0.3)
-    mesh.basis, mesh.mass
-    for child in (tag_boundary(mesh, GAMMA_MEDIUM), refine(mesh)):
-        assert "basis" not in vars(child) and "mass" not in vars(child)
-        assert child.areas is not mesh.areas
+    mesh.mass
+    tagged, refined = tag_boundary(mesh, GAMMA_MEDIUM), refine(mesh)
+    for child in (tagged, refined):
+        assert "mass" not in vars(child)
         assert child.areas.tobytes() == signed_areas(child.vertices, child.triangles).tobytes()
-        assert child.basis[0] is not mesh.basis[0]
+    # tagging moves no vertex, so the tagged mesh keeps the input's areas
+    assert tagged.areas is mesh.areas and refined.areas is not mesh.areas
+
+
+def test_tagging_checks_only_the_tags(monkeypatch):
+    mesh = build_disk_mesh(0.3)
+    edge_tables = []
+
+    def edge_keys(*args):
+        edge_tables.append(args)
+        return _edge_keys(*args)
+
+    monkeypatch.setattr(aet2d.mesh, "_edge_keys", edge_keys)
+    tagged = tag_boundary(mesh, GAMMA_MEDIUM)
+    assert edge_tables == []
+    assert tagged.areas.tobytes() == mesh.areas.tobytes() and tagged.n_edges == mesh.n_edges
+    # a mesh built from arrays still runs every check
+    Mesh(tagged.vertices, tagged.triangles, tagged.boundary_edges, tagged.boundary_tags)
+    assert len(edge_tables) == 1
 
 
 def test_rim_angles_are_computed_on_first_read():
