@@ -134,8 +134,8 @@ def local_stiffness(b, c, scale, i) -> np.ndarray:
     return K
 
 
-def assemble_conductivity(mesh: Mesh, sigma: ScalarField) -> sp.csr_matrix:
-    """Assemble the stiffness matrix of -div(sigma grad u).
+def assemble_conductivity(sigma: ScalarField) -> sp.csr_matrix:
+    """Assemble the stiffness matrix of -div(sigma grad u) on `sigma.mesh`.
 
     Entries are integral sigma grad(phi_i).grad(phi_j) with sigma interpolated
     P1 and integrated by vertex quadrature. Row sums are zero before
@@ -146,8 +146,7 @@ def assemble_conductivity(mesh: Mesh, sigma: ScalarField) -> sp.csr_matrix:
     DomainError
         If sigma is not strictly positive at every node.
     """
-    if sigma.mesh is not mesh:
-        raise ContractError("sigma lives on a different mesh")
+    mesh = sigma.mesh
     if np.any(sigma.values <= 0.0):
         bad = np.flatnonzero(sigma.values <= 0.0)
         raise DomainError(f"sigma must be positive; offending nodes {bad[:10].tolist()}")
@@ -226,17 +225,14 @@ class ConstrainedOperator:
 
         `values` must hold one finite value per fixed node and `load` one
         value per node (ContractError otherwise). Constraints are eliminated
-        symmetrically and the free block is solved by Jacobi PCG; with no
-        free node there is nothing to solve ("trivial"). Returns (values,
-        SolveInfo).
+        symmetrically and the free block is solved by Jacobi PCG, which
+        takes no iteration when no node is free. Returns (values, SolveInfo).
         """
         values = fixed_values(self.fixed, values)
         if load is not None and load.shape != (self.n,):
             raise ContractError(f"expected a load on {self.n} nodes, got {load.shape}")
         x = np.zeros(self.n)
         x[self.fixed] = values
-        if len(self.free) == 0:
-            return x, SolveInfo("trivial", 0, 0.0)
         b = np.zeros(self.n) if load is None else load
         b_f = b[self.free] - self.coupling @ values
         A_ff = self.free_block
@@ -276,7 +272,7 @@ def constrain(matrix: sp.csr_matrix, fixed) -> ConstrainedOperator:
 def laplacian_operator(mesh: Mesh) -> ConstrainedOperator:
     """The unit-conductivity stiffness matrix with every boundary node fixed."""
     ones = ScalarField(mesh, np.ones(mesh.n_vertices))
-    return constrain(assemble_conductivity(mesh, ones), mesh.boundary_nodes)
+    return constrain(assemble_conductivity(ones), mesh.boundary_nodes)
 
 
 def fixed_values(nodes: np.ndarray, values) -> np.ndarray:
@@ -289,10 +285,11 @@ def fixed_values(nodes: np.ndarray, values) -> np.ndarray:
     return vals
 
 
-def solve_mixed(mesh: Mesh, sigma: ScalarField, dirichlet_values: np.ndarray,
+def solve_mixed(sigma: ScalarField, dirichlet_values: np.ndarray,
                 *, operator: ConstrainedOperator | None = None,
                 return_info: bool = False):
-    """Solve -div(sigma grad u) = 0 with u prescribed at the operator's nodes.
+    """Solve -div(sigma grad u) = 0 on `sigma.mesh`, u prescribed at the
+    operator's nodes.
 
     The no-flux condition on unconstrained boundary edges is natural: it
     needs no boundary terms, only the absence of constraints there.
@@ -304,7 +301,7 @@ def solve_mixed(mesh: Mesh, sigma: ScalarField, dirichlet_values: np.ndarray,
         order.
     operator : ConstrainedOperator, optional
         Shared by solves with the same sigma and fixed nodes. When omitted it
-        is ``constrain(assemble_conductivity(mesh, sigma), mesh.dirichlet_nodes)``,
+        is ``constrain(assemble_conductivity(sigma), sigma.mesh.dirichlet_nodes)``,
         which raises SingularSystemError on a mesh without Dirichlet nodes.
 
     Returns
@@ -312,27 +309,25 @@ def solve_mixed(mesh: Mesh, sigma: ScalarField, dirichlet_values: np.ndarray,
     ScalarField, or (ScalarField, SolveInfo) when return_info is set.
     """
     if operator is None:
-        operator = constrain(assemble_conductivity(mesh, sigma), mesh.dirichlet_nodes)
+        operator = constrain(assemble_conductivity(sigma), sigma.mesh.dirichlet_nodes)
     x, info = operator.solve(dirichlet_values)
-    u = ScalarField(mesh, x)
+    u = ScalarField(sigma.mesh, x)
     return (u, info) if return_info else u
 
 
-def solve_poisson_weak_div(mesh: Mesh, F: VectorField, boundary_values: np.ndarray,
+def solve_poisson_weak_div(F: VectorField, boundary_values: np.ndarray,
                            *, operator: ConstrainedOperator | None = None,
                            return_info: bool = False):
-    """Solve lap(w) = div(F) weakly with w given at the operator's nodes.
+    """Solve lap(w) = div(F) weakly on `F.mesh`, w given at the operator's nodes.
 
     The right-hand side uses integral F.grad(v) per element, so F is never
     differentiated, and where the operator leaves boundary nodes free the
     natural condition dw/dn = F.n holds. `boundary_values` holds one value
     per node of `operator.fixed`, in that sorted order. `operator` is shared
-    between solves on one mesh; when omitted it is `laplacian_operator(mesh)`,
+    between solves on one mesh; when omitted it is `laplacian_operator(F.mesh)`,
     which fixes the whole boundary.
     """
-    if F.mesh is not mesh:
-        raise ContractError("F lives on a different mesh")
-
+    mesh = F.mesh
     # integral over K of F.grad(phi_k) = (b_k Fx + c_k Fy)/2, one vertex
     # column at a time, laid out as the triangles are for the vertex sums
     Fx, Fy = F.vectors[:, 0], F.vectors[:, 1]
@@ -356,10 +351,9 @@ def solve_poisson_weak_div(mesh: Mesh, F: VectorField, boundary_values: np.ndarr
 # Derived fields and norms
 # ---------------------------------------------------------------------------
 
-def element_gradient(mesh: Mesh, field: ScalarField) -> VectorField:
+def element_gradient(field: ScalarField) -> VectorField:
     """Exact gradient of the P1 interpolant, constant per triangle."""
-    if field.mesh is not mesh:
-        raise ContractError("field lives on a different mesh")
+    mesh = field.mesh
     tri = mesh.triangles
     # (p0 + p1) + p2, the order `.sum(axis=1)` takes over the (T, 3)
     # products, one vertex column at a time instead of all three

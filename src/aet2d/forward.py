@@ -133,19 +133,20 @@ class PowerDensity:
         return self.h11.values, self.h12.values, self.h22.values
 
 
-def power_density(mesh: Mesh, sigma: ScalarField, u1: ScalarField,
+def power_density(sigma: ScalarField, u1: ScalarField,
                   u2: ScalarField) -> PowerDensity:
     """Nodal matrix data sigma * grad(u_i).grad(u_j) from two potentials.
 
     Gradients are constant per element; sigma is sampled at the element
     centroid, one value per constant-gradient cell.  Element products are
-    carried to nodes by area-weighted projection.
+    carried to nodes by area-weighted projection.  Raises ContractError
+    unless both potentials live on `sigma.mesh`.
     """
-    for f in (sigma, u1, u2):
-        if f.mesh is not mesh:
-            raise ContractError("sigma and potentials must live on the given mesh")
-    g1 = element_gradient(mesh, u1).vectors
-    g2 = element_gradient(mesh, u2).vectors
+    mesh = sigma.mesh
+    if u1.mesh is not mesh or u2.mesh is not mesh:
+        raise ContractError("potentials must live on sigma's mesh")
+    g1 = element_gradient(u1).vectors
+    g2 = element_gradient(u2).vectors
     sig = element_mean(mesh, sigma.values)
 
     def projected(ga, gb):
@@ -159,7 +160,7 @@ def power_density(mesh: Mesh, sigma: ScalarField, u1: ScalarField,
     return PowerDensity(projected(g1, g1), projected(g1, g2), projected(g2, g2))
 
 
-def true_theta(mesh: Mesh, u1: ScalarField) -> tuple[ScalarField, np.ndarray]:
+def true_theta(u1: ScalarField) -> tuple[ScalarField, np.ndarray]:
     """Angle of the first potential's gradient, carried to nodes.
 
     Unit directions are averaged componentwise and the angle re-extracted,
@@ -168,9 +169,8 @@ def true_theta(mesh: Mesh, u1: ScalarField) -> tuple[ScalarField, np.ndarray]:
     nodes where the direction is undefined (a zero-gradient element in the
     star, or cancellation in the average); flagged nodes carry angle 0.
     """
-    if u1.mesh is not mesh:
-        raise ContractError("potential must live on the given mesh")
-    g = element_gradient(mesh, u1).vectors
+    mesh = u1.mesh
+    g = element_gradient(u1).vectors
     norms = np.hypot(g[:, 0], g[:, 1])
     # a gradient below the roundoff bound of its own assembly has no
     # trustworthy direction; the bound scales with the nodal magnitudes,

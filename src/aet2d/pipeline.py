@@ -151,13 +151,13 @@ def forward_stage(config: RunConfig) -> ForwardData:
     controlled = data_mesh.dirichlet_nodes
     x, y = data_mesh.vertices[controlled].T  # the potentials' Dirichlet data
     # one sigma and one set of Dirichlet nodes: both potentials share an operator
-    operator = constrain(assemble_conductivity(data_mesh, sigma_data), controlled)
-    u1 = solve_mixed(data_mesh, sigma_data, x, operator=operator)
-    u2 = solve_mixed(data_mesh, sigma_data, y, operator=operator)
+    operator = constrain(assemble_conductivity(sigma_data), controlled)
+    u1 = solve_mixed(sigma_data, x, operator=operator)
+    u2 = solve_mixed(sigma_data, y, operator=operator)
     del operator  # its matrix blocks are the data mesh's largest arrays
 
-    H_data = power_density(data_mesh, sigma_data, u1, u2)
-    theta_data, flagged = true_theta(data_mesh, u1)
+    H_data = power_density(sigma_data, u1, u2)
+    theta_data, flagged = true_theta(u1)
 
     h11, h12, h22 = (restrict(c, recon_mesh) for c in (H_data.h11, H_data.h12, H_data.h22))
     H = PowerDensity(h11, h12, h22)
@@ -209,7 +209,7 @@ def recon_stage(config: RunConfig, fwd: ForwardData) -> ReconResult:
     boundary = mesh.boundary_nodes
     H = apply_noise(fwd.H, config.noise)
     theta_bc = boundary_theta(mesh, fwd.theta_true.values[boundary], config.unwrap_arcs)
-    return run_algorithm1(mesh, H, theta_bc, fwd.sigma_true.values[boundary],
+    return run_algorithm1(H, theta_bc, fwd.sigma_true.values[boundary],
                           truth=(fwd.theta_true, fwd.sigma_true))
 
 

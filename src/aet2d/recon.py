@@ -83,7 +83,7 @@ def vector_fields(H: PowerDensity) -> TransferFields:
             "first diagonal entry or determinant root is nonpositive")
 
     def grad(values: np.ndarray) -> np.ndarray:
-        return element_gradient(mesh, ScalarField(mesh, values)).vectors
+        return element_gradient(ScalarField(mesh, values)).vectors
 
     log_h11 = np.log(h11)
     log_d = np.log(d)
@@ -158,9 +158,9 @@ def sigma_rhs(theta: ScalarField, fields: TransferFields) -> VectorField:
     return VectorField(mesh, cos2 * base + sin2 * _rot90(base))
 
 
-def reconstruct_sigma(mesh: Mesh, G: VectorField, sigma_fixed: np.ndarray,
+def reconstruct_sigma(G: VectorField, sigma_fixed: np.ndarray,
                       operator: ConstrainedOperator):
-    """Conductivity from its values at the operator's nodes and div `G`.
+    """Conductivity on `G.mesh` from its values at the operator's nodes and div `G`.
 
     `operator` is a unit-conductivity stiffness matrix constrained on some
     nonempty node set, such as the mesh's `laplacian_operator`, and
@@ -178,9 +178,9 @@ def reconstruct_sigma(mesh: Mesh, G: VectorField, sigma_fixed: np.ndarray,
                           f"offending nodes {bad[:8].tolist()}")
     # math.log, not np.log: the two differ in the last bit on some values
     log_fixed = np.fromiter(map(math.log, sigma_fixed), np.float64, count=nodes.size)
-    w, info = solve_poisson_weak_div(mesh, G, log_fixed, operator=operator,
+    w, info = solve_poisson_weak_div(G, log_fixed, operator=operator,
                                      return_info=True)
-    return ScalarField(mesh, np.exp(w.values)), info
+    return ScalarField(G.mesh, np.exp(w.values)), info
 
 
 @dataclass(frozen=True)
@@ -220,31 +220,29 @@ def _l2_error(mesh: Mesh, got: np.ndarray, want: np.ndarray) -> float:
 class ReconResult:
     theta: ScalarField
     sigma: ScalarField
-    fields: TransferFields
     diagnostics: ReconDiagnostics
     metrics: ReconMetrics | None
 
 
-def run_algorithm1(mesh: Mesh, H: PowerDensity, theta_boundary: np.ndarray,
+def run_algorithm1(H: PowerDensity, theta_boundary: np.ndarray,
                    sigma_boundary: np.ndarray,
                    truth: tuple[ScalarField, ScalarField] | None = None) -> ReconResult:
     """Full reconstruction: fields, angle solve, conductivity solve.
 
     The boundary angle and conductivity are given at each node of
-    `mesh.boundary_nodes`, in that sorted order.  Both solves fix the whole
+    `H.mesh.boundary_nodes`, in that sorted order.  Both solves fix the whole
     boundary of a unit Laplacian, so they share one operator.
     Low-determinant regions are assumed handled upstream (the data's root
     floor and any eigenvalue regularization); here they only show up in the
     diagnostics, never as an abort.
     """
-    if H.mesh is not mesh:
-        raise ContractError("data lives on a different mesh")
+    mesh = H.mesh
     fields = vector_fields(H)
     laplacian = laplacian_operator(mesh)
-    theta, theta_info = solve_poisson_weak_div(mesh, fields.f, theta_boundary,
+    theta, theta_info = solve_poisson_weak_div(fields.f, theta_boundary,
                                                operator=laplacian, return_info=True)
     G = sigma_rhs(theta, fields)
-    sigma, sigma_info = reconstruct_sigma(mesh, G, sigma_boundary, laplacian)
+    sigma, sigma_info = reconstruct_sigma(G, sigma_boundary, laplacian)
     diagnostics = ReconDiagnostics(
         min_det=float(H.determinant().min()),
         d_clamp_count=int(H.d_clamp_nodes.size),
@@ -261,5 +259,5 @@ def run_algorithm1(mesh: Mesh, H: PowerDensity, theta_boundary: np.ndarray,
             cos2theta_error=_l2_error(mesh, np.cos(doubled), np.cos(doubled_true)),
             sin2theta_error=_l2_error(mesh, np.sin(doubled), np.sin(doubled_true)),
             sigma_error=_l2_error(mesh, sigma.values, sigma_true.values))
-    return ReconResult(theta=theta, sigma=sigma, fields=fields,
-                       diagnostics=diagnostics, metrics=metrics)
+    return ReconResult(theta=theta, sigma=sigma, diagnostics=diagnostics,
+                       metrics=metrics)

@@ -73,7 +73,7 @@ def test_criterion_02_discrete_maximum_principle(monkeypatch):
     worst = 0.0
     for _ in range(50):
         values = rng.uniform(-1.0, 1.0, nodes.size)
-        u = solve_mixed(mesh, sigma, values).values
+        u = solve_mixed(sigma, values).values
         worst = max(worst, float(values.min() - u.min()),
                     float(u.max() - values.max()))
     assert worst <= 1e-9, f"extremum escapes the controlled arc by {worst:.3e}"
@@ -93,7 +93,7 @@ def _bulk_angle_residual(fwd, fields) -> float:
 
 def test_criterion_03_angle_gradient_consistency(gamma_results):
     base = gamma_results[("case1", "large")]
-    coarse = _bulk_angle_residual(base.forward, base.recon.fields)
+    coarse = _bulk_angle_residual(base.forward, vector_fields(base.forward.H))
 
     refined_fwd = forward_stage(RunConfig(case="case1", gamma="large",
                                           target_h=0.03, refine_levels=1))

@@ -412,9 +412,9 @@ class TestSubcommands:
         assert "999999" not in (two / "record.csv").read_text()
 
     def test_undefined_boundary_angle_is_exit_2(self, tmp_path, capsys, monkeypatch):
-        def flag_a_controlled_node(mesh, u1):
-            theta, flagged = true_theta(mesh, u1)
-            return theta, np.union1d(flagged, mesh.dirichlet_nodes[:1])
+        def flag_a_controlled_node(u1):
+            theta, flagged = true_theta(u1)
+            return theta, np.union1d(flagged, u1.mesh.dirichlet_nodes[:1])
 
         monkeypatch.setattr(pipeline, "true_theta", flag_a_controlled_node)
         cfg = write_config(tmp_path, COARSE)

@@ -98,7 +98,7 @@ def coo_stiffness(mesh, sigma):
 
 def test_stiffness_is_the_coo_sum_bit_for_bit(nested):
     sigma = CASE2.on_mesh(nested)
-    assert csr_bytes(assemble_conductivity(nested, sigma)) == \
+    assert csr_bytes(assemble_conductivity(sigma)) == \
         csr_bytes(coo_stiffness(nested, sigma))
 
 
@@ -115,7 +115,7 @@ def test_mass_is_the_coo_sum_bit_for_bit(nested):
 def test_constrained_blocks_are_the_coo_blocks_bit_for_bit(nested):
     sigma = CASE2.on_mesh(nested)
     fixed = nested.dirichlet_nodes
-    operator = constrain(assemble_conductivity(nested, sigma), fixed)
+    operator = constrain(assemble_conductivity(sigma), fixed)
     free_block, coupling = fancy_index_split(coo_stiffness(nested, sigma), fixed)
     assert csr_bytes(operator.free_block) == csr_bytes(free_block)
     assert csr_bytes(operator.coupling) == csr_bytes(coupling)
@@ -144,12 +144,12 @@ def test_basis_columns_give_the_whole_array_values_bit_for_bit(nested):
     b, c = basis_coefficients(nested.vertices, nested.triangles)
     want_b, want_c = basis_by_gather(nested.vertices, nested.triangles)
     assert b.tobytes() == want_b.tobytes() and c.tobytes() == want_c.tobytes()
-    assert element_gradient(nested, field).vectors.tobytes() == \
+    assert element_gradient(field).vectors.tobytes() == \
         gradient_by_rows(nested, u).tobytes()
     probe = LoadProbe()
-    solve_poisson_weak_div(nested, VectorField(nested, F), None, operator=probe)
+    solve_poisson_weak_div(VectorField(nested, F), None, operator=probe)
     assert probe.load.tobytes() == weak_div_load_by_rows(nested, F).tobytes()
-    theta, flagged = true_theta(nested, field)
+    theta, flagged = true_theta(field)
     want_theta, want_flagged = true_theta_by_rows(nested, field)
     assert flagged.size and flagged.tolist() == want_flagged.tolist()
     assert theta.values.tobytes() == want_theta.tobytes()
@@ -166,7 +166,7 @@ def test_block_edges_keep_every_sum(monkeypatch, block_rows, levels):
     rows = mesh.n_vertices if block_rows == "n" else block_rows
     monkeypatch.setattr(aet2d.mesh, "_BLOCK_ROWS", rows)
     sigma, fixed = CASE2.on_mesh(mesh), mesh.dirichlet_nodes
-    A = assemble_conductivity(mesh, sigma)
+    A = assemble_conductivity(sigma)
     want = coo_stiffness(mesh, sigma)
     assert csr_bytes(A) == csr_bytes(want)
     assert csr_bytes(mesh.mass) == csr_bytes(coo_mass(mesh))
@@ -177,7 +177,7 @@ def test_block_edges_keep_every_sum(monkeypatch, block_rows, levels):
 
 
 def test_assembled_matrix_annihilates_constants(medium):
-    A = assemble_conductivity(medium, bump(medium))
+    A = assemble_conductivity(bump(medium))
     ones = np.ones(medium.n_vertices)
     assert np.abs(A @ ones).max() <= 1e-12
     asym = A - A.T
@@ -188,13 +188,13 @@ def test_assemble_rejects_nonpositive_sigma(small):
     vals = np.ones(small.n_vertices)
     vals[7] = 0.0
     with pytest.raises(DomainError, match="7"):
-        assemble_conductivity(small, ScalarField(small, vals))
+        assemble_conductivity(ScalarField(small, vals))
 
 
 def test_offdiagonals_nonpositive(medium):
     # non-obtuse generator meshes give an M-matrix, the root of the
     # discrete maximum principle
-    A = assemble_conductivity(medium, bump(medium)).tocoo()
+    A = assemble_conductivity(bump(medium)).tocoo()
     off = A.data[A.row != A.col]
     assert off.max() <= 1e-14
 
@@ -204,7 +204,7 @@ def test_offdiagonals_nonpositive(medium):
 def test_linear_solution_exact_small(small):
     # 271 free unknowns: PCG at the default TOL is 4e-12 from x
     sigma = ScalarField(small, np.ones(small.n_vertices))
-    u, info = solve_mixed(small, sigma, coord_bc(small), return_info=True)
+    u, info = solve_mixed(sigma, coord_bc(small), return_info=True)
     assert info.method == "pcg"
     assert np.abs(u.values - small.vertices[:, 0]).max() <= 1e-10
 
@@ -212,7 +212,7 @@ def test_linear_solution_exact_small(small):
 def test_linear_solution_exact_pcg():
     mesh = tag_boundary(build_disk_mesh(0.04), GAMMA_FULL)
     sigma = ScalarField(mesh, np.ones(mesh.n_vertices))
-    u, info = solve_mixed(mesh, sigma, coord_bc(mesh), return_info=True)
+    u, info = solve_mixed(sigma, coord_bc(mesh), return_info=True)
     assert info.method == "pcg"
     assert np.abs(u.values - mesh.vertices[:, 0]).max() <= 1e-7
 
@@ -221,18 +221,33 @@ def test_pcg_stops_at_the_iteration_cap(medium, monkeypatch):
     monkeypatch.setattr(fem, "MAX_ITER", 3)
     sigma = ScalarField(medium, np.ones(medium.n_vertices))
     with pytest.raises(NumericalError, match=r"stalled: .* after MAX_ITER = 3 iterations"):
-        solve_mixed(medium, sigma, coord_bc(medium))
+        solve_mixed(sigma, coord_bc(medium))
 
 
 def test_dirichlet_values_exact(medium):
-    u = solve_mixed(medium, bump(medium), coord_bc(medium))
+    u = solve_mixed(bump(medium), coord_bc(medium))
     for node in medium.dirichlet_nodes[::5]:
         assert u.values[node] == medium.vertices[node, 0]
 
 
+def test_no_free_node_takes_no_iteration():
+    # one triangle inscribed in the unit circle, every edge controlled: all
+    # nodes are fixed, and PCG on the empty free block returns at once
+    angles = np.array([0.0, 2.0, 4.0]) * np.pi / 3.0
+    vertices = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    mesh = aet2d.mesh.Mesh(vertices, [[0, 1, 2]], [[0, 1], [1, 2], [2, 0]],
+                           [aet2d.mesh.DIRICHLET] * 3)
+    assert mesh.dirichlet_nodes.tolist() == [0, 1, 2]
+    values = np.array([0.5, -1.0, 2.0])
+    u, info = solve_mixed(bump(mesh), values, return_info=True)
+    assert u.values.tolist() == values.tolist()
+    assert info.iterations == 0
+    assert info.relative_residual == 0.0
+
+
 def test_maximum_principle_coordinate_data(medium):
     sigma = ScalarField(medium, np.ones(medium.n_vertices))
-    u = solve_mixed(medium, sigma, coord_bc(medium))
+    u = solve_mixed(sigma, coord_bc(medium))
     fixed = u.values[medium.dirichlet_nodes]
     assert u.values.min() >= fixed.min() - 1e-9
     assert u.values.max() <= fixed.max() + 1e-9
@@ -244,7 +259,7 @@ def test_maximum_principle_random_data(medium):
     sigma = bump(medium)
     for _ in range(5):
         data = rng.normal(size=len(nodes))
-        u = solve_mixed(medium, sigma, data)
+        u = solve_mixed(sigma, data)
         fixed = u.values[nodes]
         assert u.values.min() >= fixed.min() - 1e-9
         assert u.values.max() <= fixed.max() + 1e-9
@@ -252,17 +267,17 @@ def test_maximum_principle_random_data(medium):
 
 def test_sigma_scaling_invariance(medium):
     bc = coord_bc(medium)
-    u1 = solve_mixed(medium, bump(medium), bc)
+    u1 = solve_mixed(bump(medium), bc)
     scaled = ScalarField(medium, 3.0 * bump(medium).values)
-    u2 = solve_mixed(medium, scaled, bc)
+    u2 = solve_mixed(scaled, bc)
     assert np.abs(u1.values - u2.values).max() <= 1e-10
 
 
 def test_self_convergence_one_refinement():
     coarse = tag_boundary(build_disk_mesh(0.1), GAMMA_LARGE)
     fine = refine(coarse)
-    uc = solve_mixed(coarse, bump(coarse), coord_bc(coarse))
-    uf = solve_mixed(fine, bump(fine), coord_bc(fine))
+    uc = solve_mixed(bump(coarse), coord_bc(coarse))
+    uf = solve_mixed(bump(fine), coord_bc(fine))
     restricted = ScalarField(coarse, uf.values[:coarse.n_vertices])
     assert l2_relative_error(uc, restricted) <= 0.02
 
@@ -271,8 +286,8 @@ def test_free_rows_residual(medium):
     # Galerkin orthogonality: the residual vanishes on unconstrained rows
     sigma = bump(medium)
     bc = coord_bc(medium)
-    u = solve_mixed(medium, sigma, bc)
-    res = assemble_conductivity(medium, sigma) @ u.values
+    u = solve_mixed(sigma, bc)
+    res = assemble_conductivity(sigma) @ u.values
     free = np.setdiff1d(np.arange(medium.n_vertices), medium.dirichlet_nodes)
     assert np.abs(res[free]).max() <= 1e-9
 
@@ -284,7 +299,7 @@ def test_constraint_order_does_not_change_a_bit():
     mesh = refine(tag_boundary(build_disk_mesh(0.25), GAMMA_FULL))
     loop = mesh.boundary_loop
     assert np.any(np.diff(loop) < 0)
-    A = assemble_conductivity(mesh, bump(mesh))
+    A = assemble_conductivity(bump(mesh))
     g = np.cos(3.0 * np.arctan2(mesh.vertices[loop, 1], mesh.vertices[loop, 0]))
     free = np.setdiff1d(np.arange(mesh.n_vertices), loop)
     operator = constrain(A, loop)
@@ -294,24 +309,24 @@ def test_constraint_order_does_not_change_a_bit():
     assert (operator.coupling @ g[order]).tobytes() == walked.tobytes()
     # the data come in the sorted order of the mesh's Dirichlet nodes
     assert np.array_equal(loop[order], mesh.dirichlet_nodes)
-    u = solve_mixed(mesh, bump(mesh), g[order], operator=operator)
+    u = solve_mixed(bump(mesh), g[order], operator=operator)
     assert np.array_equal(u.values[loop], g)
     # an operator that fixes other nodes takes one value per node it fixes
     with pytest.raises(ContractError, match=rf"expected {loop.size - 1} finite .* "
                                             rf"got {loop.size},"):
-        solve_mixed(mesh, bump(mesh), g[order], operator=constrain(A, loop[1:]))
+        solve_mixed(bump(mesh), g[order], operator=constrain(A, loop[1:]))
 
 
 def test_no_dirichlet_nodes_is_singular():
     untagged = build_disk_mesh(0.25)
     assert untagged.dirichlet_nodes.size == 0
     with pytest.raises(SingularSystemError):
-        solve_mixed(untagged, bump(untagged), [])
+        solve_mixed(bump(untagged), [])
 
 
 def test_no_fixed_nodes_is_singular(small):
     with pytest.raises(SingularSystemError, match="no fixed nodes"):
-        constrain(assemble_conductivity(small, bump(small)), [])
+        constrain(assemble_conductivity(bump(small)), [])
 
 
 def test_mixed_rejects_wrong_length(small):
@@ -319,7 +334,7 @@ def test_mixed_rejects_wrong_length(small):
     for values in (np.zeros(n + 1), np.zeros(n - 1), np.zeros((n, 1)), []):
         with pytest.raises(ContractError, match=rf"expected {n} finite .* got "
                                                 rf"{np.size(values)},"):
-            solve_mixed(small, bump(small), values)
+            solve_mixed(bump(small), values)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -328,7 +343,7 @@ def test_mixed_rejects_non_finite_values(small, bad):
     values[[2, 5]] = bad
     with pytest.raises(ContractError, match=rf"expected {values.size} finite .* "
                                             rf"got {values.size}, 2 not finite"):
-        solve_mixed(small, bump(small), values)
+        solve_mixed(bump(small), values)
 
 
 # -- Poisson with weak divergence data ----------------------------------------
@@ -342,21 +357,21 @@ def test_poisson_zero_data_constant(small, monkeypatch):
     # is what certifies 1e-12
     monkeypatch.setattr(fem, "TOL", 1e-13)
     F = VectorField(small, np.zeros((small.n_triangles, 2)))
-    w = solve_poisson_weak_div(small, F, full_bc(small, lambda x, y: 2.5 + 0.0 * x))
+    w = solve_poisson_weak_div(F, full_bc(small, lambda x, y: 2.5 + 0.0 * x))
     assert np.abs(w.values - 2.5).max() <= 1e-12
 
 
 def test_poisson_reproduces_linear(small):
     F = VectorField(small, np.tile([1.0, 0.0], (small.n_triangles, 1)))
-    w = solve_poisson_weak_div(small, F, full_bc(small, lambda x, y: x))
+    w = solve_poisson_weak_div(F, full_bc(small, lambda x, y: x))
     assert np.abs(w.values - small.vertices[:, 0]).max() <= 1e-10
 
 
 def test_poisson_reproduces_interpolated_product(small):
     xy = small.vertices
     product = ScalarField(small, xy[:, 0] * xy[:, 1])
-    F = element_gradient(small, product)
-    w = solve_poisson_weak_div(small, F, full_bc(small, lambda x, y: x * y))
+    F = element_gradient(product)
+    w = solve_poisson_weak_div(F, full_bc(small, lambda x, y: x * y))
     assert np.abs(w.values - product.values).max() <= 1e-10
 
 
@@ -364,7 +379,7 @@ def test_poisson_second_order_convergence():
     def run(mesh):
         cent = mesh.vertices[mesh.triangles].mean(axis=1)
         F = VectorField(mesh, 2.0 * cent)  # gradient of x^2 + y^2 at centroids
-        w = solve_poisson_weak_div(mesh, F, full_bc(mesh, lambda x, y: x * x + y * y))
+        w = solve_poisson_weak_div(F, full_bc(mesh, lambda x, y: x * x + y * y))
         exact = ScalarField(mesh, (mesh.vertices ** 2).sum(axis=1))
         return l2_relative_error(w, exact)
 
@@ -382,10 +397,10 @@ def test_poisson_requires_full_boundary(medium):
     for short in (coord_bc(medium), np.delete(bc, 3)):
         with pytest.raises(ContractError, match=rf"expected {n} finite .* got "
                                                 rf"{short.size},"):
-            solve_poisson_weak_div(medium, F, short)
+            solve_poisson_weak_div(F, short)
     bc[7] = np.nan
     with pytest.raises(ContractError, match="1 not finite"):
-        solve_poisson_weak_div(medium, F, bc)
+        solve_poisson_weak_div(F, bc)
 
 
 @pytest.mark.parametrize("h, solver_tol, tol", [(0.1, 1e-13, 1e-12), (0.04, fem.TOL, 1e-8)])
@@ -395,10 +410,10 @@ def test_poisson_on_the_arc_only_reproduces_linear(h, solver_tol, tol, monkeypat
     monkeypatch.setattr(fem, "TOL", solver_tol)
     mesh = tag_boundary(build_disk_mesh(h), GAMMA_MEDIUM)
     ones = ScalarField(mesh, np.ones(mesh.n_vertices))
-    operator = constrain(assemble_conductivity(mesh, ones), mesh.dirichlet_nodes)
+    operator = constrain(assemble_conductivity(ones), mesh.dirichlet_nodes)
     assert operator.fixed.size < mesh.boundary_nodes.size
     F = VectorField(mesh, np.tile([1.0, 0.0], (mesh.n_triangles, 1)))
-    w, info = solve_poisson_weak_div(mesh, F, coord_bc(mesh), operator=operator,
+    w, info = solve_poisson_weak_div(F, coord_bc(mesh), operator=operator,
                                      return_info=True)
     assert info.method == "pcg"
     assert np.abs(w.values - mesh.vertices[:, 0]).max() <= tol
@@ -412,9 +427,9 @@ def test_operator_from_another_mesh_is_refused(small, medium):
         values = np.zeros(operator.fixed.size)
         F = VectorField(mesh, np.zeros((mesh.n_triangles, 2)))
         with pytest.raises(ContractError):
-            solve_poisson_weak_div(mesh, F, values, operator=operator)
+            solve_poisson_weak_div(F, values, operator=operator)
         with pytest.raises(ContractError):
-            solve_mixed(mesh, bump(mesh), values, operator=operator)
+            solve_mixed(bump(mesh), values, operator=operator)
 
 
 # -- gradients, projections, norms --------------------------------------------
@@ -422,12 +437,12 @@ def test_operator_from_another_mesh_is_refused(small, medium):
 def test_element_gradient_linear(small):
     xy = small.vertices
     f = ScalarField(small, xy[:, 0] + 2.0 * xy[:, 1])
-    g = element_gradient(small, f)
+    g = element_gradient(f)
     assert np.abs(g.vectors - [1.0, 2.0]).max() <= 1e-13
 
 
 def test_element_gradient_constant(small):
-    g = element_gradient(small, ScalarField(small, np.full(small.n_vertices, 4.2)))
+    g = element_gradient(ScalarField(small, np.full(small.n_vertices, 4.2)))
     assert np.abs(g.vectors).max() <= 1e-12
 
 

@@ -72,7 +72,7 @@ def test_bounds_violation_raises(disk):
 def test_identity_data_from_linear_potentials(disk):
     x, y = coords(disk)
     one = constant_conductivity(1.0).on_mesh(disk)
-    H = power_density(disk, one, ScalarField(disk, x), ScalarField(disk, y))
+    H = power_density(one, ScalarField(disk, x), ScalarField(disk, y))
     assert np.abs(H.h11.values - 1.0).max() <= 1e-12
     assert np.abs(H.h12.values).max() <= 1e-12
     assert np.abs(H.h22.values - 1.0).max() <= 1e-12
@@ -83,7 +83,7 @@ def test_identity_data_from_linear_potentials(disk):
 def test_data_scales_with_sigma(disk):
     x, y = coords(disk)
     three = constant_conductivity(3.0).on_mesh(disk)
-    H = power_density(disk, three, ScalarField(disk, x), ScalarField(disk, y))
+    H = power_density(three, ScalarField(disk, x), ScalarField(disk, y))
     assert np.abs(H.h11.values - 3.0).max() <= 1e-12
     assert np.abs(H.d.values - 3.0).max() <= 1e-12
 
@@ -91,9 +91,9 @@ def test_data_scales_with_sigma(disk):
 def test_solved_constant_case_gives_scaled_identity(disk):
     sigma = constant_conductivity(2.0).on_mesh(disk)
     f1, f2 = disk.vertices[disk.dirichlet_nodes].T
-    u1 = solve_mixed(disk, sigma, f1)
-    u2 = solve_mixed(disk, sigma, f2)
-    H = power_density(disk, sigma, u1, u2)
+    u1 = solve_mixed(sigma, f1)
+    u2 = solve_mixed(sigma, f2)
+    H = power_density(sigma, u1, u2)
     assert np.abs(H.h11.values - 2.0).max() <= 1e-9
     assert np.abs(H.h12.values).max() <= 1e-9
     assert np.abs(H.h22.values - 2.0).max() <= 1e-9
@@ -127,16 +127,16 @@ def test_mismatched_meshes_rejected(disk):
                      ScalarField(other, np.ones(other.n_vertices)))
     x, y = coords(disk)
     with pytest.raises(ContractError):
-        power_density(other, constant_conductivity(1.0).on_mesh(disk),
+        power_density(constant_conductivity(1.0).on_mesh(other),
                       ScalarField(disk, x), ScalarField(disk, y))
 
 
 def test_positive_semidefinite_up_to_projection(disk):
     sigma = CASE1.on_mesh(disk)
     f1, f2 = disk.vertices[disk.dirichlet_nodes].T
-    u1 = solve_mixed(disk, sigma, f1)
-    u2 = solve_mixed(disk, sigma, f2)
-    H = power_density(disk, sigma, u1, u2)
+    u1 = solve_mixed(sigma, f1)
+    u2 = solve_mixed(sigma, f2)
+    H = power_density(sigma, u1, u2)
     h11, _, h22 = H.components()
     assert h11.min() >= 0.0
     assert h22.min() >= 0.0
@@ -148,14 +148,14 @@ def test_positive_semidefinite_up_to_projection(disk):
 
 def test_theta_of_linear_potentials(disk):
     x, y = coords(disk)
-    theta, flagged = true_theta(disk, ScalarField(disk, x))
+    theta, flagged = true_theta(ScalarField(disk, x))
     assert flagged.size == 0
     assert np.abs(theta.values).max() <= 1e-12
 
-    theta, _ = true_theta(disk, ScalarField(disk, y))
+    theta, _ = true_theta(ScalarField(disk, y))
     assert np.abs(theta.values - np.pi / 2).max() <= 1e-12
 
-    theta, _ = true_theta(disk, ScalarField(disk, x + y))
+    theta, _ = true_theta(ScalarField(disk, x + y))
     assert np.abs(theta.values - np.pi / 4).max() <= 1e-12
 
 
@@ -163,14 +163,14 @@ def test_theta_range_half_open(disk):
     # at 180 degrees roundoff may land on either side of the cut; the
     # range contract and the direction are what hold
     x, _ = coords(disk)
-    theta, _ = true_theta(disk, ScalarField(disk, -x))
+    theta, _ = true_theta(ScalarField(disk, -x))
     assert np.all(theta.values > -np.pi)
     assert np.all(theta.values <= np.pi)
     assert np.abs(np.abs(theta.values) - np.pi).max() <= 1e-12
 
 
 def test_theta_constant_potential_flagged(disk):
-    theta, flagged = true_theta(disk, ScalarField(disk, np.ones(disk.n_vertices)))
+    theta, flagged = true_theta(ScalarField(disk, np.ones(disk.n_vertices)))
     assert flagged.size == disk.n_vertices
     assert np.all(theta.values == 0.0)
 
@@ -179,7 +179,7 @@ def test_theta_stable_across_branch_cut(disk):
     # gradient direction near 180 degrees alternates sign of the y component;
     # naive angle averaging would land near zero instead of pi
     x, y = coords(disk)
-    theta, _ = true_theta(disk, ScalarField(disk, -x + 1e-9 * y * y))
+    theta, _ = true_theta(ScalarField(disk, -x + 1e-9 * y * y))
     assert np.abs(np.abs(theta.values) - np.pi).max() <= 1e-6
 
 

@@ -2,6 +2,7 @@
 and exports, and the memory a mesh build, an assembly and a forward hold."""
 import ast
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -18,6 +19,22 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 def test_all_names_resolve():
     assert [name for name in aet2d.__all__ if not hasattr(aet2d, name)] == []
+
+
+def test_no_public_callable_takes_a_mesh_beside_a_field():
+    # a field carries its mesh, so a `mesh` argument next to one could only
+    # repeat it or disagree with it
+    field = re.compile(r"\b(ScalarField|VectorField|PowerDensity)\b")
+    both = []
+    for name in aet2d.__all__:
+        obj = getattr(aet2d, name)
+        if not callable(obj):
+            continue
+        params = inspect.signature(obj).parameters
+        if "mesh" in params and any(field.search(str(p.annotation))
+                                    for p in params.values()):
+            both.append(f"{name}({', '.join(params)})")
+    assert both == []
 
 
 def test_demo_imports_exist():
@@ -114,7 +131,7 @@ def test_assembly_holds_little_memory():
     # from all 12 MB of element matrices at once, assembly raised it by
     # 20.4 MB (41.7 MB through COO triplets); a block of rows at a time,
     # by 9.7 MB, and by 3.9 MB once the mesh kept no 7.9 MB P1 basis
-    rise = _peak_rise_mb(DATA_MESH, "aet2d.assemble_conductivity(mesh, sigma)")
+    rise = _peak_rise_mb(DATA_MESH, "aet2d.assemble_conductivity(sigma)")
     assert rise <= 6.0
 
 
@@ -125,7 +142,7 @@ def test_constrained_operator_holds_little_memory():
     # held together for a moment, which raises the peak by 7.9-8.3 MB
     # (13.1 MB while the mesh kept its P1 basis)
     work = ("from aet2d.fem import constrain\n"
-            "constrain(aet2d.assemble_conductivity(mesh, sigma), mesh.dirichlet_nodes)")
+            "constrain(aet2d.assemble_conductivity(sigma), mesh.dirichlet_nodes)")
     assert _peak_rise_mb(DATA_MESH, work) <= 11.0
 
 

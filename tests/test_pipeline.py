@@ -109,13 +109,13 @@ class TestForwardStage:
         forward_stage(RunConfig(case="case1", gamma="medium", target_h=0.1))
         assert len(calls) == 2
         assert calls[0][1]["operator"] is calls[1][1]["operator"]
-        mesh = calls[0][0][0]
+        mesh = calls[0][0][0].mesh
         controlled = mesh.dirichlet_nodes
         assert 0 < controlled.size < mesh.boundary_nodes.size
-        for axis, ((_, _, bc), _, _) in enumerate(calls):
+        for axis, ((_, bc), _, _) in enumerate(calls):
             assert bc.tobytes() == mesh.vertices[controlled, axis].tobytes()
-        for (mesh, sigma, bc), kwargs, shared in calls:
-            alone, info = solve_mixed(mesh, sigma, bc, return_info=True)
+        for (sigma, bc), kwargs, shared in calls:
+            alone, info = solve_mixed(sigma, bc, return_info=True)
             assert info.method == "pcg"
             assert shared.values.tobytes() == alone.values.tobytes()
 
@@ -123,9 +123,9 @@ class TestForwardStage:
         # the angle truth is the angle solve's boundary data; the tangency
         # override settles only uncontrolled rim nodes, so a controlled one
         # stays undefined
-        def flag_a_controlled_node(mesh, u1):
-            theta, flagged = true_theta(mesh, u1)
-            return theta, np.union1d(flagged, mesh.dirichlet_nodes[:1])
+        def flag_a_controlled_node(u1):
+            theta, flagged = true_theta(u1)
+            return theta, np.union1d(flagged, u1.mesh.dirichlet_nodes[:1])
 
         monkeypatch.setattr(pipeline, "true_theta", flag_a_controlled_node)
         with pytest.raises(NumericalError, match="boundary"):

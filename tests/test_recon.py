@@ -136,7 +136,7 @@ def test_conjugate_pair_fields(disk):
 def test_gradient_of_angle_matches_f(disk):
     def residual(mesh):
         fields = vector_fields(pole_data(mesh))
-        g_theta = element_gradient(mesh, field(mesh, pole_theta))
+        g_theta = element_gradient(field(mesh, pole_theta))
         diff = VectorField(mesh, fields.f.vectors - g_theta.vectors)
         return l2_norm_vector(diff) / l2_norm_vector(g_theta)
 
@@ -235,7 +235,7 @@ def test_theta_constant_for_zero_f(disk, monkeypatch):
     const = ScalarField(disk, np.ones(disk.n_vertices))
     fields = TransferFields(d=const, v11=zero, v21=zero, v22=zero, f=zero)
     bc = np.full(disk.boundary_nodes.size, np.pi / 4)
-    theta = solve_poisson_weak_div(disk, fields.f, bc)
+    theta = solve_poisson_weak_div(fields.f, bc)
     assert np.abs(theta.values - np.pi / 4).max() <= 1e-12
 
 
@@ -268,7 +268,7 @@ def test_sigma_from_zero_rhs(disk, monkeypatch):
     monkeypatch.setattr(fem, "TOL", 1e-13)
     zero = VectorField(disk, np.zeros((disk.n_triangles, 2)))
     for level in (1.0, np.e):
-        sigma, _ = reconstruct_sigma(disk, zero, np.full(disk.boundary_nodes.size, level),
+        sigma, _ = reconstruct_sigma(zero, np.full(disk.boundary_nodes.size, level),
                                      laplacian_operator(disk))
         assert np.abs(sigma.values - level).max() <= 1e-12 * level
 
@@ -279,18 +279,18 @@ def test_sigma_boundary_must_be_positive(disk):
     bc = np.ones(nodes.size)
     bc[[0, 5]] = 0.0, -1.0
     with pytest.raises(DomainError, match=rf"\[{nodes[0]}, {nodes[5]}\]"):
-        reconstruct_sigma(disk, zero, bc, laplacian_operator(disk))
+        reconstruct_sigma(zero, bc, laplacian_operator(disk))
 
 
 def test_sigma_boundary_must_cover_the_boundary(disk):
     zero = VectorField(disk, np.zeros((disk.n_triangles, 2)))
     n = disk.boundary_nodes.size
     with pytest.raises(ContractError, match=rf"expected {n} finite .* got {n + 1},"):
-        reconstruct_sigma(disk, zero, np.ones(n + 1), laplacian_operator(disk))
+        reconstruct_sigma(zero, np.ones(n + 1), laplacian_operator(disk))
     bc = np.ones(n)
     bc[3] = np.inf
     with pytest.raises(ContractError, match="1 not finite"):
-        reconstruct_sigma(disk, zero, bc, laplacian_operator(disk))
+        reconstruct_sigma(zero, bc, laplacian_operator(disk))
 
 
 def test_sigma_fixed_on_the_arc_only(monkeypatch):
@@ -298,10 +298,10 @@ def test_sigma_fixed_on_the_arc_only(monkeypatch):
     monkeypatch.setattr(fem, "TOL", 1e-13)
     mesh = tag_boundary(build_disk_mesh(0.1), GAMMA_MEDIUM)
     ones = ScalarField(mesh, np.ones(mesh.n_vertices))
-    operator = constrain(assemble_conductivity(mesh, ones), mesh.dirichlet_nodes)
+    operator = constrain(assemble_conductivity(ones), mesh.dirichlet_nodes)
     G = VectorField(mesh, np.tile([1.0, 0.0], (mesh.n_triangles, 1)))
     sigma_arc = np.exp(mesh.vertices[mesh.dirichlet_nodes, 0])
-    sigma, _ = reconstruct_sigma(mesh, G, sigma_arc, operator)
+    sigma, _ = reconstruct_sigma(G, sigma_arc, operator)
     want = np.exp(mesh.vertices[:, 0])
     assert np.abs(sigma.values / want - 1.0).max() <= 1e-12
 
@@ -314,7 +314,7 @@ def test_layered_medium_recovered_exactly(disk):
     sigma_bc = full_boundary(disk, lambda x, y: np.exp(y))
     truth = (ScalarField(disk, np.zeros(disk.n_vertices)),
              field(disk, lambda x, y: np.exp(y)))
-    result = run_algorithm1(disk, H, theta_bc, sigma_bc, truth=truth)
+    result = run_algorithm1(H, theta_bc, sigma_bc, truth=truth)
     assert result.metrics.sigma_error <= 1e-8
     assert result.metrics.cos2theta_error <= 1e-12
     assert result.metrics.sin2theta_error <= 1e-10
@@ -328,7 +328,7 @@ def test_conjugate_pair_recovers_unit_sigma(disk):
     theta_bc = boundary_theta(disk, full_boundary(disk, pole_theta))
     sigma_bc = np.ones(disk.boundary_nodes.size)
     truth = (field(disk, pole_theta), ScalarField(disk, np.ones(disk.n_vertices)))
-    result = run_algorithm1(disk, H, theta_bc, sigma_bc, truth=truth)
+    result = run_algorithm1(H, theta_bc, sigma_bc, truth=truth)
     assert result.metrics.sigma_error <= 1e-9
     assert result.metrics.cos2theta_error <= 0.01
     assert result.metrics.sin2theta_error <= 0.01
@@ -350,11 +350,11 @@ def test_both_solves_share_one_operator_bit_for_bit(disk, monkeypatch):
     assert np.any(np.diff(mesh.boundary_loop) < 0)
     theta_bc = boundary_theta(mesh, full_boundary(mesh, pole_theta))
     sigma_bc = full_boundary(mesh, lambda x, y: np.exp(y))
-    run_algorithm1(mesh, pole_data(mesh), theta_bc, sigma_bc)
+    run_algorithm1(pole_data(mesh), theta_bc, sigma_bc)
     assert len(calls) == 2
     assert calls[0][1]["operator"] is calls[1][1]["operator"]
-    for (m, F, bc), kwargs, (shared, _) in calls:
-        alone, info = solve_poisson_weak_div(m, F, bc, return_info=True)
+    for (F, bc), kwargs, (shared, _) in calls:
+        alone, info = solve_poisson_weak_div(F, bc, return_info=True)
         assert info.method == "pcg"
         assert shared.values.tobytes() == alone.values.tobytes()
 
@@ -367,14 +367,17 @@ def test_scaling_invariance(disk):
                          lambda x, y: 5.0 * np.exp(-y))
     theta_bc = np.zeros(disk.boundary_nodes.size)
     sigma_bc = full_boundary(disk, lambda x, y: np.exp(y))
-    a = run_algorithm1(disk, H, theta_bc, sigma_bc)
-    b = run_algorithm1(disk, scaled, theta_bc, sigma_bc)
+    a = run_algorithm1(H, theta_bc, sigma_bc)
+    b = run_algorithm1(scaled, theta_bc, sigma_bc)
     assert np.abs(a.sigma.values - b.sigma.values).max() <= 1e-9
     assert a.metrics is None
 
 
 def test_run_rejects_foreign_mesh(disk):
+    # the data fix the mesh; boundary data sized for another mesh is refused
     other = tag_boundary(build_disk_mesh(0.3), GAMMA_FULL)
+    assert other.boundary_nodes.size != disk.boundary_nodes.size
     H = layered_data(disk)
     with pytest.raises(ContractError):
-        run_algorithm1(other, H, [], [])
+        run_algorithm1(H, np.zeros(other.boundary_nodes.size),
+                       np.ones(other.boundary_nodes.size))
