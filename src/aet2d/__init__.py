@@ -4,46 +4,15 @@ The package synthesizes power-density data for a conductivity equation under
 partial boundary control, corrupts it with seeded multiplicative noise, and
 reconstructs the conductivity through two Poisson solves driven by the data's
 transfer-matrix vector fields.
+
+The top level holds the run API: configs, the two stages, the sweeps and
+their tables. The building blocks are imported from their modules:
+`aet2d.mesh`, `aet2d.fem`, `aet2d.forward`, `aet2d.noise` and `aet2d.recon`.
 """
 
-from .fem import (
-    ScalarField,
-    SolveInfo,
-    VectorField,
-    assemble_conductivity,
-    element_gradient,
-    l2_norm,
-    project_to_nodes,
-    solve_mixed,
-    solve_poisson_weak_div,
-)
-from .forward import (
-    CASE1,
-    CASE2,
-    PowerDensity,
-    TestCaseConductivity,
-    constant_conductivity,
-    det_diagnostics,
-    power_density,
-    true_theta,
-)
-from .mesh import (
-    BoundarySpec,
-    DIRICHLET,
-    GAMMA_FULL,
-    GAMMA_LARGE,
-    GAMMA_MEDIUM,
-    GAMMA_PRESETS,
-    GAMMA_SMALL,
-    Mesh,
-    NEUMANN,
-    build_disk_mesh,
-    refine,
-    tag_boundary,
-    write_mesh,
-)
+from .forward import det_diagnostics
+from .mesh import BoundarySpec, write_mesh
 from .metrics import (
-    ExperimentRecord,
     noise_sweep,
     record_from_run,
     records_to_csv,
@@ -51,93 +20,33 @@ from .metrics import (
     table_gamma_sweep,
     table_mesh_sweep,
 )
-from .noise import (
-    NoiseSpec,
-    clamp_eigenvalues,
-    floor_symmetric_2x2,
-    perturb,
-)
+from .noise import NoiseSpec
 from .pipeline import (
-    ForwardData,
     PipelineResult,
     RunConfig,
-    apply_noise,
     forward_stage,
     recon_stage,
     run_pipeline,
     run_sweep,
-)
-from .recon import (
-    ReconDiagnostics,
-    ReconMetrics,
-    ReconResult,
-    TransferFields,
-    boundary_theta,
-    reconstruct_sigma,
-    run_algorithm1,
-    sigma_rhs,
-    vector_fields,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundarySpec",
-    "CASE1",
-    "CASE2",
-    "DIRICHLET",
-    "ExperimentRecord",
-    "ForwardData",
-    "GAMMA_FULL",
-    "GAMMA_LARGE",
-    "GAMMA_MEDIUM",
-    "GAMMA_PRESETS",
-    "GAMMA_SMALL",
-    "Mesh",
-    "NEUMANN",
     "NoiseSpec",
     "PipelineResult",
-    "PowerDensity",
-    "ReconDiagnostics",
-    "ReconMetrics",
-    "ReconResult",
     "RunConfig",
-    "TransferFields",
-    "ScalarField",
-    "SolveInfo",
-    "TestCaseConductivity",
-    "VectorField",
-    "apply_noise",
-    "assemble_conductivity",
-    "boundary_theta",
-    "build_disk_mesh",
-    "clamp_eigenvalues",
-    "constant_conductivity",
     "det_diagnostics",
-    "element_gradient",
-    "floor_symmetric_2x2",
     "forward_stage",
-    "l2_norm",
     "noise_sweep",
-    "perturb",
-    "power_density",
-    "project_to_nodes",
     "recon_stage",
     "record_from_run",
     "records_to_csv",
-    "reconstruct_sigma",
-    "refine",
     "render_table",
-    "run_algorithm1",
     "run_pipeline",
     "run_sweep",
-    "sigma_rhs",
-    "solve_mixed",
-    "solve_poisson_weak_div",
     "table_gamma_sweep",
     "table_mesh_sweep",
-    "tag_boundary",
-    "true_theta",
-    "vector_fields",
     "write_mesh",
 ]

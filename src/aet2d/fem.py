@@ -63,7 +63,7 @@ MAX_ITER = 20_000
 TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarField:
     """One value per mesh vertex."""
 
@@ -80,7 +80,7 @@ class ScalarField:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorField:
     """One constant 2-vector per triangle."""
 
@@ -203,7 +203,7 @@ def _pcg(A: sp.csr_matrix, rhs: np.ndarray):
         f"(target {TOL:.1e}) after MAX_ITER = {MAX_ITER} iterations")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstrainedOperator:
     """A symmetric stiffness matrix split once around its fixed nodes.
 

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError, DomainError, ParameterError
+from .errors import ContractError, DomainError
 from .fem import ScalarField, element_gradient, element_mean, project_to_nodes
 from .mesh import Mesh, basis_column
 
@@ -55,24 +55,17 @@ def _three_bumps(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             + np.exp(-50.0 * ((x - 0.5) ** 2 + (y - 0.5) ** 2)))
 
 
+def _two(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.full(np.broadcast(x, y).shape, 2.0)
+
+
 # centered inclusion; off-center inclusions with a smaller feature scale
 CASE1 = TestCaseConductivity("case1", (1.0, 4.0), _single_bump)
 CASE2 = TestCaseConductivity("case2", (1.0, 4.0), _three_bumps)
 
-
-def constant_conductivity(value: float) -> TestCaseConductivity:
-    if not np.isfinite(value) or value <= 0.0:
-        raise ParameterError(f"conductivity level must be positive, got {value}")
-
-    def evaluate(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.full(np.broadcast(x, y).shape, value, dtype=float)
-
-    return TestCaseConductivity("constant", (value, value), evaluate)
-
-
 # the level cancels out of the reconstruction, which reads only gradients of
 # logs and ratios of the data plus the boundary trace
-CONSTANT = constant_conductivity(2.0)
+CONSTANT = TestCaseConductivity("constant", (2.0, 2.0), _two)
 
 # the phantoms a run names by `RunConfig.case`
 CASES = {"case1": CASE1, "case2": CASE2, "constant": CONSTANT}
@@ -81,7 +74,7 @@ CASES = {"case1": CASE1, "case2": CASE2, "constant": CONSTANT}
 EPS_D = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerDensity:
     """Symmetric 2x2 matrix field stored by its three nodal components.
 

@@ -85,7 +85,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Immutable triangulation of the unit disk.
 

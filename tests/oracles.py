@@ -7,9 +7,8 @@ measure only the tests need.
 import numpy as np
 import scipy.sparse as sp
 
-from aet2d import ScalarField, VectorField, l2_norm
 from aet2d.errors import ContractError, DomainError
-from aet2d.fem import project_to_nodes
+from aet2d.fem import ScalarField, VectorField, l2_norm, project_to_nodes
 from aet2d.mesh import TWO_PI, Mesh, _ring_start, basis_coefficients
 
 

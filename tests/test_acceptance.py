@@ -18,23 +18,20 @@ import numpy as np
 import pytest
 
 from aet2d import (
-    CASE1,
-    GAMMA_MEDIUM,
     NoiseSpec,
     RunConfig,
-    build_disk_mesh,
-    floor_symmetric_2x2,
     forward_stage,
-    project_to_nodes,
     recon_stage,
     run_pipeline,
-    solve_mixed,
     table_mesh_sweep,
-    tag_boundary,
-    vector_fields,
 )
 from aet2d import fem
 from aet2d.cli import main as cli_main
+from aet2d.fem import project_to_nodes, solve_mixed
+from aet2d.forward import CASE1
+from aet2d.mesh import GAMMA_MEDIUM, build_disk_mesh, tag_boundary
+from aet2d.noise import floor_symmetric_2x2
+from aet2d.recon import vector_fields
 from oracles import angle_gradient
 
 CASES = ("case1", "case2")

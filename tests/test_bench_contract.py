@@ -24,7 +24,8 @@ import pytest
 
 import aet2d
 import aet2d.cli
-from aet2d import NoiseSpec, RunConfig, SolveInfo
+from aet2d import NoiseSpec, RunConfig
+from aet2d.fem import SolveInfo
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SPANS = BENCH / "spans.py"

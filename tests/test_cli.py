@@ -6,17 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aet2d import (
-    GAMMA_MEDIUM,
-    ScalarField,
-    build_disk_mesh,
-    tag_boundary,
-    true_theta,
-    write_mesh,
-)
-from aet2d import cli, pipeline
+from aet2d import cli, pipeline, write_mesh
 from aet2d.cli import Job, export_field, main, parse_config, read_field_csv
 from aet2d.errors import ContractError, ParameterError
+from aet2d.fem import ScalarField
+from aet2d.forward import true_theta
+from aet2d.mesh import GAMMA_MEDIUM, build_disk_mesh, tag_boundary
 
 COARSE = "mesh.target_h = 0.3\n"
 

@@ -3,7 +3,6 @@ import pytest
 
 import aet2d.mesh
 from aet2d import fem
-from aet2d import GAMMA_FULL, GAMMA_LARGE, GAMMA_MEDIUM, build_disk_mesh, refine, tag_boundary
 from aet2d.errors import ContractError, DomainError, NumericalError, SingularSystemError
 from aet2d.fem import (
     ScalarField,
@@ -19,7 +18,16 @@ from aet2d.fem import (
     solve_poisson_weak_div,
 )
 from aet2d.forward import CASE2, true_theta
-from aet2d.mesh import basis_coefficients, signed_areas
+from aet2d.mesh import (
+    GAMMA_FULL,
+    GAMMA_LARGE,
+    GAMMA_MEDIUM,
+    basis_coefficients,
+    build_disk_mesh,
+    refine,
+    signed_areas,
+    tag_boundary,
+)
 from oracles import (
     basis_by_gather,
     coo_assembly,

@@ -1,24 +1,20 @@
 import numpy as np
 import pytest
 
-from aet2d import (
+from aet2d import det_diagnostics
+from aet2d.errors import ContractError, DomainError
+from aet2d.fem import ScalarField, solve_mixed
+from aet2d.forward import (
     CASE1,
     CASE2,
-    GAMMA_FULL,
-    GAMMA_SMALL,
+    CONSTANT,
+    EPS_D,
     PowerDensity,
-    ScalarField,
-    build_disk_mesh,
-    constant_conductivity,
-    det_diagnostics,
     power_density,
-    refine,
-    solve_mixed,
-    tag_boundary,
+    restrict,
     true_theta,
 )
-from aet2d.errors import ContractError, DomainError, ParameterError
-from aet2d.forward import EPS_D, restrict
+from aet2d.mesh import GAMMA_FULL, GAMMA_SMALL, build_disk_mesh, refine, tag_boundary
 
 
 @pytest.fixture(scope="module")
@@ -52,16 +48,13 @@ def test_phantoms_within_bounds(disk):
 
 
 def test_constant_phantom(disk):
-    sigma = constant_conductivity(2.5).on_mesh(disk)
-    assert np.all(sigma.values == 2.5)
-    with pytest.raises(ParameterError):
-        constant_conductivity(-1.0)
-    with pytest.raises(ParameterError):
-        constant_conductivity(0.0)
+    sigma = CONSTANT.on_mesh(disk)
+    assert np.all(sigma.values == 2.0)
+    assert CONSTANT(np.zeros((2, 3)), 0.5).shape == (2, 3)
 
 
 def test_bounds_violation_raises(disk):
-    from aet2d import TestCaseConductivity
+    from aet2d.forward import TestCaseConductivity
     bad = TestCaseConductivity("bad", (1.0, 1.5), lambda x, y: 2.0 + 0.0 * x)
     with pytest.raises(DomainError, match="bad"):
         bad.on_mesh(disk)
@@ -71,7 +64,7 @@ def test_bounds_violation_raises(disk):
 
 def test_identity_data_from_linear_potentials(disk):
     x, y = coords(disk)
-    one = constant_conductivity(1.0).on_mesh(disk)
+    one = ScalarField(disk, np.full(disk.n_vertices, 1.0))
     H = power_density(one, ScalarField(disk, x), ScalarField(disk, y))
     assert np.abs(H.h11.values - 1.0).max() <= 1e-12
     assert np.abs(H.h12.values).max() <= 1e-12
@@ -82,14 +75,14 @@ def test_identity_data_from_linear_potentials(disk):
 
 def test_data_scales_with_sigma(disk):
     x, y = coords(disk)
-    three = constant_conductivity(3.0).on_mesh(disk)
+    three = ScalarField(disk, np.full(disk.n_vertices, 3.0))
     H = power_density(three, ScalarField(disk, x), ScalarField(disk, y))
     assert np.abs(H.h11.values - 3.0).max() <= 1e-12
     assert np.abs(H.d.values - 3.0).max() <= 1e-12
 
 
 def test_solved_constant_case_gives_scaled_identity(disk):
-    sigma = constant_conductivity(2.0).on_mesh(disk)
+    sigma = CONSTANT.on_mesh(disk)
     f1, f2 = disk.vertices[disk.dirichlet_nodes].T
     u1 = solve_mixed(sigma, f1)
     u2 = solve_mixed(sigma, f2)
@@ -127,7 +120,7 @@ def test_mismatched_meshes_rejected(disk):
                      ScalarField(other, np.ones(other.n_vertices)))
     x, y = coords(disk)
     with pytest.raises(ContractError):
-        power_density(constant_conductivity(1.0).on_mesh(other),
+        power_density(ScalarField(other, np.full(other.n_vertices, 1.0)),
                       ScalarField(disk, x), ScalarField(disk, y))
 
 

@@ -4,21 +4,23 @@ import numpy as np
 import pytest
 
 import aet2d.mesh
-from aet2d import (
-    BoundarySpec,
+from aet2d.errors import ContractError, ParameterError
+from aet2d.mesh import (
     DIRICHLET,
     GAMMA_FULL,
     GAMMA_LARGE,
     GAMMA_MEDIUM,
     GAMMA_SMALL,
     NEUMANN,
+    BoundarySpec,
     Mesh,
+    _edge_keys,
     build_disk_mesh,
+    canonical_angle,
     refine,
+    signed_areas,
     tag_boundary,
 )
-from aet2d.errors import ContractError, ParameterError
-from aet2d.mesh import _edge_keys, canonical_angle, signed_areas
 from oracles import edge_count, ring_loop_triangles, triangle_quality
 
 TWO_PI = 2.0 * math.pi

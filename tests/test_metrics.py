@@ -3,7 +3,6 @@ import pytest
 
 import aet2d.pipeline
 from aet2d import (
-    ExperimentRecord,
     NoiseSpec,
     RunConfig,
     det_diagnostics,
@@ -16,7 +15,7 @@ from aet2d import (
     table_mesh_sweep,
 )
 from aet2d.errors import ContractError
-from aet2d.metrics import CSV_HEADER, NOISE_LADDER
+from aet2d.metrics import CSV_HEADER, NOISE_LADDER, ExperimentRecord
 
 
 def make_record(**overrides):

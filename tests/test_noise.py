@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from aet2d import GAMMA_FULL, PowerDensity, ScalarField, build_disk_mesh, tag_boundary
 from aet2d.errors import ParameterError
+from aet2d.fem import ScalarField
+from aet2d.forward import PowerDensity
+from aet2d.mesh import GAMMA_FULL, build_disk_mesh, tag_boundary
 from aet2d.noise import (
     NoiseSpec,
     _std_normals,

@@ -4,21 +4,45 @@ import ast
 import importlib
 import inspect
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import aet2d
+from aet2d.fem import ScalarField, VectorField, laplacian_operator
+from aet2d.forward import PowerDensity
+from aet2d.mesh import GAMMA_MEDIUM, build_disk_mesh, tag_boundary
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(aet2d.__path__))
 
 
 def test_all_names_resolve():
     assert [name for name in aet2d.__all__ if not hasattr(aet2d, name)] == []
+
+
+def test_top_level_exports_what_its_users_call():
+    # the users are README, the demos, the benchmark and CI; tests import
+    # the building blocks from their modules
+    sources = [ROOT / "README.md", *DEMOS, *sorted((ROOT / "bench").glob("*.py")),
+               ROOT / ".github" / "workflows" / "tier1.yml"]
+    used = set()
+    for path in sources:
+        text = path.read_text(encoding="utf-8")
+        for names in re.findall(r"\bfrom aet2d import\s+(\([^)]*\)|[^\n]*)", text):
+            used.update(item.split()[0] for item in names.strip("()").split(",")
+                        if item.strip())
+        used.update(re.findall(r"\baet2d\.(\w+)", text))
+    used = {name for name in used
+            if not name.startswith("__") and name not in SUBMODULES}
+    assert sorted(used - set(aet2d.__all__)) == []
+    assert sorted(set(aet2d.__all__) - used) == []
 
 
 def test_no_public_callable_takes_a_mesh_beside_a_field():
@@ -26,15 +50,40 @@ def test_no_public_callable_takes_a_mesh_beside_a_field():
     # repeat it or disagree with it
     field = re.compile(r"\b(ScalarField|VectorField|PowerDensity)\b")
     both = []
-    for name in aet2d.__all__:
-        obj = getattr(aet2d, name)
-        if not callable(obj):
-            continue
-        params = inspect.signature(obj).parameters
-        if "mesh" in params and any(field.search(str(p.annotation))
-                                    for p in params.values()):
-            both.append(f"{name}({', '.join(params)})")
+    for module_name in SUBMODULES:
+        module = importlib.import_module(f"aet2d.{module_name}")
+        for name, obj in vars(module).items():
+            if (name.startswith("_") or not callable(obj)
+                    or getattr(obj, "__module__", None) != module.__name__
+                    or isinstance(obj, type) and issubclass(obj, Exception)):
+                continue
+            params = inspect.signature(obj).parameters
+            if "mesh" in params and any(field.search(str(p.annotation))
+                                        for p in params.values()):
+                both.append(f"{module_name}.{name}({', '.join(params)})")
     assert both == []
+
+
+# each builds a holder on `mesh`; two calls give equal values in distinct arrays
+ARRAY_HOLDERS = {
+    "Mesh": lambda mesh: tag_boundary(build_disk_mesh(0.5), GAMMA_MEDIUM),
+    "ScalarField": lambda mesh: ScalarField(mesh, np.ones(mesh.n_vertices)),
+    "VectorField": lambda mesh: VectorField(mesh, np.ones((mesh.n_triangles, 2))),
+    "PowerDensity": lambda mesh: PowerDensity(
+        *(ScalarField(mesh, np.full(mesh.n_vertices, v)) for v in (2.0, 0.5, 2.0))),
+    "ConstrainedOperator": laplacian_operator,
+}
+
+
+@pytest.mark.parametrize("build", ARRAY_HOLDERS.values(), ids=list(ARRAY_HOLDERS))
+def test_array_holders_compare_by_identity(build):
+    # comparing their arrays by value would ask numpy for the truth of an
+    # array, and hashing them would hash an array; both raise
+    mesh = tag_boundary(build_disk_mesh(0.5), GAMMA_MEDIUM)
+    a, b = build(mesh), build(mesh)
+    assert a == a
+    assert a != b
+    assert len({a, a, b}) == 2
 
 
 def test_demo_imports_exist():
@@ -115,13 +164,15 @@ def _peak_rise_mb(setup: str, work: str) -> float:
 def test_disk_mesh_build_holds_little_memory():
     # the h = 0.03 mesh is 1 MB of triangles; building it a tuple per
     # triangle raised the peak by 16.6 MB
-    assert _peak_rise_mb("", "aet2d.build_disk_mesh(0.03)") <= 10.0
+    assert _peak_rise_mb("from aet2d.mesh import build_disk_mesh",
+                         "build_disk_mesh(0.03)") <= 10.0
 
 
 DATA_MESH = ("import numpy as np\n"
-             "mesh = aet2d.tag_boundary(aet2d.refine(aet2d.build_disk_mesh(0.03)),\n"
-             "                          aet2d.GAMMA_MEDIUM)\n"
-             "sigma = aet2d.ScalarField(mesh, np.ones(mesh.n_vertices))")
+             "from aet2d.fem import ScalarField, assemble_conductivity\n"
+             "from aet2d.mesh import GAMMA_MEDIUM, build_disk_mesh, refine, tag_boundary\n"
+             "mesh = tag_boundary(refine(build_disk_mesh(0.03)), GAMMA_MEDIUM)\n"
+             "sigma = ScalarField(mesh, np.ones(mesh.n_vertices))")
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -131,7 +182,7 @@ def test_assembly_holds_little_memory():
     # from all 12 MB of element matrices at once, assembly raised it by
     # 20.4 MB (41.7 MB through COO triplets); a block of rows at a time,
     # by 9.7 MB, and by 3.9 MB once the mesh kept no 7.9 MB P1 basis
-    rise = _peak_rise_mb(DATA_MESH, "aet2d.assemble_conductivity(sigma)")
+    rise = _peak_rise_mb(DATA_MESH, "assemble_conductivity(sigma)")
     assert rise <= 6.0
 
 
@@ -142,7 +193,7 @@ def test_constrained_operator_holds_little_memory():
     # held together for a moment, which raises the peak by 7.9-8.3 MB
     # (13.1 MB while the mesh kept its P1 basis)
     work = ("from aet2d.fem import constrain\n"
-            "constrain(aet2d.assemble_conductivity(sigma), mesh.dirichlet_nodes)")
+            "constrain(assemble_conductivity(sigma), mesh.dirichlet_nodes)")
     assert _peak_rise_mb(DATA_MESH, work) <= 11.0
 
 

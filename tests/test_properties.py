@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aet2d import (BoundarySpec, Mesh, ScalarField, boundary_theta, build_disk_mesh,
-                   floor_symmetric_2x2, refine)
 from aet2d.cli import main
 from aet2d.errors import ContractError
+from aet2d.fem import ScalarField
 from aet2d.forward import restrict
+from aet2d.mesh import BoundarySpec, Mesh, build_disk_mesh, refine
+from aet2d.noise import floor_symmetric_2x2
+from aet2d.recon import boundary_theta
 
 TWO_PI = 2.0 * math.pi
 turns = st.integers(-3, 3).filter(bool)

@@ -1,25 +1,19 @@
 import numpy as np
 import pytest
 
-from aet2d import (
-    GAMMA_FULL,
-    GAMMA_MEDIUM,
-    PowerDensity,
-    ScalarField,
-    VectorField,
-    build_disk_mesh,
-    element_gradient,
-    refine,
-    tag_boundary,
-)
 from aet2d import fem, recon
 from aet2d.errors import ContractError, DomainError
 from aet2d.fem import (
+    ScalarField,
+    VectorField,
     assemble_conductivity,
     constrain,
+    element_gradient,
     laplacian_operator,
     solve_poisson_weak_div,
 )
+from aet2d.forward import PowerDensity
+from aet2d.mesh import GAMMA_FULL, GAMMA_MEDIUM, build_disk_mesh, refine, tag_boundary
 from aet2d.recon import (
     TransferFields,
     boundary_theta,
