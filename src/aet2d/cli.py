@@ -62,7 +62,7 @@ _FORMATS = ("csv", "vtk")
 
 @dataclass(frozen=True)
 class Job:
-    """A parsed config: the run itself plus where and how to write it."""
+    """A run, the formats its config names, and the `--out` directory."""
 
     config: RunConfig
     out_dir: Path = Path("out")
@@ -96,7 +96,6 @@ _KEYS = {
     "noise.seed": ("seed", int),
     "noise.eig_floor": ("eig_floor", float),
     "recon.unwrap_arcs": ("unwrap_arcs", _parse_arcs),
-    "output.dir": ("out_dir", Path),
     "output.formats": ("formats", _parse_formats),
 }
 
@@ -331,7 +330,7 @@ def _cmd_reconstruct(job: Job, quiet: bool) -> int:
     h11, h12, h22, theta_true = (
         read_field_csv(job.out_dir / f"{name}.csv", mesh, mesh_text=mesh_text)
         for name in ("h11", "h12", "h22", "theta_true"))
-    fwd = ForwardData(recon_mesh=mesh, sigma_true=job.config.conductivity().on_mesh(mesh),
+    fwd = ForwardData(sigma_true=job.config.conductivity().on_mesh(mesh),
                       theta_true=theta_true, H=PowerDensity(h11, h12, h22))
     t0 = time.perf_counter()
     recon = recon_stage(job.config, fwd)
@@ -389,9 +388,7 @@ def _build_parser() -> _Parser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="config file path")
-        p.add_argument("--out", help="output directory (overrides output.dir)")
-        p.add_argument("--seed", type=int,
-                       help="noise seed (overrides noise.seed)")
+        p.add_argument("--out", help="output directory (default: out)")
         p.add_argument("--quiet", action="store_true")
     return parser
 
@@ -400,9 +397,6 @@ def _load_job(args) -> Job:
     job = parse_config(_read_ascii(Path(args.config)))
     if args.out is not None:
         job = replace(job, out_dir=Path(args.out))
-    if args.seed is not None:
-        job = replace(job, config=replace(
-            job.config, noise=replace(job.config.noise, seed=args.seed)))
     return job
 
 

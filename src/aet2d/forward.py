@@ -20,7 +20,7 @@ from .mesh import Mesh, basis_column
 
 
 @dataclass(frozen=True)
-class TestCaseConductivity:
+class Phantom:
     """Closed-form conductivity phantom with a guaranteed value range.
 
     `bounds` is checked on every mesh evaluation so a typo in a phantom
@@ -60,12 +60,12 @@ def _two(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 # centered inclusion; off-center inclusions with a smaller feature scale
-CASE1 = TestCaseConductivity("case1", (1.0, 4.0), _single_bump)
-CASE2 = TestCaseConductivity("case2", (1.0, 4.0), _three_bumps)
+CASE1 = Phantom("case1", (1.0, 4.0), _single_bump)
+CASE2 = Phantom("case2", (1.0, 4.0), _three_bumps)
 
 # the level cancels out of the reconstruction, which reads only gradients of
 # logs and ratios of the data plus the boundary trace
-CONSTANT = TestCaseConductivity("constant", (2.0, 2.0), _two)
+CONSTANT = Phantom("constant", (2.0, 2.0), _two)
 
 # the phantoms a run names by `RunConfig.case`
 CASES = {"case1": CASE1, "case2": CASE2, "constant": CONSTANT}

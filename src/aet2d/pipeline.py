@@ -21,8 +21,8 @@ from .errors import NumericalError, ParameterError
 from .fem import ScalarField, assemble_conductivity, constrain, solve_mixed
 from .forward import (
     CASES,
+    Phantom,
     PowerDensity,
-    TestCaseConductivity,
     power_density,
     restrict,
     true_theta,
@@ -74,7 +74,7 @@ class RunConfig:
     def boundary_spec(self) -> BoundarySpec:
         return GAMMA_PRESETS[self.gamma]
 
-    def conductivity(self) -> TestCaseConductivity:
+    def conductivity(self) -> Phantom:
         return CASES[self.case]
 
 
@@ -82,10 +82,13 @@ class RunConfig:
 class ForwardData:
     """Synthesized inputs for one reconstruction, on the reconstruction mesh."""
 
-    recon_mesh: Mesh
     sigma_true: ScalarField
     theta_true: ScalarField
     H: PowerDensity
+
+    @property
+    def recon_mesh(self) -> Mesh:
+        return self.H.mesh
 
     @property
     def n_data(self) -> int:
@@ -162,13 +165,7 @@ def forward_stage(config: RunConfig) -> ForwardData:
     h11, h12, h22 = (restrict(c, recon_mesh) for c in (H_data.h11, H_data.h12, H_data.h22))
     H = PowerDensity(h11, h12, h22)
 
-    # the restriction averages nothing, so going through cosine and sine only
-    # re-rounds the angle (the last bit at ~12% of nodes); it is kept so the
-    # angle truth, and every recorded result, stays what interpolation gave
-    cos_t = restrict(ScalarField(data_mesh, np.cos(theta_data.values)), recon_mesh)
-    sin_t = restrict(ScalarField(data_mesh, np.sin(theta_data.values)), recon_mesh)
-    theta = np.arctan2(sin_t.values, cos_t.values)
-    theta[theta <= -np.pi] = np.pi
+    theta = restrict(theta_data, recon_mesh).values
 
     u1_rim = restrict(u1, recon_mesh).values
     overridden = _tangency_override(recon_mesh, u1_rim, theta)
@@ -180,7 +177,6 @@ def forward_stage(config: RunConfig) -> ForwardData:
         raise NumericalError("angle truth is undefined on reconstruction boundary "
                              f"nodes {undefined[:8].tolist()}")
     return ForwardData(
-        recon_mesh=recon_mesh,
         sigma_true=case.on_mesh(recon_mesh),
         theta_true=ScalarField(recon_mesh, theta),
         H=H,

@@ -1,12 +1,12 @@
 """Angle and conductivity reconstruction from power-density data.
 
-The matrix data is reduced to three element vector fields and the
-determinant root.  The gradient angle of the first potential solves a
-Poisson problem driven by those fields; the log conductivity solves a
-second one whose right side rotates the same fields by twice the angle.
-Each solve takes an operator that names the nodes it fixes, and data with one
-value per node of that operator's `fixed`, in that sorted order.  The full
-reconstruction fixes the whole boundary in both, through one shared Laplacian.
+The matrix data is reduced to element vector fields.  The gradient angle
+of the first potential solves a Poisson problem driven by those fields; the
+log conductivity solves a second one whose right side rotates the same
+fields by twice the angle.  Each solve takes an operator that names the
+nodes it fixes, and data with one value per node of that operator's
+`fixed`, in that sorted order.  The full reconstruction fixes the whole
+boundary in both, through one shared Laplacian.
 """
 from __future__ import annotations
 
@@ -47,21 +47,20 @@ class TransferFields:
     solve; it equals half of (-v21 - rot90(grad log d)).
     """
 
-    d: ScalarField
     v11: VectorField
     v21: VectorField
     v22: VectorField
     f: VectorField
 
     def __post_init__(self) -> None:
-        mesh = self.d.mesh
-        for v in (self.v11, self.v21, self.v22, self.f):
+        mesh = self.f.mesh
+        for v in (self.v11, self.v21, self.v22):
             if v.mesh is not mesh:
                 raise ContractError("transfer fields live on different meshes")
 
     @property
     def mesh(self) -> Mesh:
-        return self.d.mesh
+        return self.f.mesh
 
 
 def vector_fields(H: PowerDensity) -> TransferFields:
@@ -93,7 +92,6 @@ def vector_fields(H: PowerDensity) -> TransferFields:
     v22 = grad(0.5 * log_h11 - log_d)
     f = 0.5 * (-v21 - _rot90(grad(log_d)))
     return TransferFields(
-        d=H.d,
         v11=VectorField(mesh, v11),
         v21=VectorField(mesh, v21),
         v22=VectorField(mesh, v22),

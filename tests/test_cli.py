@@ -43,7 +43,6 @@ class TestParseConfig:
             noise.alpha_percent = 5
             noise.seed = 50
             noise.eig_floor = 1e-6      # trailing comment
-            output.dir = results/run1
             output.formats = csv, vtk
         """)
         cfg = job.config
@@ -51,7 +50,6 @@ class TestParseConfig:
         assert (cfg.gamma, cfg.case) == ("small", "case2")
         assert (cfg.noise.alpha_percent, cfg.noise.seed) == (5.0, 50)
         assert cfg.noise.eig_floor == 1e-6
-        assert str(job.out_dir) == "results/run1"
         assert job.formats == ("csv", "vtk")
 
     def test_explicit_arcs(self):
@@ -240,13 +238,14 @@ class TestExitCodes:
                                       "sigma.constant_value = 3",
                                       "solver.tol = 1e-11",
                                       "solver.max_iter = 500",
-                                      "gamma.arcs = 0.5, 2.5"])
+                                      "gamma.arcs = 0.5, 2.5",
+                                      "output.dir = x"])
     def test_removed_settings_are_unknown_keys(self, tmp_path, capsys, line):
         # the determinant-root floor, the constant phantom's level, the
         # solver precision and its iteration cap are the constants
         # aet2d.forward.EPS_D, aet2d.forward.CONSTANT, aet2d.fem.TOL and
-        # aet2d.fem.MAX_ITER, and the controlled arc is the preset
-        # gamma.preset names
+        # aet2d.fem.MAX_ITER, the controlled arc is the preset gamma.preset
+        # names, and the output directory is the --out flag
         cfg = write_config(tmp_path, COARSE + line + "\n")
         assert run_cli("run", "--config", cfg, "--out", str(tmp_path / "o")) == 1
         key = line.split(" =")[0]
@@ -261,6 +260,16 @@ class TestExitCodes:
     def test_usage_error_is_exit_1(self):
         assert run_cli("frobnicate") == 1
         assert run_cli("run") == 1
+
+    def test_seed_flag_is_a_usage_error(self, tmp_path, capsys):
+        # the noise seed is set only by noise.seed in the config
+        cfg = write_config(tmp_path, COARSE + "noise.alpha_percent = 5\n")
+        assert run_cli("run", "--config", cfg, "--out", str(tmp_path / "o"),
+                       "--seed", "9") == 1
+        err = capsys.readouterr().err
+        assert "--seed" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("levels", [5, 6])
     def test_table2_levels_past_the_limit_name_the_key(self, tmp_path, capsys, levels):
@@ -426,21 +435,6 @@ class TestSubcommands:
             assert run_cli("run", "--config", cfg, "--out", str(d), "--quiet") == 0
         for name in ("record.csv", "sigma_recon.csv", "theta_recon.csv"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
-
-    def test_seed_flag_overrides_config(self, tmp_path):
-        cfg = write_config(tmp_path, COARSE + "noise.alpha_percent = 5\n"
-                           "noise.seed = 7\n")
-        base, flagged, explicit = (tmp_path / n for n in ("base", "flag", "exp"))
-        run_cli("run", "--config", cfg, "--out", str(base), "--quiet")
-        run_cli("run", "--config", cfg, "--out", str(flagged), "--seed", "9",
-                "--quiet")
-        cfg9 = write_config(tmp_path, COARSE + "noise.alpha_percent = 5\n"
-                            "noise.seed = 9\n", name="nine.cfg")
-        run_cli("run", "--config", cfg9, "--out", str(explicit), "--quiet")
-        a = (base / "sigma_recon.csv").read_bytes()
-        b = (flagged / "sigma_recon.csv").read_bytes()
-        assert a != b
-        assert b == (explicit / "sigma_recon.csv").read_bytes()
 
     def test_quiet_silences_stdout(self, tmp_path, capsys):
         cfg = write_config(tmp_path, COARSE)

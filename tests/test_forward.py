@@ -9,6 +9,7 @@ from aet2d.forward import (
     CASE2,
     CONSTANT,
     EPS_D,
+    Phantom,
     PowerDensity,
     power_density,
     restrict,
@@ -54,8 +55,7 @@ def test_constant_phantom(disk):
 
 
 def test_bounds_violation_raises(disk):
-    from aet2d.forward import TestCaseConductivity
-    bad = TestCaseConductivity("bad", (1.0, 1.5), lambda x, y: 2.0 + 0.0 * x)
+    bad = Phantom("bad", (1.0, 1.5), lambda x, y: 2.0 + 0.0 * x)
     with pytest.raises(DomainError, match="bad"):
         bad.on_mesh(disk)
 

@@ -5,7 +5,7 @@ import pytest
 from aet2d import pipeline
 from aet2d.errors import NumericalError, ParameterError
 from aet2d.fem import ScalarField, solve_mixed
-from aet2d.forward import CONSTANT, PowerDensity, true_theta
+from aet2d.forward import CONSTANT, PowerDensity, restrict, true_theta
 from aet2d.mesh import GAMMA_MEDIUM, build_disk_mesh, refine, tag_boundary
 from aet2d.noise import NoiseSpec
 from aet2d.pipeline import (
@@ -87,12 +87,34 @@ class TestForwardStage:
         assert finer.recon_mesh.n_vertices == base.n_data
 
     def test_fields_live_on_recon_mesh(self):
+        # the reconstruction mesh is read from the data matrix
         cfg = RunConfig(case="case1", gamma="large", target_h=0.25)
         fwd = forward_stage(cfg)
-        assert fwd.H.mesh is fwd.recon_mesh
-        assert fwd.sigma_true.mesh is fwd.recon_mesh
-        assert fwd.theta_true.mesh is fwd.recon_mesh
+        mesh = fwd.recon_mesh
+        assert mesh is fwd.H.mesh
+        assert fwd.sigma_true.mesh is mesh
+        assert fwd.theta_true.mesh is mesh
+        assert mesh.vertices.tobytes() == pipeline.base_mesh(cfg).vertices.tobytes()
         assert fwd.H.d.values.min() > 0.0
+
+    def test_angle_truth_is_restricted_true_theta(self, monkeypatch):
+        # the angle truth is true_theta's value at each reconstruction node,
+        # bit for bit, apart from the rim nodes the tangency override sets
+        seen = []
+
+        def recording(u1):
+            theta, flagged = true_theta(u1)
+            seen.append((u1, theta))
+            return theta, flagged
+
+        monkeypatch.setattr(pipeline, "true_theta", recording)
+        fwd = forward_stage(RunConfig(case="case2", gamma="medium", target_h=0.1))
+        [(u1, theta_data)] = seen
+        mesh = fwd.recon_mesh
+        want = restrict(theta_data, mesh).values
+        overridden = pipeline._tangency_override(mesh, restrict(u1, mesh).values, want)
+        assert overridden.size > 0
+        assert fwd.theta_true.values.tobytes() == want.tobytes()
 
     def test_potentials_share_one_operator_bit_for_bit(self, monkeypatch):
         # both forward solves take one prebuilt operator; each potential must
@@ -144,7 +166,7 @@ def identity_data(target_h=0.5):
     ones = np.ones(mesh.n_vertices)
     H = PowerDensity(ScalarField(mesh, ones), ScalarField(mesh, 0.0 * ones),
                      ScalarField(mesh, ones))
-    return ForwardData(recon_mesh=mesh, sigma_true=ScalarField(mesh, ones),
+    return ForwardData(sigma_true=ScalarField(mesh, ones),
                        theta_true=ScalarField(mesh, 0.0 * ones), H=H)
 
 

@@ -226,8 +226,7 @@ def test_theta_constant_for_zero_f(disk, monkeypatch):
     # is what certifies 1e-12, here and in the two sigma solves below
     monkeypatch.setattr(fem, "TOL", 1e-13)
     zero = VectorField(disk, np.zeros((disk.n_triangles, 2)))
-    const = ScalarField(disk, np.ones(disk.n_vertices))
-    fields = TransferFields(d=const, v11=zero, v21=zero, v22=zero, f=zero)
+    fields = TransferFields(v11=zero, v21=zero, v22=zero, f=zero)
     bc = np.full(disk.boundary_nodes.size, np.pi / 4)
     theta = solve_poisson_weak_div(fields.f, bc)
     assert np.abs(theta.values - np.pi / 4).max() <= 1e-12
@@ -237,8 +236,7 @@ def test_sigma_rhs_rotation_identities(disk):
     zero = VectorField(disk, np.zeros((disk.n_triangles, 2)))
     v11 = VectorField(disk, np.tile([-0.4, 0.0], (disk.n_triangles, 1)))
     v22 = VectorField(disk, np.tile([0.0, 0.3], (disk.n_triangles, 1)))
-    const = ScalarField(disk, np.ones(disk.n_vertices))
-    fields = TransferFields(d=const, v11=v11, v21=zero, v22=v22, f=zero)
+    fields = TransferFields(v11=v11, v21=zero, v22=v22, f=zero)
     base = np.array([-0.4, 0.3])  # reflect y of (v11 - v22)
 
     n = disk.n_vertices
@@ -252,8 +250,7 @@ def test_sigma_rhs_rotation_identities(disk):
 
 def test_sigma_rhs_zero_fields(disk):
     zero = VectorField(disk, np.zeros((disk.n_triangles, 2)))
-    const = ScalarField(disk, np.ones(disk.n_vertices))
-    fields = TransferFields(d=const, v11=zero, v21=zero, v22=zero, f=zero)
+    fields = TransferFields(v11=zero, v21=zero, v22=zero, f=zero)
     G = sigma_rhs(field(disk, lambda x, y: x + y), fields)
     assert np.abs(G.vectors).max() == 0.0
 
