@@ -330,6 +330,11 @@ def _cmd_reconstruct(job: Job, quiet: bool) -> int:
     h11, h12, h22, theta_true = (
         read_field_csv(job.out_dir / f"{name}.csv", mesh, mesh_text=mesh_text)
         for name in ("h11", "h12", "h22", "theta_true"))
+    # `true_theta` writes angles in (-pi, pi]; any other is not its output
+    outside = np.flatnonzero((theta_true.values <= -np.pi) | (theta_true.values > np.pi))
+    if outside.size:
+        raise ContractError(f"{job.out_dir / 'theta_true.csv'}: line {outside[0] + 2}: "
+                            f"angle {theta_true.values[outside[0]]!r} outside (-pi, pi]")
     fwd = ForwardData(sigma_true=job.config.conductivity().on_mesh(mesh),
                       theta_true=theta_true, H=PowerDensity(h11, h12, h22))
     t0 = time.perf_counter()

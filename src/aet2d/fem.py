@@ -19,12 +19,14 @@ Data move between nodes and elements through three functions only:
 `element_mean` (nodal field to its centroid value per triangle) and
 `project_to_nodes` (element values to nodes by lumped-mass averaging).
 
-Matrices are summed as scipy's COO-to-CSR conversion sums them, a block of
-rows at a time: `aet2d.mesh.assemble_elements` lays each block's element rows
-out by row, in element order, as that conversion does before it sums, and
-scipy's own `sum_duplicates` adds them. A row's sum needs that row alone, so
-every sum is taken in the same order, bit for bit, while only one block's
-element rows (from `local_stiffness` for the stiffness matrix) are held.
+The stiffness matrix is the only matrix assembled, and it is summed as
+scipy's COO-to-CSR conversion sums it, a block of rows at a time:
+`assemble_conductivity` lays each block's `local_stiffness` rows out by row,
+in element order, as that conversion does before it sums, and scipy's own
+`sum_duplicates` adds them. A row's sum needs that row alone, so every sum is
+taken in the same order, bit for bit, while only one block's element rows are
+held. `l2_norm` needs no mass matrix: it sums the consistent-mass form per
+triangle.
 
 No P1 basis is kept per mesh. Assembly computes the gradient coefficients of
 one block's triangles at a time, and `element_gradient` and the weak
@@ -53,7 +55,7 @@ from .errors import (
     NumericalError,
     SingularSystemError,
 )
-from .mesh import Mesh, assemble_elements, basis_coefficients, basis_column
+from .mesh import Mesh, basis_coefficients, basis_column
 
 # Conjugate-gradient iterations before a solve is reported stalled; each
 # h = 0.03 data solve takes about 1,400.
@@ -108,8 +110,14 @@ class SolveInfo:
 # Assembly
 # ---------------------------------------------------------------------------
 
+# Matrix rows summed per block: a block's pre-sum arrays hold about 6 element
+# rows of 3 entries per matrix row, so 4096 rows keep them near 0.6 MB.
+_BLOCK_ROWS = 4096
+
+
 def local_stiffness(b, c, scale, i) -> np.ndarray:
-    """Rows of P1 element stiffness matrices, as `assemble_elements` takes them.
+    """Rows of P1 element stiffness matrices, as `assemble_conductivity`
+    sums them.
 
     Parameters
     ----------
@@ -124,7 +132,8 @@ def local_stiffness(b, c, scale, i) -> np.ndarray:
     Returns
     -------
     (S, 3) rows: entry [s, j] is (b_i b_j + c_i c_j) * scale of row s,
-    with i = i[s], evaluated in that order.
+    with i = i[s], evaluated in that order; it couples vertex i and vertex
+    j of row s's triangle.
     """
     pick = np.arange(0, 3 * len(i), 3) + i  # flat position of (b, c)[s, i[s]]
     K = b * np.take(b, pick)[:, None]
@@ -141,6 +150,16 @@ def assemble_conductivity(sigma: ScalarField) -> sp.csr_matrix:
     P1 and integrated by vertex quadrature. Row sums are zero before
     constraints (the pure-Neumann operator annihilates constants).
 
+    Slot 3t + i stands for row i of triangle t. A stable sort of the slots by
+    vertex lays each matrix row out as scipy's COO-to-CSR conversion does
+    before it sums: that row's element rows in element order. The matrix is
+    then built `_BLOCK_ROWS` rows at a time: the `local_stiffness` rows of
+    the block are computed from the basis of the block's triangles alone,
+    laid out as a pre-sum CSR block, and added up by scipy's own
+    `sum_duplicates`. A row's sum depends on that row's entries alone, so
+    every sum is the conversion's, bit for bit, while only one block's
+    entries are held at once and the COO row and column arrays never exist.
+
     Raises
     ------
     DomainError
@@ -152,13 +171,39 @@ def assemble_conductivity(sigma: ScalarField) -> sp.csr_matrix:
         raise DomainError(f"sigma must be positive; offending nodes {bad[:10].tolist()}")
     scale = element_mean(mesh, sigma.values)
     scale /= 4.0 * mesh.areas
-
-    def element_rows(t, i):
-        # the basis of this block's triangles only
-        b, c = basis_coefficients(mesh.vertices, np.take(mesh.triangles, t, axis=0))
-        return local_stiffness(b, c, np.take(scale, t), i)
-
-    return assemble_elements(mesh, element_rows)
+    n = mesh.n_vertices
+    # the COO-to-CSR conversion picks int32 indices while the pre-sum count
+    # 9T fits in them; the same arrays give the same sort and the same sums
+    idx = np.int32 if 9 * mesh.n_triangles < 2**31 else np.int64
+    tri = mesh.triangles.astype(idx)
+    order = np.argsort(tri.ravel(), kind="stable")
+    starts = np.zeros(n + 1, dtype=idx)  # row r holds slots starts[r]:starts[r + 1]
+    np.cumsum(np.bincount(tri.ravel(), minlength=n), out=starts[1:])
+    # Mesh's checks bound the entry count: every edge but the K rim ones lies
+    # in at least two triangles, so there are at most (3T + K) / 2 edges, each
+    # two entries, plus one diagonal entry per vertex
+    size = n + 3 * mesh.n_triangles + len(mesh.boundary_edges)
+    data, indices = np.empty(size), np.empty(size, dtype=idx)
+    indptr = np.zeros(n + 1, dtype=idx)
+    nnz = 0
+    for r0 in range(0, n, _BLOCK_ROWS):
+        r1 = min(r0 + _BLOCK_ROWS, n)
+        slots = order[starts[r0]:starts[r1]]
+        t = slots // 3
+        ptr = 3 * (starts[r0:r1 + 1] - starts[r0])
+        block_tri = np.take(tri, t, axis=0)
+        rows = local_stiffness(*basis_coefficients(mesh.vertices, block_tri),
+                               np.take(scale, t), slots - 3 * t)
+        block = sp.csr_matrix((rows.ravel(), block_tri.ravel(), ptr), shape=(r1 - r0, n))
+        del rows, block_tri  # else they live on into the next block and raise the peak
+        block.sum_duplicates()
+        data[nnz:nnz + block.nnz] = block.data
+        indices[nnz:nnz + block.nnz] = block.indices
+        np.add(block.indptr[1:], nnz, out=indptr[r0 + 1:r1 + 1])
+        nnz += block.nnz
+    A = sp.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=(n, n))
+    A.has_canonical_format = True  # each block was summed and sorted
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +457,14 @@ def project_to_nodes(mesh: Mesh, element_values: np.ndarray) -> np.ndarray:
 
 
 def l2_norm(field: ScalarField) -> float:
-    """L2(Omega) norm of the P1 interpolant via the consistent mass matrix."""
-    M = field.mesh.mass
-    return float(np.sqrt(max(field.values @ (M @ field.values), 0.0)))
+    """L2(Omega) norm of the P1 interpolant, exact for P1 fields.
+
+    Each triangle adds its consistent-mass form,
+    area / 12 * (v0^2 + v1^2 + v2^2 + (v0 + v1 + v2)^2), and numpy's
+    pairwise `np.sum` adds the triangles: no matrix and no BLAS reduction,
+    so the norm does not depend on the thread count.
+    """
+    tri, areas = field.mesh.triangles, field.mesh.areas
+    v0, v1, v2 = (field.values[tri[:, k]] for k in range(3))
+    form = v0 * v0 + v1 * v1 + v2 * v2 + (v0 + v1 + v2) ** 2
+    return math.sqrt(np.sum(areas * form) / 12.0)

@@ -311,19 +311,27 @@ def stage(tmp_path_factory):
     return cfg, root / "out"
 
 
-def _nan_in_third_row(text):
-    lines = text.splitlines(keepends=True)
-    lines[3] = lines[3].rsplit(",", 1)[0] + ",nan\n"
-    return "".join(lines)
+def _value_at_line(lineno, value):
+    """A corruption that sets the value on line `lineno` of a field CSV."""
+    def corrupt(text):
+        lines = text.splitlines(keepends=True)
+        lines[lineno - 1] = lines[lineno - 1].rsplit(",", 1)[0] + f",{value}\n"
+        return "".join(lines)
+    return corrupt
 
 
 class TestMalformedStageFiles:
-    @pytest.mark.parametrize("name,corrupt", [
-        ("stage.txt", lambda t: t[:len(t) // 3]),
-        ("stage.txt", lambda t: t + "noise.seed = 3\n"),
-        ("h11.csv", _nan_in_third_row),
-    ], ids=["stage-truncated", "stage-extra-line", "field-nan"])
-    def test_reconstruct_names_the_file(self, stage, tmp_path, capsys, name, corrupt):
+    # at h = 0.3 the mesh has 217 nodes; node 216, on line 218, is on the rim
+    @pytest.mark.parametrize("name,corrupt,where", [
+        ("stage.txt", lambda t: t[:len(t) // 3], ""),
+        ("stage.txt", lambda t: t + "noise.seed = 3\n", ""),
+        ("h11.csv", _value_at_line(4, "nan"), "line 4:"),
+        ("theta_true.csv", _value_at_line(218, "100"), "line 218:"),
+        ("theta_true.csv", _value_at_line(2, "4"), "line 2:"),
+    ], ids=["stage-truncated", "stage-extra-line", "field-nan", "angle-on-the-rim",
+            "angle-at-node-0"])
+    def test_reconstruct_names_the_file(self, stage, tmp_path, capsys, name,
+                                        corrupt, where):
         cfg, source = stage
         out = tmp_path / "stage"
         shutil.copytree(source, out)
@@ -332,8 +340,9 @@ class TestMalformedStageFiles:
         assert run_cli("reconstruct", "--config", cfg, "--out", str(out),
                        "--quiet") == 1
         err = capsys.readouterr().err
-        assert name in err
+        assert name in err and where in err
         assert "Traceback" not in err
+        assert not (out / "record.csv").exists()
 
     @pytest.mark.parametrize("text,key", [
         ("mesh.target_h = 0.35\n", "mesh.target_h"),

@@ -111,13 +111,10 @@ def test_stiffness_is_the_coo_sum_bit_for_bit(nested):
 
 
 def coo_mass(mesh):
-    """The mass matrix from broadcast element matrices and COO sums."""
+    """The consistent mass matrix from broadcast element matrices and COO
+    sums, the matrix form of what `l2_norm` sums per triangle."""
     ref = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
     return coo_assembly(mesh, ref[None, :, :] * mesh.areas[:, None, None])
-
-
-def test_mass_is_the_coo_sum_bit_for_bit(nested):
-    assert csr_bytes(nested.mass) == csr_bytes(coo_mass(nested))
 
 
 def test_constrained_blocks_are_the_coo_blocks_bit_for_bit(nested):
@@ -170,14 +167,13 @@ def test_block_edges_keep_every_sum(monkeypatch, block_rows, levels):
     mesh = build_disk_mesh(0.2)
     for _ in range(levels):
         mesh = refine(mesh)
-    mesh = tag_boundary(mesh, GAMMA_MEDIUM)  # new, so its mass is not cached
+    mesh = tag_boundary(mesh, GAMMA_MEDIUM)
     rows = mesh.n_vertices if block_rows == "n" else block_rows
-    monkeypatch.setattr(aet2d.mesh, "_BLOCK_ROWS", rows)
+    monkeypatch.setattr(fem, "_BLOCK_ROWS", rows)
     sigma, fixed = CASE2.on_mesh(mesh), mesh.dirichlet_nodes
     A = assemble_conductivity(sigma)
     want = coo_stiffness(mesh, sigma)
     assert csr_bytes(A) == csr_bytes(want)
-    assert csr_bytes(mesh.mass) == csr_bytes(coo_mass(mesh))
     operator = constrain(A, fixed)
     free_block, coupling = fancy_index_split(want, fixed)
     assert csr_bytes(operator.free_block) == csr_bytes(free_block)
@@ -509,7 +505,19 @@ def test_hat_function_norm_matches_quadrature(small):
     assert l2_norm(ScalarField(small, hat)) == pytest.approx(expected, abs=1e-12)
 
 
-def test_mass_matrix_total_area(small):
-    M = small.mass
-    ones = np.ones(small.n_vertices)
-    assert ones @ (M @ ones) == pytest.approx(small.areas.sum(), rel=1e-12)
+def test_norm_of_one_is_the_root_of_the_area(small):
+    ones = ScalarField(small, np.ones(small.n_vertices))
+    assert l2_norm(ones) ** 2 == pytest.approx(small.areas.sum(), rel=1e-12)
+
+
+@pytest.mark.parametrize("levels", [0, 1], ids=lambda n: f"refine_levels={n}")
+def test_norm_is_the_mass_matrix_form(levels):
+    # the per-triangle sum is v @ M @ v with M the assembled consistent mass
+    mesh = build_disk_mesh(0.2)
+    for _ in range(levels):
+        mesh = refine(mesh)
+    rng = np.random.default_rng(levels)
+    for _ in range(5):
+        v = rng.standard_normal(mesh.n_vertices)
+        want = np.sqrt(v @ (coo_mass(mesh) @ v))
+        assert l2_norm(ScalarField(mesh, v)) == pytest.approx(want, rel=1e-14)

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,21 +277,32 @@ def test_edge_count_is_the_refinement_node_gain():
 def test_geometry_cache_is_read_only_and_exact():
     mesh = build_disk_mesh(0.3)
     assert mesh.areas.tobytes() == signed_areas(mesh.vertices, mesh.triangles).tobytes()
-    assert mesh.mass is mesh.mass
-    for a in (mesh.areas, mesh.mass.data, mesh.mass.indices, mesh.mass.indptr):
+    assert mesh.star_areas is mesh.star_areas
+    for a in (mesh.areas, mesh.star_areas):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
 
 
 def test_derived_meshes_do_not_inherit_the_cache():
     mesh = build_disk_mesh(0.3)
-    mesh.mass
+    mesh.star_areas
     tagged, refined = tag_boundary(mesh, GAMMA_MEDIUM), refine(mesh)
     for child in (tagged, refined):
-        assert "mass" not in vars(child)
+        assert "star_areas" not in vars(child)
         assert child.areas.tobytes() == signed_areas(child.vertices, child.triangles).tobytes()
     # tagging moves no vertex, so the tagged mesh keeps the input's areas
     assert tagged.areas is mesh.areas and refined.areas is not mesh.areas
+
+
+def test_mesh_module_imports_no_scipy():
+    # a mesh is geometry only: every matrix is assembled in aet2d.fem
+    tree = ast.parse(Path(aet2d.mesh.__file__).read_text(encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert "numpy" in modules
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
 
 
 def test_tagging_checks_only_the_tags(monkeypatch):
