@@ -5,13 +5,13 @@ Meshes, boundary control, and what the data matrix sees
 Builds the structured disk mesh at a few resolutions, tags the three
 control-arc presets, synthesizes the power-density matrix for each, and
 shows how the smallest determinant of the data collapses as the
-controlled arc shrinks.  Writes the medium-arc mesh and its
-log-determinant field to ``demos/out`` for inspection (the VTK file
-opens in ParaView or similar).
+controlled arc shrinks.  Writes the medium-arc log-determinant field,
+with the mesh it lives on, to ``demos/out`` for inspection (the VTK
+file opens in ParaView or similar).
 """
 from pathlib import Path
 
-from aet2d import RunConfig, det_diagnostics, forward_stage, write_mesh
+from aet2d import RunConfig, det_diagnostics, forward_stage
 from aet2d.cli import export_field
 
 out = Path(__file__).parent / "out"
@@ -35,7 +35,6 @@ for gamma in ("large", "medium", "small"):
     min_det, log_det = det_diagnostics(fwd.H)
     print(f"  gamma={gamma:<7} min det H = {min_det:.3e}")
     if gamma == "medium":
-        write_mesh(fwd.recon_mesh, out / "medium_mesh.txt")
         export_field(log_det, out / "medium_log_det.vtk", "vtk", name="log_det")
 
-print(f"\nwrote {out / 'medium_mesh.txt'} and {out / 'medium_log_det.vtk'}")
+print(f"\nwrote {out / 'medium_log_det.vtk'}")

@@ -11,7 +11,7 @@ their tables. The building blocks are imported from their modules:
 """
 
 from .forward import det_diagnostics
-from .mesh import BoundarySpec, write_mesh
+from .mesh import BoundarySpec
 from .metrics import (
     noise_sweep,
     record_from_run,
@@ -48,5 +48,4 @@ __all__ = [
     "run_sweep",
     "table_gamma_sweep",
     "table_mesh_sweep",
-    "write_mesh",
 ]

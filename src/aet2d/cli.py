@@ -38,7 +38,7 @@ from .errors import (
 )
 from .fem import ScalarField
 from .forward import PowerDensity
-from .mesh import Mesh, write_mesh
+from .mesh import Mesh
 from .metrics import (
     noise_sweep,
     record_from_run,
@@ -355,14 +355,9 @@ def _run_sweep(job: Job, quiet: bool, sweep, filename: str) -> int:
 
 def _cmd_export_mesh(job: Job, quiet: bool) -> int:
     mesh = base_mesh(job.config)
-    tmp = job.out_dir / "mesh.txt.tmp"
-    write_mesh(mesh, tmp)
-    os.replace(tmp, job.out_dir / "mesh.txt")
-    if "vtk" in job.formats:
-        controlled = np.zeros(mesh.n_vertices)
-        controlled[mesh.dirichlet_nodes] = 1.0
-        export_field(ScalarField(mesh, controlled), job.out_dir / "mesh.vtk",
-                     "vtk", name="dirichlet")
+    controlled = np.zeros(mesh.n_vertices)
+    controlled[mesh.dirichlet_nodes] = 1.0
+    _write_fields(job, {"dirichlet": ScalarField(mesh, controlled)})
     if not quiet:
         print(f"wrote mesh ({mesh.n_vertices} nodes, {mesh.n_triangles} "
               f"triangles) to {job.out_dir}")

@@ -216,7 +216,10 @@ def _pcg(A: sp.csr_matrix, rhs: np.ndarray):
     if np.any(diag <= 0.0):
         raise SingularSystemError("system diagonal has non-positive entries")
     inv_diag = 1.0 / diag
-    bnorm = np.linalg.norm(rhs)
+    with np.errstate(over="ignore"):  # a norm past float max is caught below
+        bnorm = np.linalg.norm(rhs)
+    if not math.isfinite(bnorm):  # a NaN or inf entry, or an overflowing norm
+        raise NumericalError("right-hand side is not finite")
     if bnorm == 0.0:
         return np.zeros_like(rhs), 0
     x = np.zeros_like(rhs)

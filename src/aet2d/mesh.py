@@ -383,18 +383,3 @@ def refine(mesh: Mesh) -> Mesh:
     del uniq, inverse, ea, eb, mids, m01, m12, m20
     return Mesh(vertices, triangles, boundary_edges, tags)
 
-
-# ---------------------------------------------------------------------------
-# Plain-text serialization
-# ---------------------------------------------------------------------------
-
-def write_mesh(mesh: Mesh, path) -> None:
-    """Write a mesh in the plain-text exchange format (17 significant digits)."""
-    edges = np.column_stack((mesh.boundary_edges, mesh.boundary_tags)).tolist()
-    with open(path, "w", encoding="ascii") as f:
-        f.write(f"vertices {mesh.n_vertices}\n")
-        f.writelines([f"{x:.17g} {y:.17g}\n" for x, y in mesh.vertices.tolist()])
-        f.write(f"triangles {mesh.n_triangles}\n")
-        f.writelines([f"{i} {j} {k}\n" for i, j, k in mesh.triangles.tolist()])
-        f.write(f"boundary_edges {len(edges)}\n")
-        f.writelines([f"{a} {b} {tag}\n" for a, b, tag in edges])

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, NumericalError
 from .fem import (
     ScalarField,
     SolveInfo,
@@ -166,7 +166,8 @@ def reconstruct_sigma(G: VectorField, sigma_fixed: np.ndarray,
     that sorted order.  Where the operator leaves boundary nodes free, the
     natural condition d(log sigma)/dn = G.n holds.  The solve runs in log
     space, so the returned field is positive by construction whatever the
-    data quality.  Returns (ScalarField, SolveInfo).
+    data quality; a log conductivity whose exp overflows raises
+    NumericalError naming its nodes.  Returns (ScalarField, SolveInfo).
     """
     nodes = operator.fixed
     sigma_fixed = fixed_values(nodes, sigma_fixed)
@@ -178,6 +179,10 @@ def reconstruct_sigma(G: VectorField, sigma_fixed: np.ndarray,
     log_fixed = np.fromiter(map(math.log, sigma_fixed), np.float64, count=nodes.size)
     w, info = solve_poisson_weak_div(G, log_fixed, operator=operator,
                                      return_info=True)
+    # past log(float max) the exp overflows to inf
+    big = np.flatnonzero(w.values > math.log(np.finfo(np.float64).max))
+    if big.size:
+        raise NumericalError(f"conductivity overflows at nodes {big[:8].tolist()}")
     return ScalarField(G.mesh, np.exp(w.values)), info
 
 
@@ -206,8 +211,11 @@ class ReconMetrics:
 
 
 def _l2_error(mesh: Mesh, got: np.ndarray, want: np.ndarray) -> float:
-    error = l2_norm(ScalarField(mesh, got - want))
-    reference = l2_norm(ScalarField(mesh, want))
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        error = l2_norm(ScalarField(mesh, got - want))
+        reference = l2_norm(ScalarField(mesh, want))
+    if not math.isfinite(error):
+        raise NumericalError("L2 error overflows: the reconstruction is too large")
     # a unit field's norm on the disk is about 1.77, so a reference norm this
     # small is solver roundoff (up to 2e-9 for sin 2theta of the exact linear
     # case); report the absolute error instead of a ratio of noise

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aet2d import cli, pipeline, write_mesh
+from aet2d import cli, pipeline
 from aet2d.cli import Job, export_field, main, parse_config, read_field_csv
 from aet2d.errors import ContractError, ParameterError
 from aet2d.fem import ScalarField
@@ -180,17 +180,6 @@ def reference_vtk(mesh, values, name):
     return "\n".join(lines) + "\n"
 
 
-def reference_mesh_text(mesh):
-    lines = [f"vertices {mesh.n_vertices}"]
-    lines += [f"{x:.17g} {y:.17g}" for x, y in mesh.vertices]
-    lines.append(f"triangles {mesh.n_triangles}")
-    lines += [f"{i} {j} {k}" for i, j, k in mesh.triangles]
-    lines.append(f"boundary_edges {len(mesh.boundary_edges)}")
-    lines += [f"{a} {b} {tag}"
-              for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags)]
-    return "\n".join(lines) + "\n"
-
-
 class TestFileFormat:
     @pytest.fixture()
     def field(self):
@@ -207,10 +196,6 @@ class TestFileFormat:
                 == reference_vtk(field.mesh, field.values, "sigma"))
         back = read_field_csv(tmp_path / "f.csv", field.mesh)
         assert back.values.tobytes() == field.values.tobytes()
-
-    def test_mesh_text_matches_the_row_by_row_reference(self, field, tmp_path):
-        write_mesh(field.mesh, tmp_path / "mesh.txt")
-        assert (tmp_path / "mesh.txt").read_text() == reference_mesh_text(field.mesh)
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -292,13 +277,26 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "o" / "record.csv").exists()
 
-    def test_data_breakdown_is_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("lines,fragment", [
         # overwhelming noise with the eigenvalue floor disabled drives the
-        # data matrix indefinite, which is a numerical failure, not a config one
-        cfg = write_config(tmp_path, COARSE + "noise.alpha_percent = 1e6\n"
-                           "noise.eig_floor = 0\n")
-        assert run_cli("run", "--config", cfg, "--out", str(tmp_path)) == 2
-        assert "numerical failure" in capsys.readouterr().err
+        # data matrix indefinite
+        ("noise.alpha_percent = 1e6\nnoise.eig_floor = 0\n", ""),
+        # log sigma past log(float max): exp would overflow to inf
+        ("sigma.case = case1\ngamma.preset = full\nnoise.alpha_percent = 1000\n"
+         "noise.seed = 0\n", "conductivity overflows"),
+        # sigma reaches 1e241, so its L2 error overflows while it squares
+        ("sigma.case = case2\ngamma.preset = medium\nnoise.alpha_percent = 1000\n"
+         "noise.seed = 0\n", "L2 error overflows"),
+    ], ids=["indefinite-data", "sigma-overflow", "error-norm-overflow"])
+    def test_data_breakdown_is_exit_2(self, tmp_path, capsys, lines, fragment):
+        # data that breaks the reconstruction is a numerical failure, not a
+        # config one, and leaves no record
+        cfg = write_config(tmp_path, COARSE + lines)
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", cfg, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and fragment in err
+        assert not (out / "record.csv").exists()
 
 
 @pytest.fixture(scope="module")
@@ -342,6 +340,19 @@ class TestMalformedStageFiles:
         err = capsys.readouterr().err
         assert name in err and where in err
         assert "Traceback" not in err
+        assert not (out / "record.csv").exists()
+
+    def test_an_overflowing_load_is_exit_2_at_once(self, stage, tmp_path, capsys):
+        # a well-formed but tiny h11 at node 4 makes the angle solve's load
+        # overflow; PCG stops before its first iteration
+        cfg, source = stage
+        out = tmp_path / "stage"
+        shutil.copytree(source, out)
+        path = out / "h11.csv"
+        path.write_text(_value_at_line(6, "1e-300")(path.read_text()))
+        assert run_cli("reconstruct", "--config", cfg, "--out", str(out),
+                       "--quiet") == 2
+        assert "right-hand side is not finite" in capsys.readouterr().err
         assert not (out / "record.csv").exists()
 
     @pytest.mark.parametrize("text,key", [
@@ -416,7 +427,7 @@ class TestSubcommands:
         assert run_cli("forward", "--config", cfg, "--out", str(two), "--quiet") == 0
         (two / "meta.txt").write_text("n_data 999999\nflagged 0\n")
         other = tag_boundary(build_disk_mesh(0.5), GAMMA_MEDIUM)
-        write_mesh(other, two / "mesh.txt")
+        (two / "mesh.txt").write_text("vertices 0\n")
         export_field(ScalarField(other, np.full(other.n_vertices, 7.0)),
                      two / "sigma_true.csv")
         assert run_cli("reconstruct", "--config", cfg, "--out", str(two), "--quiet") == 0
@@ -470,8 +481,34 @@ class TestSubcommands:
         assert run_cli("export-mesh", "--config", cfg, "--out", str(out),
                        "--quiet") == 0
         mesh = pipeline.base_mesh(parse_config(COARSE).config)
-        assert (out / "mesh.txt").read_text() == reference_mesh_text(mesh)
-        assert (out / "mesh.vtk").exists()
+        values = read_field_csv(out / "dirichlet.csv", mesh).values
+        controlled = np.zeros(mesh.n_vertices, dtype=bool)
+        controlled[mesh.dirichlet_nodes] = True
+        assert controlled.any() and not controlled.all()
+        assert np.all(values[controlled] == 1.0) and np.all(values[~controlled] == 0.0)
+        assert ((out / "dirichlet.vtk").read_text()
+                == reference_vtk(mesh, values, "dirichlet"))
+        assert sorted(p.name for p in out.iterdir()) == ["dirichlet.csv", "dirichlet.vtk"]
+
+    def test_every_file_goes_through_the_atomic_writer(self, tmp_path, monkeypatch):
+        written = set()
+        atomic_text = cli._atomic_text
+
+        def recording(path, text):
+            atomic_text(path, text)
+            written.add(path)
+
+        monkeypatch.setattr(cli, "_atomic_text", recording)
+        cfg = write_config(tmp_path, COARSE + "output.formats = csv, vtk\n")
+        commands = {"run": ["run"], "stage": ["forward", "reconstruct"],
+                    "t1": ["table1"], "t2": ["table2"], "ns": ["noise-sweep"],
+                    "m": ["export-mesh"]}
+        for name, steps in commands.items():
+            for command in steps:
+                assert run_cli(command, "--config", cfg, "--out",
+                               str(tmp_path / name), "--quiet") == 0
+            files = set((tmp_path / name).iterdir())
+            assert files and files <= written, name
 
     def test_vtk_output_format(self, tmp_path):
         cfg = write_config(tmp_path, COARSE + "output.formats = vtk\n")

@@ -228,6 +228,20 @@ def test_pcg_stops_at_the_iteration_cap(medium, monkeypatch):
         solve_mixed(sigma, coord_bc(medium))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300], ids=["nan", "inf", "norm-overflow"])
+def test_pcg_rejects_a_non_finite_load_at_once(medium, monkeypatch, bad):
+    # without the check a NaN load runs all MAX_ITER iterations and an inf
+    # load warns in the first mat-vec; 1e300 is finite, but the load's norm
+    # overflows, and must do so without a warning; a cap of 3 keeps a
+    # missed check fast
+    monkeypatch.setattr(fem, "MAX_ITER", 3)
+    A = fem.laplacian_operator(medium).free_block
+    rhs = np.ones(A.shape[0])
+    rhs[5] = bad
+    with pytest.raises(NumericalError, match="^right-hand side is not finite$"):
+        fem._pcg(A, rhs)
+
+
 def test_dirichlet_values_exact(medium):
     u = solve_mixed(bump(medium), coord_bc(medium))
     for node in medium.dirichlet_nodes[::5]:
