@@ -23,6 +23,7 @@ import os
 import re
 import sys
 import time
+import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from pathlib import Path
@@ -151,67 +152,71 @@ def _atomic_text(path: Path, text: str) -> None:
 
 
 class _MeshText:
-    """The node and cell text of one mesh, formatted once for all its fields."""
+    """The node and cell text of one mesh, each formatted on first use.
+
+    It keeps the mesh's arrays, not the mesh: `_TEXTS` holds it under a
+    weak reference to the mesh, which a reference back would keep alive.
+    """
 
     def __init__(self, mesh: Mesh):
-        self.mesh = mesh
+        self.vertices, self.triangles = mesh.vertices, mesh.triangles
 
     @cached_property
     def csv_prefixes(self) -> list[str]:
         """`node_id,x,y,` of every node."""
         return [f"{i},{x:.17g},{y:.17g},"
-                for i, (x, y) in enumerate(self.mesh.vertices.tolist())]
+                for i, (x, y) in enumerate(self.vertices.tolist())]
 
     @cached_property
     def vtk_geometry(self) -> str:
         """The POINTS, CELLS and CELL_TYPES blocks, without a final newline."""
-        mesh = self.mesh
-        lines = [f"POINTS {mesh.n_vertices} double"]
-        lines += [f"{x:.17g} {y:.17g} 0" for x, y in mesh.vertices.tolist()]
-        lines.append(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}")
-        lines += [f"3 {i} {j} {k}" for i, j, k in mesh.triangles.tolist()]
-        lines.append(f"CELL_TYPES {mesh.n_triangles}")
-        lines += ["5"] * mesh.n_triangles
+        n_vertices, n_triangles = len(self.vertices), len(self.triangles)
+        lines = [f"POINTS {n_vertices} double"]
+        lines += [f"{x:.17g} {y:.17g} 0" for x, y in self.vertices.tolist()]
+        lines.append(f"CELLS {n_triangles} {4 * n_triangles}")
+        lines += [f"3 {i} {j} {k}" for i, j, k in self.triangles.tolist()]
+        lines.append(f"CELL_TYPES {n_triangles}")
+        lines += ["5"] * n_triangles
         return "\n".join(lines)
 
 
-def _field_csv(field: ScalarField, text: _MeshText) -> str:
+# each live mesh's text, so every field written or read on it shares one
+_TEXTS: weakref.WeakKeyDictionary[Mesh, _MeshText] = weakref.WeakKeyDictionary()
+
+
+def _text_of(mesh: Mesh) -> _MeshText:
+    if mesh not in _TEXTS:
+        _TEXTS[mesh] = _MeshText(mesh)
+    return _TEXTS[mesh]
+
+
+def _field_csv(field: ScalarField) -> str:
     lines = ["node_id,x,y,value"]
-    lines += [f"{prefix}{v:.17g}"
-              for prefix, v in zip(text.csv_prefixes, field.values.tolist())]
+    lines += [f"{prefix}{v:.17g}" for prefix, v in
+              zip(_text_of(field.mesh).csv_prefixes, field.values.tolist())]
     return "\n".join(lines) + "\n"
 
 
-def _vtk_text(field: ScalarField, name: str, text: _MeshText) -> str:
+def _vtk_text(field: ScalarField, name: str) -> str:
     lines = ["# vtk DataFile Version 3.0", name, "ASCII",
-             "DATASET UNSTRUCTURED_GRID", text.vtk_geometry,
+             "DATASET UNSTRUCTURED_GRID", _text_of(field.mesh).vtk_geometry,
              f"POINT_DATA {field.mesh.n_vertices}", f"SCALARS {name} double 1",
              "LOOKUP_TABLE default"]
     lines += [f"{v:.17g}" for v in field.values.tolist()]
     return "\n".join(lines) + "\n"
 
 
-def _mesh_text_for(mesh: Mesh, mesh_text: _MeshText | None) -> _MeshText:
-    """`mesh_text`, checked to be `mesh`'s, or `mesh`'s text when it is None."""
-    if mesh_text is None:
-        return _MeshText(mesh)
-    if mesh_text.mesh is not mesh:
-        raise ContractError("mesh_text belongs to another mesh")
-    return mesh_text
-
-
 def export_field(field: ScalarField, path, fmt: str = "csv", *,
-                 name: str = "value", mesh_text: _MeshText | None = None) -> None:
+                 name: str = "value") -> None:
     """One nodal field to disk, as `node_id,x,y,value` CSV or legacy VTK.
 
-    `mesh_text` carries the mesh's formatted nodes and cells from an earlier
-    call on the same mesh, so writing several fields formats them once.
+    A mesh's nodes and cells are formatted once while it lives, however many
+    of its fields are written or read.
     """
-    mesh_text = _mesh_text_for(field.mesh, mesh_text)
     if fmt == "csv":
-        _atomic_text(Path(path), _field_csv(field, mesh_text))
+        _atomic_text(Path(path), _field_csv(field))
     elif fmt == "vtk":
-        _atomic_text(Path(path), _vtk_text(field, name, mesh_text))
+        _atomic_text(Path(path), _vtk_text(field, name))
     else:
         raise ParameterError(f"unknown export format {fmt!r}")
 
@@ -223,14 +228,13 @@ def _read_ascii(path: Path) -> str:
         raise ContractError(f"{path}: not ASCII text") from None
 
 
-def read_field_csv(path, mesh: Mesh, *,
-                   mesh_text: _MeshText | None = None) -> ScalarField:
+def read_field_csv(path, mesh: Mesh) -> ScalarField:
     """Read a field export back onto the mesh it came from, bit exact.
 
     Node k's row is accepted only as the `node_id,x,y,` text `export_field`
     writes for it, followed by a finite value in the text it writes for that
-    value (`1.0`, ` 1` or `1_0` is not the text of 1). `mesh_text` is as in
-    `export_field`.
+    value (`1.0`, ` 1` or `1_0` is not the text of 1). The node text is the
+    one `export_field` formats for `mesh`, shared with its writes.
 
     Raises
     ------
@@ -238,7 +242,7 @@ def read_field_csv(path, mesh: Mesh, *,
         Naming the file, and the line of the first bad row, if the text is
         not an export of a finite field on `mesh`.
     """
-    prefixes = _mesh_text_for(mesh, mesh_text).csv_prefixes
+    prefixes = _text_of(mesh).csv_prefixes
     header, *rows = _read_ascii(Path(path)).removesuffix("\n").split("\n")
     if header != "node_id,x,y,value":
         raise ContractError(f"{path}: not a field export")
@@ -259,24 +263,20 @@ def read_field_csv(path, mesh: Mesh, *,
     return ScalarField(mesh, np.array(values))
 
 
-def _write_fields(job: Job, fields: dict[str, ScalarField],
-                  mesh_text: _MeshText | None = None) -> None:
-    """Every field on one mesh, in every format of the job."""
-    mesh_text = _mesh_text_for(next(iter(fields.values())).mesh, mesh_text)
+def _write_fields(job: Job, fields: dict[str, ScalarField]) -> None:
+    """Every field, in every format of the job, as `<name>.<format>`."""
     for name, field in fields.items():
         for fmt in job.formats:
-            export_field(field, job.out_dir / f"{name}.{fmt}", fmt, name=name,
-                         mesh_text=mesh_text)
+            export_field(field, job.out_dir / f"{name}.{fmt}", fmt, name=name)
 
 
-def _write_results(job: Job, result: PipelineResult, quiet: bool,
-                   mesh_text: _MeshText | None = None) -> None:
+def _write_results(job: Job, result: PipelineResult, quiet: bool) -> None:
     record = record_from_run(job.config, result)
     _atomic_text(job.out_dir / "record.csv", records_to_csv([record]))
     fwd, recon = result.forward, result.recon
     _write_fields(job, {"sigma_recon": recon.sigma, "theta_recon": recon.theta,
                         "sigma_true": fwd.sigma_true,
-                        "theta_true": fwd.theta_true}, mesh_text)
+                        "theta_true": fwd.theta_true})
     if not quiet:
         print(render_table([record]), end="")
         print(f"wrote {job.out_dir}")
@@ -326,9 +326,8 @@ def _cmd_reconstruct(job: Job, quiet: bool) -> int:
     # gives the mesh and the true conductivity on it
     _check_stage(job.out_dir / "stage.txt", job.config)
     mesh = base_mesh(job.config)
-    mesh_text = _MeshText(mesh)  # for the four reads and the writes
     h11, h12, h22, theta_true = (
-        read_field_csv(job.out_dir / f"{name}.csv", mesh, mesh_text=mesh_text)
+        read_field_csv(job.out_dir / f"{name}.csv", mesh)
         for name in ("h11", "h12", "h22", "theta_true"))
     # `true_theta` writes angles in (-pi, pi]; any other is not its output
     outside = np.flatnonzero((theta_true.values <= -np.pi) | (theta_true.values > np.pi))
@@ -339,8 +338,7 @@ def _cmd_reconstruct(job: Job, quiet: bool) -> int:
                       theta_true=theta_true, H=PowerDensity(h11, h12, h22))
     t0 = time.perf_counter()
     recon = recon_stage(job.config, fwd)
-    _write_results(job, PipelineResult(fwd, recon, 0.0, time.perf_counter() - t0),
-                   quiet, mesh_text)
+    _write_results(job, PipelineResult(fwd, recon, 0.0, time.perf_counter() - t0), quiet)
     return 0
 
 

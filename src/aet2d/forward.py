@@ -97,7 +97,11 @@ class PowerDensity:
         mesh = self.h11.mesh
         if self.h12.mesh is not mesh or self.h22.mesh is not mesh:
             raise ContractError("power density components live on different meshes")
-        det = self.h11.values * self.h22.values - self.h12.values ** 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = self.h11.values * self.h22.values - self.h12.values ** 2
+        overflow = np.flatnonzero(~np.isfinite(det))
+        if overflow.size:
+            raise DomainError(f"determinant overflows at nodes {overflow[:8].tolist()}")
         floor = EPS_D ** 2
         definite = det >= floor
         bad = definite & ((self.h11.values <= 0.0) | (self.h22.values <= 0.0))

@@ -75,11 +75,11 @@ def vector_fields(H: PowerDensity) -> TransferFields:
     mesh = H.mesh
     h11, h12, _ = H.components()
     d = H.d.values
-    bad = (h11 <= 0.0) | (d <= 0.0)
+    bad = h11 <= 0.0
     if bad.any():
         raise DomainError(
             f"data matrix not usable at nodes {np.flatnonzero(bad)[:8].tolist()}: "
-            "first diagonal entry or determinant root is nonpositive")
+            "first diagonal entry is nonpositive")
 
     def grad(values: np.ndarray) -> np.ndarray:
         return element_gradient(ScalarField(mesh, values)).vectors

@@ -1,6 +1,8 @@
 """Config parsing, exporters, subcommands, and the exit-code contract."""
+import gc
 import re
 import shutil
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -287,7 +289,13 @@ class TestExitCodes:
         # sigma reaches 1e241, so its L2 error overflows while it squares
         ("sigma.case = case2\ngamma.preset = medium\nnoise.alpha_percent = 1000\n"
          "noise.seed = 0\n", "L2 error overflows"),
-    ], ids=["indefinite-data", "sigma-overflow", "error-norm-overflow"])
+        # noisy entries near 1e200 square past float max in the determinant
+        ("noise.alpha_percent = 1e200\n", "determinant overflows"),
+        # so do eigenvalues floored at 1e200
+        ("noise.alpha_percent = 5\nnoise.eig_floor = 1e200\n",
+         "determinant overflows"),
+    ], ids=["indefinite-data", "sigma-overflow", "error-norm-overflow",
+            "determinant-overflow", "floor-overflow"])
     def test_data_breakdown_is_exit_2(self, tmp_path, capsys, lines, fragment):
         # data that breaks the reconstruction is a numerical failure, not a
         # config one, and leaves no record
@@ -355,6 +363,19 @@ class TestMalformedStageFiles:
         assert "right-hand side is not finite" in capsys.readouterr().err
         assert not (out / "record.csv").exists()
 
+    def test_an_overflowing_determinant_is_exit_2(self, stage, tmp_path, capsys):
+        # a well-formed h12 of 1e300 at node 4 squares past float max
+        cfg, source = stage
+        out = tmp_path / "stage"
+        shutil.copytree(source, out)
+        path = out / "h12.csv"
+        path.write_text(_value_at_line(6, "1.0000000000000001e+300")(path.read_text()))
+        assert run_cli("reconstruct", "--config", cfg, "--out", str(out),
+                       "--quiet") == 2
+        err = capsys.readouterr().err
+        assert "determinant overflows at nodes [4]" in err
+        assert not (out / "record.csv").exists()
+
     @pytest.mark.parametrize("text,key", [
         ("mesh.target_h = 0.35\n", "mesh.target_h"),
         (COARSE + "gamma.preset = large\n", "gamma.preset"),
@@ -404,6 +425,52 @@ class TestMalformedStageFiles:
         assert "stage.txt" in err
         assert "Traceback" not in err
         assert not (out / "record.csv").exists()
+
+
+class TestMeshTextMemo:
+    # a mesh's node and cell text is formatted once while the mesh lives,
+    # however many of its fields are written or read, and dropped with it
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        """The number of `_MeshText`s built so far, in a fresh memo."""
+        count = [0]
+        init = cli._MeshText.__init__
+
+        def counting(self, mesh):
+            count[0] += 1
+            init(self, mesh)
+
+        monkeypatch.setattr(cli._MeshText, "__init__", counting)
+        monkeypatch.setattr(cli, "_TEXTS", weakref.WeakKeyDictionary())
+        return count
+
+    def test_reconstruct_formats_its_mesh_once(self, stage, tmp_path, builds):
+        out = tmp_path / "stage"
+        shutil.copytree(stage[1], out)
+        cfg = write_config(tmp_path, COARSE + "output.formats = csv, vtk\n")
+        assert run_cli("reconstruct", "--config", cfg, "--out", str(out),
+                       "--quiet") == 0
+        assert (out / "sigma_recon.vtk").exists()
+        assert builds[0] == 1
+
+    def test_fields_on_one_mesh_share_its_text(self, mesh, tmp_path, builds):
+        for name in ("a", "b"):
+            field = ScalarField(mesh, np.full(mesh.n_vertices, 1.5))
+            export_field(field, tmp_path / f"{name}.csv")
+            export_field(field, tmp_path / f"{name}.vtk", "vtk", name=name)
+        assert builds[0] == 1
+
+    def test_the_memo_lets_its_meshes_go(self, tmp_path, builds):
+        cfg = write_config(tmp_path, COARSE + "output.formats = csv, vtk\n")
+        assert run_cli("run", "--config", cfg, "--out", str(tmp_path / "o"),
+                       "--quiet") == 0
+        mesh = build_disk_mesh(0.5)
+        export_field(ScalarField(mesh, np.zeros(mesh.n_vertices)),
+                     tmp_path / "f.vtk", "vtk")
+        assert builds[0] == 2
+        del mesh
+        gc.collect()
+        assert len(cli._TEXTS) == 0
 
 
 class TestSubcommands:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,16 @@ def test_negative_diagonal_rejected(disk):
     with pytest.raises(DomainError):
         PowerDensity(ScalarField(disk, -np.ones(n)), ScalarField(disk, np.zeros(n)),
                      ScalarField(disk, -np.ones(n)))
+
+
+def test_overflowing_determinant_rejected(disk):
+    # h11 * h22 and h12 ** 2 both overflow; their difference is no number
+    n = disk.n_vertices
+    big = np.ones(n)
+    big[3] = 1e200
+    with pytest.raises(DomainError, match=re.escape("determinant overflows at nodes [3]")):
+        PowerDensity(ScalarField(disk, big), ScalarField(disk, big),
+                     ScalarField(disk, big))
 
 
 def test_mismatched_meshes_rejected(disk):
