@@ -11,7 +11,6 @@ their tables. The building blocks are imported from their modules:
 """
 
 from .forward import det_diagnostics
-from .mesh import BoundarySpec
 from .metrics import (
     noise_sweep,
     record_from_run,
@@ -33,7 +32,6 @@ from .pipeline import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundarySpec",
     "NoiseSpec",
     "PipelineResult",
     "RunConfig",

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import re
 import sys
 import time
 import weakref
@@ -70,14 +69,6 @@ class Job:
     formats: tuple[str, ...] = ("csv",)
 
 
-def _parse_arcs(value: str) -> tuple[tuple[float, float], ...]:
-    parts = [p for p in re.split(r"[,;\s]+", value) if p]
-    if not parts or len(parts) % 2:
-        raise ValueError("need an even number of angle endpoints")
-    ends = [float(p) for p in parts]
-    return tuple(zip(ends[::2], ends[1::2]))
-
-
 def _parse_formats(value: str) -> tuple[str, ...]:
     names = [p.strip().lower() for p in value.split(",") if p.strip()]
     if not names or any(n not in _FORMATS for n in names):
@@ -96,13 +87,12 @@ _KEYS = {
     "noise.alpha_percent": ("alpha_percent", float),
     "noise.seed": ("seed", int),
     "noise.eig_floor": ("eig_floor", float),
-    "recon.unwrap_arcs": ("unwrap_arcs", _parse_arcs),
     "output.formats": ("formats", _parse_formats),
 }
 
 # the keys a forward stage depends on, in the order stage.txt lists them
 _STAGE_KEYS = tuple(key for key in _KEYS
-                    if key.split(".", 1)[0] not in ("noise", "recon", "output"))
+                    if key.split(".", 1)[0] not in ("noise", "output"))
 
 
 def _convert(key: str, value: str):

@@ -40,8 +40,11 @@ class RunConfig:
 
     `gamma` names the preset of the controlled arc.  `refine_levels`
     counts extra refinements of the reconstruction mesh; the data mesh is
-    always one refinement finer.  `unwrap_arcs` of None selects automatic
-    unwrapping of the boundary angle.
+    always one refinement finer.  The boundary angle is always unwrapped
+    along the rim (`boundary_theta`), so `unwrap_arcs` accepts only None.
+    The slot stays because `bench/spans.py` passes `unwrap_arcs=None` to
+    `dataclasses.replace` of every traced forward config; ROADMAP item 1's
+    benchmark change deletes both.
     """
 
     case: str = "case1"
@@ -49,7 +52,7 @@ class RunConfig:
     target_h: float = 0.03
     refine_levels: int = 0
     noise: NoiseSpec = field(default_factory=NoiseSpec)
-    unwrap_arcs: tuple[tuple[float, float], ...] | None = None
+    unwrap_arcs: None = None
 
     def __post_init__(self):
         # every bound a stage checks is checked here, before anything runs
@@ -65,11 +68,8 @@ class RunConfig:
         if not isinstance(self.noise, NoiseSpec):
             raise ParameterError("noise must be a NoiseSpec")
         if self.unwrap_arcs is not None:
-            object.__setattr__(self, "unwrap_arcs",
-                               tuple((float(a), float(b)) for a, b in self.unwrap_arcs))
-            # a NaN endpoint compares false everywhere and drops its window
-            if not np.isfinite(self.unwrap_arcs).all():
-                raise ParameterError("unwrap_arcs endpoints must be finite")
+            raise ParameterError("unwrap_arcs must be None: the boundary angle "
+                                 "is always unwrapped along the rim")
 
     def boundary_spec(self) -> BoundarySpec:
         return GAMMA_PRESETS[self.gamma]
@@ -204,7 +204,7 @@ def recon_stage(config: RunConfig, fwd: ForwardData) -> ReconResult:
     mesh = fwd.recon_mesh
     boundary = mesh.boundary_nodes
     H = apply_noise(fwd.H, config.noise)
-    theta_bc = boundary_theta(mesh, fwd.theta_true.values[boundary], config.unwrap_arcs)
+    theta_bc = boundary_theta(mesh, fwd.theta_true.values[boundary])
     return run_algorithm1(H, theta_bc, fwd.sigma_true.values[boundary],
                           truth=(fwd.theta_true, fwd.sigma_true))
 
@@ -221,16 +221,16 @@ def run_sweep(configs: Iterable[RunConfig]) -> Iterator[PipelineResult]:
     """Both stages for each config in order, sharing forward stages.
 
     Consecutive configs with the same forward key (the config without
-    `noise` and `unwrap_arcs`) reconstruct from one `ForwardData`; the noise
-    stage returns new objects, so the shared data is never mutated.  A config
-    that reuses the previous forward reports `forward_seconds` 0.0, so
-    summing over a sweep gives the real forward time.  At most one
-    `ForwardData` is held here at a time.
+    `noise`) reconstruct from one `ForwardData`; the noise stage returns new
+    objects, so the shared data is never mutated.  A config that reuses the
+    previous forward reports `forward_seconds` 0.0, so summing over a sweep
+    gives the real forward time.  At most one `ForwardData` is held here at
+    a time.
     """
     key = fwd = None
     for config in configs:
         forward_seconds = 0.0
-        this_key = replace(config, noise=NoiseSpec(), unwrap_arcs=None)
+        this_key = replace(config, noise=NoiseSpec())
         if this_key != key:
             key, fwd = this_key, None
             t0 = time.perf_counter()

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -98,17 +97,14 @@ def vector_fields(H: PowerDensity) -> TransferFields:
         f=VectorField(mesh, f))
 
 
-def boundary_theta(mesh: Mesh, raw: np.ndarray,
-                   intervals: Sequence[tuple[float, float]] | None = None) -> np.ndarray:
+def boundary_theta(mesh: Mesh, raw: np.ndarray) -> np.ndarray:
     """Continuous representative of principal-range angles on the boundary.
 
     `raw` holds a value in [-pi, pi] at each node of `mesh.boundary_nodes`,
-    in that sorted order, and the result comes in the same order.  Without
-    `intervals` the loop is walked counterclockwise and each jump larger
-    than pi folds the running branch by 2 pi; a jump of exactly pi is
-    directionally ambiguous and raises.  With `intervals`, 2 pi is added
-    at exactly the nodes whose boundary position angle falls in one of the
-    closed windows, which reproduces a hand-picked unwrapping rule.
+    in that sorted order, and the result comes in the same order.  The loop
+    is walked counterclockwise and each jump larger than pi folds the running
+    branch by 2 pi.  A jump of exactly pi is directionally ambiguous and
+    raises DomainError naming the two rim nodes.
     """
     nodes = mesh.boundary_nodes
     raw = fixed_values(nodes, raw)
@@ -118,22 +114,13 @@ def boundary_theta(mesh: Mesh, raw: np.ndarray,
     # the walk is a permutation of the sorted boundary nodes
     walk = np.searchsorted(nodes, loop)
     values = raw[walk]
-
-    if intervals is None:
-        jumps = np.diff(values)
-        if np.any(np.abs(jumps) == np.pi):
-            raise ContractError(
-                "consecutive angle jump of exactly pi is ambiguous; "
-                "pass explicit unwrap intervals")
-        folds = TWO_PI * ((jumps < -np.pi).astype(float) - (jumps > np.pi))
-        unwrapped = values + np.concatenate([[0.0], np.cumsum(folds)])
-    else:
-        t = mesh.loop_angles
-        lift = np.zeros(len(loop), dtype=bool)
-        for a, b in intervals:
-            width = np.mod(b - a, TWO_PI)
-            lift |= np.mod(t - a, TWO_PI) <= width
-        unwrapped = values + TWO_PI * lift
+    jumps = np.diff(values)
+    tie = np.flatnonzero(np.abs(jumps) == np.pi)
+    if tie.size:
+        a, b = loop[tie[0]], loop[tie[0] + 1]
+        raise DomainError(f"boundary angle jumps by exactly pi between rim nodes {a} and {b}")
+    folds = TWO_PI * ((jumps < -np.pi).astype(float) - (jumps > np.pi))
+    unwrapped = values + np.concatenate([[0.0], np.cumsum(folds)])
     return unwrapped[np.argsort(walk)]
 
 

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 
 from aet2d.errors import ContractError, DomainError
 from aet2d.fem import ScalarField, VectorField, l2_norm, project_to_nodes
+from aet2d.forward import PowerDensity
 from aet2d.mesh import TWO_PI, Mesh, _ring_start, basis_coefficients
 
 
@@ -106,6 +107,26 @@ def angle_gradient(mesh: Mesh, theta: ScalarField) -> VectorField:
     gx = (v * b).sum(axis=1) / (2.0 * areas)
     gy = (v * c).sum(axis=1) / (2.0 * areas)
     return VectorField(mesh, np.column_stack((gx, gy)))
+
+
+def liouville_phantom(mesh: Mesh):
+    """Exact nodal (H, theta, sigma) of a Liouville-transform phantom.
+
+    q = 4 + x + x^2 - y^2 is harmonic and at least 2.875 on the unit disk,
+    sigma = q^2, and u_i = x_i / q solves div(sigma grad u) = 0.  With
+    g_i = q^2 grad u_i, H_ij = g_i.g_j / q^2 and theta = arg g_1; the first
+    component of g_1 is 4 - x^2 - y^2 > 0, so theta needs no unwrap.
+    """
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    q = 4.0 + x + x**2 - y**2
+    g1 = (4.0 - x**2 - y**2, 2.0 * x * y)
+    g2 = (-y * (1.0 + 2.0 * x), 4.0 + x + x**2 + y**2)
+
+    def entry(a, b):
+        return ScalarField(mesh, (a[0] * b[0] + a[1] * b[1]) / q**2)
+
+    H = PowerDensity(entry(g1, g1), entry(g1, g2), entry(g2, g2))
+    return H, ScalarField(mesh, np.arctan2(g1[1], g1[0])), ScalarField(mesh, q**2)
 
 
 # -- the P1 basis over whole (T, 3) arrays --------------------------------------

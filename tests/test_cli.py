@@ -54,16 +54,11 @@ class TestParseConfig:
         assert cfg.noise.eig_floor == 1e-6
         assert job.formats == ("csv", "vtk")
 
-    def test_explicit_arcs(self):
-        job = parse_config("recon.unwrap_arcs = 2.0, 2.5; 3.0, 4.0\n")
-        assert job.config.unwrap_arcs == ((2.0, 2.5), (3.0, 4.0))
-
     @pytest.mark.parametrize("line,fragment", [
         ("mesh.targeth = 0.1", "mesh.targeth"),
         ("mesh.target_h = fine", "mesh.target_h"),
         ("mesh.target_h = 0.1\nmesh.target_h = 0.2", "duplicate"),
         ("mesh.target_h 0.1", "key = value"),
-        ("recon.unwrap_arcs = 0.5, 1.5, 3.0", "even number"),
         ("output.formats = csv, png", "png"),
         ("gamma.preset = tiny", "tiny"),
         ("noise.seed = -1", "seed"),
@@ -226,13 +221,15 @@ class TestExitCodes:
                                       "solver.tol = 1e-11",
                                       "solver.max_iter = 500",
                                       "gamma.arcs = 0.5, 2.5",
-                                      "output.dir = x"])
+                                      "output.dir = x",
+                                      "recon.unwrap_arcs = 2.0, 2.5"])
     def test_removed_settings_are_unknown_keys(self, tmp_path, capsys, line):
         # the determinant-root floor, the constant phantom's level, the
         # solver precision and its iteration cap are the constants
         # aet2d.forward.EPS_D, aet2d.forward.CONSTANT, aet2d.fem.TOL and
         # aet2d.fem.MAX_ITER, the controlled arc is the preset gamma.preset
-        # names, and the output directory is the --out flag
+        # names, the output directory is the --out flag, and the boundary
+        # angle is always unwrapped along the rim
         cfg = write_config(tmp_path, COARSE + line + "\n")
         assert run_cli("run", "--config", cfg, "--out", str(tmp_path / "o")) == 1
         key = line.split(" =")[0]
@@ -304,6 +301,23 @@ class TestExitCodes:
         assert run_cli("run", "--config", cfg, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and fragment in err
+        assert not (out / "record.csv").exists()
+
+    def test_exact_pi_rim_jump_is_exit_2(self, stage, tmp_path, capsys):
+        # the unwrap cannot tell which way a jump of exactly pi turns
+        cfg, source = stage
+        out = tmp_path / "stage"
+        shutil.copytree(source, out)
+        a, b = pipeline.base_mesh(parse_config(COARSE).config).boundary_loop[3:5]
+        path = out / "theta_true.csv"
+        text = _value_at_line(a + 2, "0")(path.read_text())
+        path.write_text(_value_at_line(b + 2, f"{np.pi:.17g}")(text))
+        assert run_cli("reconstruct", "--config", cfg, "--out", str(out),
+                       "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert f"exactly pi between rim nodes {a} and {b}" in err
+        assert "Traceback" not in err
         assert not (out / "record.csv").exists()
 
 
@@ -476,13 +490,18 @@ class TestMeshTextMemo:
 class TestSubcommands:
     def test_forward_then_reconstruct_matches_run(self, tmp_path):
         cfg = write_config(tmp_path, COARSE + "noise.alpha_percent = 1\n"
-                           "noise.seed = 50\nnoise.eig_floor = 1e-5\n")
+                           "noise.seed = 50\nnoise.eig_floor = 1e-5\n"
+                           "output.formats = csv,vtk\n")
         one, two = tmp_path / "one", tmp_path / "two"
         assert run_cli("run", "--config", cfg, "--out", str(one), "--quiet") == 0
         assert run_cli("forward", "--config", cfg, "--out", str(two), "--quiet") == 0
         assert run_cli("reconstruct", "--config", cfg, "--out", str(two), "--quiet") == 0
-        for name in ("record.csv", "sigma_recon.csv", "theta_recon.csv"):
-            assert (one / name).read_bytes() == (two / name).read_bytes()
+        # the record, and each of the four fields in both formats; the stage
+        # flow rewrites theta_true.csv, which it also reads
+        names = sorted(path.name for path in one.iterdir())
+        assert len(names) == 9
+        for name in names:
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
     def test_stale_meta_file_is_ignored(self, tmp_path):
         # the mesh and the true conductivity come from the config; the
@@ -618,7 +637,6 @@ class TestReadmeConfigTable:
         empty = parse_config("")
         concrete = [(key, cell[1:-1]) for key, cell in readme_config_rows()
                     if re.fullmatch(r"`[^`]+`", cell)]
-        # every key but the one whose default is unset has a concrete one
-        assert {key for key, _ in concrete} == set(cli._KEYS) - {"recon.unwrap_arcs"}
+        assert {key for key, _ in concrete} == set(cli._KEYS)
         for key, default in concrete:
             assert parse_config(f"{key} = {default}\n") == empty, key

@@ -44,12 +44,12 @@ class TestRunConfig:
         {"target_h": 1.0},
         {"refine_levels": 1.5},
         {"target_h": -0.1},
-        {"unwrap_arcs": ((float("nan"), 1.0),)},
-        {"unwrap_arcs": ((0.5, 1.0), (2.0, float("inf")))},
+        {"unwrap_arcs": ()},
+        {"unwrap_arcs": ((0.5, 1.0),)},
         {"target_h": float("inf")},
         {"noise": None},
         {"refine_levels": 2.0},
-        {"unwrap_arcs": ((float("-inf"), 1.0),)},
+        {"unwrap_arcs": ((float("nan"), 1.0),)},
         {"target_h": float("nan")},
         {"refine_levels": True},
         {"noise": {"seed": True}},
@@ -185,16 +185,6 @@ class TestApplyNoise:
         fwd = identity_data()
         noisy = apply_noise(fwd.H, NoiseSpec(alpha_percent=1.0, seed=1, eig_floor=2.0))
         assert noisy.eig_floor_nodes.size == fwd.H.mesh.n_vertices
-
-
-class TestReconStage:
-    def test_explicit_empty_unwrap_matches_auto(self):
-        cfg_auto = RunConfig(case="constant", gamma="full", target_h=0.3)
-        cfg_none = RunConfig(case="constant", gamma="full", target_h=0.3,
-                             unwrap_arcs=())
-        a = run_pipeline(cfg_auto).recon.sigma.values
-        b = run_pipeline(cfg_none).recon.sigma.values
-        assert a.tobytes() == b.tobytes()
 
 
 class TestRunPipeline:

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aet2d.cli import main
-from aet2d.errors import ContractError
+from aet2d.errors import ContractError, DomainError
 from aet2d.fem import ScalarField
 from aet2d.forward import restrict
 from aet2d.mesh import BoundarySpec, Mesh, build_disk_mesh, refine
@@ -120,8 +120,11 @@ def test_boundary_theta_moves_angles_by_whole_turns(h, level, data):
                                       max_size=nodes.size), label="raw angles"))
     full = np.empty(mesh.n_vertices)
     full[nodes] = raw
-    if np.any(np.abs(np.diff(full[loop])) == math.pi):
-        with pytest.raises(ContractError, match="ambiguous"):
+    ties = np.flatnonzero(np.abs(np.diff(full[loop])) == math.pi)
+    if ties.size:
+        # the first tie along the walk is named
+        a, b = loop[ties[0]], loop[ties[0] + 1]
+        with pytest.raises(DomainError, match=f"exactly pi between rim nodes {a} and {b}$"):
             boundary_theta(mesh, raw)
         return
     out = boundary_theta(mesh, raw)

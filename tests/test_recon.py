@@ -176,10 +176,11 @@ def test_unwrap_single_cut_crossing(disk):
 
 
 def test_unwrap_exact_pi_jump_rejected(disk):
-    walked = np.zeros(disk.boundary_loop.size)
+    loop = disk.boundary_loop
+    walked = np.zeros(loop.size)
     walked[1] = np.pi
     raw = from_loop(disk, walked)
-    with pytest.raises(ContractError, match="interval"):
+    with pytest.raises(DomainError, match=f"exactly pi between rim nodes {loop[0]} and {loop[1]}$"):
         boundary_theta(disk, raw)
 
 
@@ -197,26 +198,6 @@ def test_unwrap_rejects_out_of_range(disk):
     raw = np.full(disk.boundary_nodes.size, 4.0)
     with pytest.raises(ContractError, match="principal range"):
         boundary_theta(disk, raw)
-
-
-def test_interval_mode_lifts_configured_arc(disk):
-    nodes = disk.boundary_nodes
-    raw = np.full(nodes.size, -0.75 * np.pi)
-    out = boundary_theta(disk, raw, intervals=[(0.0, 0.5 * np.pi)])
-    xy = disk.vertices[nodes]
-    t = np.arctan2(xy[:, 1], xy[:, 0])
-    expected = -0.75 * np.pi + np.where((0.0 <= t) & (t <= 0.5 * np.pi), 2.0 * np.pi, 0.0)
-    assert out == pytest.approx(expected, abs=1e-12)
-
-
-def test_interval_mode_wrapped_window(disk):
-    # window straddling the cut: from 7pi/4 around to pi/4
-    nodes = disk.boundary_nodes
-    out = boundary_theta(disk, np.zeros(nodes.size),
-                         intervals=[(-0.25 * np.pi, 0.25 * np.pi)])
-    xy = disk.vertices[nodes]
-    t = np.arctan2(xy[:, 1], xy[:, 0])
-    assert np.array_equal(out > np.pi, np.abs(t) <= 0.25 * np.pi + 1e-12)
 
 
 # -- the two Poisson stages ------------------------------------------------------
