@@ -212,8 +212,9 @@ def export_field(field: ScalarField, path, fmt: str = "csv", *,
 
 
 def _read_ascii(path: Path) -> str:
+    """The file's text byte for byte: no line ending is translated."""
     try:
-        return path.read_text(encoding="ascii")
+        return path.read_bytes().decode("ascii")
     except UnicodeDecodeError:
         raise ContractError(f"{path}: not ASCII text") from None
 
@@ -233,7 +234,10 @@ def read_field_csv(path, mesh: Mesh) -> ScalarField:
         not an export of a finite field on `mesh`.
     """
     prefixes = _text_of(mesh).csv_prefixes
-    header, *rows = _read_ascii(Path(path)).removesuffix("\n").split("\n")
+    text = _read_ascii(Path(path))
+    if not text.endswith("\n"):
+        raise ContractError(f"{path}: no final newline")
+    header, *rows = text[:-1].split("\n")
     if header != "node_id,x,y,value":
         raise ContractError(f"{path}: not a field export")
     if len(rows) != len(prefixes):
@@ -307,8 +311,9 @@ def _check_stage(path: Path, config: RunConfig) -> None:
         have = text.splitlines()
         keys = [key for key, line in zip(_STAGE_KEYS, want.splitlines())
                 if line not in have]
+        line = os.path.commonprefix([text, want]).count("\n") + 1
         raise ContractError(f"{path}: not the stage of this config "
-                            f"({', '.join(keys) or 'extra lines'})")
+                            f"({', '.join(keys) or f'line {line} differs'})")
 
 
 def _cmd_reconstruct(job: Job, quiet: bool) -> int:

@@ -101,7 +101,6 @@ class VectorField:
 
 @dataclass(frozen=True)
 class SolveInfo:
-    method: str
     iterations: int
     relative_residual: float
 
@@ -293,7 +292,7 @@ class ConstrainedOperator:
         if res > 100.0 * TOL:
             raise NumericalError(f"linear solve inaccurate: relative residual {res:.3e}")
         x[self.free] = x_f
-        return x, SolveInfo("pcg", iterations, float(res))
+        return x, SolveInfo(iterations, float(res))
 
 
 def constrain(matrix: sp.csr_matrix, fixed) -> ConstrainedOperator:

@@ -78,7 +78,8 @@ EPS_D = 1e-14
 class PowerDensity:
     """Symmetric 2x2 matrix field stored by its three nodal components.
 
-    The square-root determinant `d` is floored at `EPS_D`; nodes where the
+    The raw nodal determinant `det` is computed once, on construction, and
+    is read-only. Its square root `d` is floored at `EPS_D`; nodes where the
     floor fired are recorded in `d_clamp_nodes` so silent data degradation
     stays visible.  `eig_floor_nodes` is filled by the noise stage when
     eigenvalue regularization modifies entries, empty otherwise.
@@ -90,6 +91,7 @@ class PowerDensity:
     eig_floor_nodes: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.intp))
 
+    det: np.ndarray = field(init=False)
     d: ScalarField = field(init=False)
     d_clamp_nodes: np.ndarray = field(init=False)
 
@@ -112,6 +114,8 @@ class PowerDensity:
         clamped = np.flatnonzero(~definite)
         clamped.setflags(write=False)
         object.__setattr__(self, "d_clamp_nodes", clamped)
+        det.setflags(write=False)
+        object.__setattr__(self, "det", det)
         object.__setattr__(self, "d",
                            ScalarField(mesh, np.sqrt(np.maximum(det, floor))))
         hits = np.array(self.eig_floor_nodes, dtype=np.intp)
@@ -121,10 +125,6 @@ class PowerDensity:
     @property
     def mesh(self) -> Mesh:
         return self.h11.mesh
-
-    def determinant(self) -> np.ndarray:
-        """Raw nodal determinant, no floor applied."""
-        return self.h11.values * self.h22.values - self.h12.values ** 2
 
     def components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.h11.values, self.h12.values, self.h22.values
@@ -219,11 +219,11 @@ def restrict(source: ScalarField, target: Mesh) -> ScalarField:
 
 
 def det_diagnostics(H: PowerDensity) -> tuple[float, ScalarField]:
-    """Minimum raw determinant and the nodal log-determinant field.
+    """Minimum of the raw determinant `H.det` and the nodal log-determinant
+    field.
 
     The log argument is floored at EPS_D^2 so collapsed regions render as
     a flat plateau instead of -inf.
     """
-    det = H.determinant()
-    log_det = np.log(np.maximum(det, EPS_D ** 2))
-    return float(det.min()), ScalarField(H.mesh, log_det)
+    log_det = np.log(np.maximum(H.det, EPS_D ** 2))
+    return float(H.det.min()), ScalarField(H.mesh, log_det)

@@ -101,9 +101,8 @@ class Mesh:
     only: it assembles no matrix (`aet2d.fem` does).
     The P1 basis coefficients are not kept: each user computes them from
     `vertices` and `triangles` (`basis_column`, `basis_coefficients`). All
-    arrays are read-only; operations return new meshes, which compute their
-    own geometry, except that `tag_boundary` carries the areas and the edge
-    count over.
+    arrays are read-only; operations return new meshes, each built by this
+    constructor, so each runs every check and computes its own geometry.
     """
 
     vertices: np.ndarray
@@ -123,7 +122,7 @@ class Mesh:
         object.__setattr__(self, "triangles", _frozen(t))
         object.__setattr__(self, "boundary_edges", _frozen(be))
         object.__setattr__(self, "boundary_tags", _frozen(tags))
-        # not fields: a mesh built from arrays computes its own
+        # not fields: computed by the checks, never passed in
         object.__setattr__(self, "areas", _frozen(areas))
         object.__setattr__(self, "n_edges", n_edges)
 
@@ -131,7 +130,10 @@ class Mesh:
     def _validate(v, t, be, tags) -> tuple[np.ndarray, int]:
         """Check the triangulation; returns the triangle areas and the
         unique edge count it computed."""
-        Mesh._check_tags(be, tags)
+        if tags.shape[0] != be.shape[0]:
+            raise ContractError("one tag per boundary edge required")
+        if tags.size and not np.all((tags == NEUMANN) | (tags == DIRICHLET)):
+            raise ContractError("tags must be DIRICHLET or NEUMANN")
         if not np.all(np.isfinite(v)):
             raise ContractError("vertex coordinates must be finite")
         if t.min(initial=0) < 0 or t.max(initial=-1) >= len(v):
@@ -162,13 +164,6 @@ class Mesh:
         if np.sum(counts == 1) != len(rim):
             raise ContractError("triangulation has untagged boundary edges")
         return areas, len(uniq)
-
-    @staticmethod
-    def _check_tags(be, tags) -> None:
-        if tags.shape[0] != be.shape[0]:
-            raise ContractError("one tag per boundary edge required")
-        if tags.size and not np.all((tags == NEUMANN) | (tags == DIRICHLET)):
-            raise ContractError("tags must be DIRICHLET or NEUMANN")
 
     # -- simple accessors ---------------------------------------------------
 
@@ -330,18 +325,12 @@ def tag_boundary(mesh: Mesh, gamma: BoundarySpec) -> Mesh:
     """Return a copy of `mesh` with edges tagged DIRICHLET iff their midpoint
     angle lies in `gamma`. The input mesh is untouched.
 
-    Only the tags are new, so only they are checked; the copy shares the
-    input's arrays, triangle areas and edge count, and computes the rest of
-    its geometry on first read.
+    The copy is a `Mesh` like any other: it runs every check and computes its
+    own geometry. It shares the input's vertex, triangle and edge arrays.
     """
     inside = gamma.contains(mesh.edge_angles)
-    tags = np.where(inside, DIRICHLET, NEUMANN).astype(np.uint8)
-    Mesh._check_tags(mesh.boundary_edges, tags)
-    tagged = object.__new__(Mesh)
-    for name in ("vertices", "triangles", "boundary_edges", "areas", "n_edges"):
-        object.__setattr__(tagged, name, getattr(mesh, name))
-    object.__setattr__(tagged, "boundary_tags", _frozen(tags))
-    return tagged
+    return Mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges,
+                np.where(inside, DIRICHLET, NEUMANN))
 
 
 def refine(mesh: Mesh) -> Mesh:

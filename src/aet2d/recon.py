@@ -237,7 +237,7 @@ def run_algorithm1(H: PowerDensity, theta_boundary: np.ndarray,
     G = sigma_rhs(theta, fields)
     sigma, sigma_info = reconstruct_sigma(G, sigma_boundary, laplacian)
     diagnostics = ReconDiagnostics(
-        min_det=float(H.determinant().min()),
+        min_det=float(H.det.min()),
         d_clamp_count=int(H.d_clamp_nodes.size),
         eig_floor_count=int(H.eig_floor_nodes.size),
         theta_solve=theta_info,

@@ -345,10 +345,17 @@ class TestMalformedStageFiles:
     @pytest.mark.parametrize("name,corrupt,where", [
         ("stage.txt", lambda t: t[:len(t) // 3], ""),
         ("stage.txt", lambda t: t + "noise.seed = 3\n", ""),
+        # every line is there, but not as written: the first that differs
+        ("stage.txt", lambda t: t[t.index("\n") + 1:] + t[:t.index("\n") + 1],
+         "line 1 differs"),
+        ("stage.txt", lambda t: t.replace("\n", "\r\n"), "line 1 differs"),
         ("h11.csv", _value_at_line(4, "nan"), "line 4:"),
+        ("h11.csv", lambda t: t.replace("\n", "\r\n"), "not a field export"),
+        ("h12.csv", lambda t: t.removesuffix("\n"), "no final newline"),
         ("theta_true.csv", _value_at_line(218, "100"), "line 218:"),
         ("theta_true.csv", _value_at_line(2, "4"), "line 2:"),
-    ], ids=["stage-truncated", "stage-extra-line", "field-nan", "angle-on-the-rim",
+    ], ids=["stage-truncated", "stage-extra-line", "stage-reordered", "stage-crlf",
+            "field-nan", "field-crlf", "field-no-final-newline", "angle-on-the-rim",
             "angle-at-node-0"])
     def test_reconstruct_names_the_file(self, stage, tmp_path, capsys, name,
                                         corrupt, where):

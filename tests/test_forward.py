@@ -18,6 +18,7 @@ from aet2d.forward import (
     true_theta,
 )
 from aet2d.mesh import GAMMA_FULL, GAMMA_SMALL, build_disk_mesh, refine, tag_boundary
+from aet2d.noise import NoiseSpec, perturb
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +105,21 @@ def test_determinant_clamp_recorded(disk):
                      ScalarField(disk, h22))
     assert H.d_clamp_nodes.tolist() == [5]
     assert H.d.values[5] == EPS_D == 1e-14
-    assert H.determinant()[5] == pytest.approx(-1.25)
+    assert H.det[5] == pytest.approx(-1.25)
+
+
+def test_determinant_is_kept_read_only_and_recomputed_for_new_components(disk):
+    sigma = CASE1.on_mesh(disk)
+    f1, f2 = disk.vertices[disk.dirichlet_nodes].T
+    H = power_density(sigma, solve_mixed(sigma, f1), solve_mixed(sigma, f2))
+    h11, h12, h22 = H.components()
+    assert H.det.tobytes() == (h11 * h22 - h12 ** 2).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        H.det[0] = 1.0
+    noisy = perturb(H, NoiseSpec(alpha_percent=5.0, seed=3))
+    n11, n12, n22 = noisy.components()
+    assert noisy.det.tobytes() == (n11 * n22 - n12 ** 2).tobytes()
+    assert noisy.det.tobytes() != H.det.tobytes()
 
 
 def test_negative_diagonal_rejected(disk):
@@ -145,7 +160,7 @@ def test_positive_semidefinite_up_to_projection(disk):
     h11, _, h22 = H.components()
     assert h11.min() >= 0.0
     assert h22.min() >= 0.0
-    det = H.determinant()
+    det = H.det
     assert det.min() >= -1e-12 * ((h11 + h22) ** 2).max()
 
 

@@ -290,8 +290,9 @@ def test_derived_meshes_do_not_inherit_the_cache():
     for child in (tagged, refined):
         assert "star_areas" not in vars(child)
         assert child.areas.tobytes() == signed_areas(child.vertices, child.triangles).tobytes()
-    # tagging moves no vertex, so the tagged mesh keeps the input's areas
-    assert tagged.areas is mesh.areas and refined.areas is not mesh.areas
+    # tagging moves no vertex, so the tagged mesh computes the input's areas
+    assert tagged.areas.tobytes() == mesh.areas.tobytes()
+    assert tagged.areas is not mesh.areas and refined.areas is not mesh.areas
 
 
 def test_mesh_module_imports_no_scipy():
@@ -305,7 +306,9 @@ def test_mesh_module_imports_no_scipy():
     assert [m for m in modules if m.split(".")[0] == "scipy"] == []
 
 
-def test_tagging_checks_only_the_tags(monkeypatch):
+def test_tagging_runs_every_check(monkeypatch):
+    # a tagged mesh is built by the constructor like any other, so it runs
+    # the edge check once and computes the input's geometry byte for byte
     mesh = build_disk_mesh(0.3)
     edge_tables = []
 
@@ -315,11 +318,8 @@ def test_tagging_checks_only_the_tags(monkeypatch):
 
     monkeypatch.setattr(aet2d.mesh, "_edge_keys", edge_keys)
     tagged = tag_boundary(mesh, GAMMA_MEDIUM)
-    assert edge_tables == []
-    assert tagged.areas.tobytes() == mesh.areas.tobytes() and tagged.n_edges == mesh.n_edges
-    # a mesh built from arrays still runs every check
-    Mesh(tagged.vertices, tagged.triangles, tagged.boundary_edges, tagged.boundary_tags)
     assert len(edge_tables) == 1
+    assert tagged.areas.tobytes() == mesh.areas.tobytes() and tagged.n_edges == mesh.n_edges
 
 
 def test_rim_angles_are_computed_on_first_read():
