@@ -110,8 +110,8 @@ class SolveInfo:
 # ---------------------------------------------------------------------------
 
 # Matrix rows summed per block: a block's pre-sum arrays hold about 6 element
-# rows of 3 entries per matrix row, so 4096 rows keep them near 0.6 MB.
-_BLOCK_ROWS = 4096
+# rows of 3 entries per matrix row, so 512 rows keep them near 0.07 MB.
+_BLOCK_ROWS = 512
 
 
 def local_stiffness(b, c, scale, i) -> np.ndarray:
@@ -439,16 +439,21 @@ def project_to_nodes(mesh: Mesh, element_values: np.ndarray) -> np.ndarray:
     """Lumped-mass projection: area-weighted average over each vertex star.
 
     Accepts per-element scalars (T,) or vectors (T, 2); returns (N,) or (N, 2).
+
+    `np.add.at` visits the (T, 3) triangle array in C order, the order in
+    which `np.bincount` sums the raveled triangles, so each star sum is that
+    `bincount`'s bit for bit, without its 3T copy of the weights.
     """
     vals = np.asarray(element_values, dtype=np.float64)
     if vals.shape[0] != mesh.n_triangles:
         raise ContractError("expected one value per triangle")
     areas, den = mesh.areas, mesh.star_areas
-    idx = mesh.triangles.ravel()
 
     def spread(column):
-        return np.bincount(idx, weights=np.repeat(areas * column, 3),
-                           minlength=mesh.n_vertices) / den
+        out = np.zeros(mesh.n_vertices)
+        np.add.at(out, mesh.triangles, (areas * column)[:, None])
+        out /= den
+        return out
 
     if vals.ndim == 1:
         return spread(vals)

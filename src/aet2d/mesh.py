@@ -207,10 +207,15 @@ class Mesh:
 
     @cached_property
     def star_areas(self) -> np.ndarray:
-        """Total area of the triangles around each vertex."""
-        idx = self.triangles.ravel()
-        return _frozen(np.bincount(idx, weights=np.repeat(self.areas, 3),
-                                   minlength=self.n_vertices))
+        """Total area of the triangles around each vertex.
+
+        Summed by `np.add.at` over the (T, 3) triangles in C order, the order
+        of `np.bincount` over the raveled triangles with 3T repeated areas,
+        so every sum is that one's bit for bit, without the 3T copy.
+        """
+        total = np.zeros(self.n_vertices)
+        np.add.at(total, self.triangles, self.areas[:, None])
+        return _frozen(total)
 
 
 def _edge_keys(triangles: np.ndarray, n_vertices: int) -> np.ndarray:
@@ -263,6 +268,29 @@ def _ring_start(k: int) -> int:
     return 1 + 3 * k * (k - 1)
 
 
+def _ring_count(target_h: float) -> float:
+    # a float, so a target_h too small for any ring count gives inf, not an error
+    return max(2.0, round(2.5 / target_h, 0))
+
+
+def disk_vertex_count(target_h: float, refinements: int) -> float:
+    """Vertex count of `build_disk_mesh(target_h)` after `refinements` calls
+    of `refine`, from closed forms alone, with no mesh built.
+
+    n rings hold 1 + 3n(n + 1) vertices, 6n^2 triangles and 6n rim edges.
+    `refine` adds one vertex on each of the (3T + K) / 2 edges of T
+    triangles and K rim edges, quarters every triangle and halves every rim
+    edge. Counted in floats: exact below 2**53, and inf for a target_h no
+    ring count reaches.
+    """
+    n = _ring_count(target_h)
+    vertices, triangles, rim = 1 + 3 * n * (n + 1), 6 * n * n, 6 * n
+    for _ in range(refinements):
+        vertices += (3 * triangles + rim) / 2
+        triangles, rim = 4 * triangles, 2 * rim
+    return vertices
+
+
 def build_disk_mesh(target_h: float) -> Mesh:
     """Build a structured concentric-ring triangulation of the unit disk.
 
@@ -281,7 +309,7 @@ def build_disk_mesh(target_h: float) -> Mesh:
     """
     if not (0.0 < target_h < 1.0):
         raise ParameterError(f"target_h must lie in (0, 1), got {target_h!r}")
-    n = max(2, round(2.5 / target_h))
+    n = int(_ring_count(target_h))
 
     verts = [np.zeros((1, 2))]
     for k in range(1, n + 1):

@@ -87,8 +87,8 @@ def table_mesh_sweep(config: RunConfig) -> list[ExperimentRecord]:
     Raises
     ------
     ParameterError
-        If the two extra levels would pass MAX_REFINE_LEVELS; raised before
-        any mesh is built.
+        If the two extra levels would pass MAX_REFINE_LEVELS, or the finest
+        level's data mesh MAX_DATA_NODES; raised before any mesh is built.
     """
     if config.refine_levels + 2 > MAX_REFINE_LEVELS:
         raise ParameterError(

@@ -27,11 +27,22 @@ from .forward import (
     restrict,
     true_theta,
 )
-from .mesh import GAMMA_PRESETS, BoundarySpec, Mesh, build_disk_mesh, refine, tag_boundary
+from .mesh import (
+    GAMMA_PRESETS,
+    BoundarySpec,
+    Mesh,
+    build_disk_mesh,
+    disk_vertex_count,
+    refine,
+    tag_boundary,
+)
 from .noise import NoiseSpec, clamp_eigenvalues, is_count, perturb
 from .recon import ReconResult, boundary_theta, run_algorithm1
 
 MAX_REFINE_LEVELS = 6
+# the largest data mesh a config may ask for: 12x the h = 0.015 one (335,671
+# nodes); a data node costs about 0.4 kB of peak memory in the forward
+MAX_DATA_NODES = 2**22
 
 
 @dataclass(frozen=True)
@@ -65,6 +76,12 @@ class RunConfig:
         if not (is_count(self.refine_levels)
                 and 0 <= self.refine_levels <= MAX_REFINE_LEVELS):
             raise ParameterError(f"refine_levels must be an integer in 0..{MAX_REFINE_LEVELS}")
+        data_nodes = disk_vertex_count(self.target_h, self.refine_levels + 1)
+        if data_nodes > MAX_DATA_NODES:
+            raise ParameterError(
+                f"target_h = {self.target_h!r} with refine_levels = {self.refine_levels} "
+                f"asks for a data mesh of {data_nodes:.4g} nodes, more than "
+                f"{MAX_DATA_NODES} (2**22); raise target_h or lower refine_levels")
         if not isinstance(self.noise, NoiseSpec):
             raise ParameterError("noise must be a NoiseSpec")
         if self.unwrap_arcs is not None:

@@ -267,6 +267,22 @@ class TestExitCodes:
         assert "2 levels" in err and "at most 4" in err
         assert not (tmp_path / "t" / "table2.csv").exists()
 
+    @pytest.mark.parametrize("line", ["mesh.refine_levels = 6", "mesh.target_h = 1e-4"])
+    def test_a_data_mesh_past_the_cap_is_refused_before_any_mesh(self, tmp_path, capsys,
+                                                                 monkeypatch, line):
+        # 338,640,001 and 7.5e9 data nodes: the vertices alone would take
+        # 5.4 GB and 120 GB
+        def no_mesh(target_h):
+            raise AssertionError("a mesh was built")
+        monkeypatch.setattr(pipeline, "build_disk_mesh", no_mesh)
+        cfg = write_config(tmp_path, line + "\n")
+        for command in ("run", "forward", "table2"):
+            assert run_cli(command, "--config", cfg, "--out", str(tmp_path / "o")) == 1
+            err = capsys.readouterr().err
+            assert "target_h" in err and "refine_levels" in err and "2**22" in err
+            assert "Traceback" not in err
+            assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("line", ["noise.eig_floor = inf", "mesh.target_h = 1",
                                       "noise.alpha_percent = nan"])
     def test_out_of_range_values_are_config_errors(self, tmp_path, capsys, line):

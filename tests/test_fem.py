@@ -508,6 +508,31 @@ def test_project_vector_shape(small):
     assert proj.shape == (small.n_vertices, 2)
 
 
+def star_sum_by_bincount(mesh, weights):
+    """Each vertex's sum of its triangles' weights, as `bincount` over the
+    raveled triangles with every weight repeated 3 times adds them."""
+    return np.bincount(mesh.triangles.ravel(), weights=np.repeat(weights, 3),
+                       minlength=mesh.n_vertices)
+
+
+@pytest.mark.parametrize("h,refinements", [(0.03, 1), (0.2, 2)],
+                         ids=["h=0.03 data mesh", "h=0.2 refine_levels=1 data mesh"])
+def test_star_sums_keep_the_bincount_order_bit_for_bit(h, refinements):
+    # a data mesh is refine_levels + 1 refinements of the disk
+    mesh = build_disk_mesh(h)
+    for _ in range(refinements):
+        mesh = refine(mesh)
+    star = star_sum_by_bincount(mesh, mesh.areas)
+    assert mesh.star_areas.tobytes() == star.tobytes()
+    values = np.random.default_rng(3).standard_normal((mesh.n_triangles, 2))
+    want = np.column_stack([star_sum_by_bincount(mesh, mesh.areas * values[:, j]) / star
+                            for j in range(2)])
+    scalar = project_to_nodes(mesh, values[:, 0])
+    vector = project_to_nodes(mesh, values)
+    assert (scalar.dtype, scalar.tobytes()) == (want.dtype, want[:, 0].tobytes())
+    assert (vector.dtype, vector.tobytes()) == (want.dtype, want.tobytes())
+
+
 @pytest.mark.parametrize("level", [0, 1])
 def test_element_mean_is_the_gathered_mean_bit_for_bit(level):
     mesh = build_disk_mesh(0.2)

@@ -19,6 +19,7 @@ from aet2d.mesh import (
     _edge_keys,
     build_disk_mesh,
     canonical_angle,
+    disk_vertex_count,
     refine,
     signed_areas,
     tag_boundary,
@@ -270,6 +271,23 @@ def test_edge_count_is_the_refinement_node_gain():
         assert mesh.n_edges == edge_count(mesh)
         assert mesh.n_edges == finer.n_vertices - mesh.n_vertices
         mesh = finer
+
+
+@pytest.mark.parametrize("h", [0.9, 0.3, 0.25, 0.2])
+def test_vertex_count_needs_no_mesh(h):
+    mesh = build_disk_mesh(h)
+    for refinements in range(4):
+        assert disk_vertex_count(h, refinements) == mesh.n_vertices
+        mesh = refine(mesh)
+
+
+def test_vertex_count_of_the_planned_sizes():
+    # the reconstruction and data meshes at h = 0.03, and the data mesh a
+    # config with refine_levels = 6 at h = 0.03 would ask for
+    assert disk_vertex_count(0.03, 0) == 20_917
+    assert disk_vertex_count(0.03, 1) == 83_167
+    assert disk_vertex_count(0.03, 7) == 338_640_001
+    assert disk_vertex_count(5e-324, 0) == math.inf
 
 
 # -- geometry computed once ----------------------------------------------------

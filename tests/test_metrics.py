@@ -14,7 +14,7 @@ from aet2d import (
     table_gamma_sweep,
     table_mesh_sweep,
 )
-from aet2d.errors import ContractError
+from aet2d.errors import ContractError, ParameterError
 from aet2d.metrics import CSV_HEADER, NOISE_LADDER, ExperimentRecord
 
 
@@ -93,6 +93,15 @@ class TestMeshSweep:
         # each level promotes the previous data mesh to reconstruction mesh
         assert records[1].n_recon == records[0].n_data
         assert records[2].n_recon == records[1].n_data
+
+    def test_a_finest_level_past_the_data_node_cap_builds_no_mesh(self, monkeypatch):
+        # at h = 0.03 the config's own data mesh (331,669 nodes) fits, but
+        # the third level's (5,294,737) does not
+        def no_mesh(target_h):
+            raise AssertionError("a mesh was built")
+        monkeypatch.setattr(aet2d.pipeline, "build_disk_mesh", no_mesh)
+        with pytest.raises(ParameterError, match="refine_levels = 3"):
+            table_mesh_sweep(RunConfig(target_h=0.03, refine_levels=1))
 
 
 class TestNoiseSweep:

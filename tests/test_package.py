@@ -180,18 +180,20 @@ DATA_MESH = ("import numpy as np\n"
 def test_assembly_holds_little_memory():
     # the rise is over the peak the h = 0.03 data mesh's build left. Built
     # from all 12 MB of element matrices at once, assembly raised it by
-    # 20.4 MB (41.7 MB through COO triplets); a block of rows at a time,
-    # by 9.7 MB, and by 3.9 MB once the mesh kept no 7.9 MB P1 basis
+    # 20.4 MB (41.7 MB through COO triplets); 4096 rows at a time, by
+    # 9.7 MB, and by 3.5-3.6 MB once the mesh kept no 7.9 MB P1 basis;
+    # 512 rows at a time, by 1.7-1.9 MB
     rise = _peak_rise_mb(DATA_MESH, "assemble_conductivity(sigma)")
-    assert rise <= 6.0
+    assert rise <= 3.0
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="VmHWM is read from /proc, Linux only")
 def test_constrained_operator_holds_little_memory():
     # the forward's operator: the assembled matrix and its free rows are
-    # held together for a moment, which raises the peak by 7.9-8.3 MB
-    # (13.1 MB while the mesh kept its P1 basis)
+    # held together for a moment, which raises the peak by 6.1-6.3 MB
+    # (7.9-8.3 MB with 4096-row assembly blocks, 13.1 MB while the mesh
+    # kept its P1 basis)
     work = ("from aet2d.fem import constrain\n"
             "constrain(assemble_conductivity(sigma), mesh.dirichlet_nodes)")
     assert _peak_rise_mb(DATA_MESH, work) <= 11.0
@@ -201,8 +203,9 @@ def test_constrained_operator_holds_little_memory():
                     reason="VmHWM is read from /proc, Linux only")
 def test_forward_stage_holds_little_memory():
     # the whole forward at h = 0.03: data mesh, operator, two solves, power
-    # density and angle truth; 34.4 MB, and 41.1 MB while every mesh kept
-    # its P1 basis
+    # density and angle truth; 30.5-30.8 MB, 34.6-34.9 MB while assembly
+    # took 4096 rows at a time and the lumped-mass sums built 3T weight
+    # copies, and 41.1 MB while every mesh kept its P1 basis
     setup = ("from aet2d.pipeline import forward_stage\n"
              "config = aet2d.RunConfig(case='case2', gamma='medium', target_h=0.03)")
-    assert _peak_rise_mb(setup, "forward_stage(config)") <= 39.0
+    assert _peak_rise_mb(setup, "forward_stage(config)") <= 34.0

@@ -53,6 +53,9 @@ class TestRunConfig:
         {"target_h": float("nan")},
         {"refine_levels": True},
         {"noise": {"seed": True}},
+        {"refine_levels": 6},
+        {"target_h": 1e-4},
+        {"target_h": 5e-324},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ParameterError):
