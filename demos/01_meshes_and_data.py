@@ -35,6 +35,6 @@ for gamma in ("large", "medium", "small"):
     min_det, log_det = det_diagnostics(fwd.H)
     print(f"  gamma={gamma:<7} min det H = {min_det:.3e}")
     if gamma == "medium":
-        export_field(log_det, out / "medium_log_det.vtk", "vtk", name="log_det")
+        export_field({"log_det": log_det}, out / "medium_log_det.vtk", "vtk")
 
 print(f"\nwrote {out / 'medium_log_det.vtk'}")

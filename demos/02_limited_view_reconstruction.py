@@ -8,7 +8,8 @@ the first potential's gradient stays accurate even where the data
 determinant has collapsed; the conductivity does not, because its
 reconstruction must integrate through the collapsed region.  The
 reconstructed and true conductivities for the medium arc are written to
-``demos/out`` as CSV and VTK.
+``demos/out`` as one CSV and one VTK file, ``medium_sigma.csv`` and
+``medium_sigma.vtk``.
 """
 from pathlib import Path
 
@@ -24,10 +25,10 @@ for gamma in ("large", "medium", "small"):
     result = run_pipeline(config)
     records.append(record_from_run(config, result))
     if gamma == "medium":
-        for name, field in (("sigma_recon", result.recon.sigma),
-                            ("sigma_true", result.forward.sigma_true)):
-            export_field(field, out / f"{name}.csv")
-            export_field(field, out / f"{name}.vtk", "vtk", name=name)
+        fields = {"sigma_recon": result.recon.sigma,
+                  "sigma_true": result.forward.sigma_true}
+        for fmt in ("csv", "vtk"):
+            export_field(fields, out / f"medium_sigma.{fmt}", fmt)
 
 print(render_table(records), end="")
 

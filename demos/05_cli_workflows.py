@@ -5,8 +5,9 @@ Driving experiments from config files
 Everything the library does is reachable from the ``aet2d`` command with
 a flat key-value config file.  This script writes a config, runs the
 one-shot ``run`` command, then reproduces it with the split
-``forward`` / ``reconstruct`` pair and checks that the record files
-agree byte for byte (they must: same code path, exact serialization).
+``forward`` / ``reconstruct`` pair, which pass the synthesized data through
+one ``stage.npz``, and checks that the record and the fields files agree
+byte for byte (they must: same code path, exact serialization).
 """
 import subprocess
 import sys
@@ -39,9 +40,12 @@ with tempfile.TemporaryDirectory() as tmp:
     cli("forward", "--config", str(config), "--out", str(root / "split"))
     cli("reconstruct", "--config", str(config), "--out", str(root / "split"))
 
-    oneshot = (root / "oneshot" / "record.csv").read_bytes()
-    split = (root / "split" / "record.csv").read_bytes()
-    print(f"\nrecord.csv identical across workflows: {oneshot == split}")
+    print()
+    for name in ("record.csv", "fields.csv"):
+        oneshot = (root / "oneshot" / name).read_bytes()
+        split = (root / "split" / name).read_bytes()
+        print(f"{name} identical across workflows: {oneshot == split}")
+    print("files in split/:", ", ".join(sorted(p.name for p in (root / "split").iterdir())))
 
     cli("table1", "--config", str(config), "--out", str(root / "tables"),
         "--quiet")

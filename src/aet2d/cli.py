@@ -2,15 +2,16 @@
 
 Configs are flat `key = value` text with dotted key names; unknown or
 duplicate keys are rejected before anything runs.  All files are written
-atomically (temp file, then rename) and all floats at 17 significant digits,
+atomically (temp file, then rename), text floats at 17 significant digits,
 so a repeated run with the same config and seed reproduces every output
-byte for byte.
+byte for byte.  A command writes its nodal fields to one `fields.csv` and
+one `fields.vtk`, as the config's `output.formats` names.
 
-A forward stage directory holds the four data fields (`h11`, `h12`, `h22`,
-`theta_true` CSVs) and `stage.txt`, the stage's config keys as
-`key = repr(value)` lines. `reconstruct` runs only with a config that gives
-the same `stage.txt` text, and rebuilds the mesh and the true conductivity
-from it.
+`forward` writes one `stage.npz`: the four data fields (`h11`, `h12`,
+`h22`, `theta_true`) as float64 arrays, and the stage's config keys as
+`key = repr(value)` lines in the string array `stage`. `reconstruct` runs
+only with a config that gives the same text, and rebuilds the mesh and the
+true conductivity from it.
 
 Exit codes: 0 success, 1 configuration or I/O problem, 2 numerical failure
 (the message carries the solver's residual report).
@@ -18,13 +19,11 @@ Exit codes: 0 success, 1 configuration or I/O problem, 2 numerical failure
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
-import weakref
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +37,6 @@ from .errors import (
 )
 from .fem import ScalarField
 from .forward import PowerDensity
-from .mesh import Mesh
 from .metrics import (
     noise_sweep,
     record_from_run,
@@ -90,9 +88,11 @@ _KEYS = {
     "output.formats": ("formats", _parse_formats),
 }
 
-# the keys a forward stage depends on, in the order stage.txt lists them
+# the keys a forward stage depends on, in the order its stage text lists them
 _STAGE_KEYS = tuple(key for key in _KEYS
                     if key.split(".", 1)[0] not in ("noise", "output"))
+# the arrays of `stage.npz`: that text, then the four data fields
+_STAGE_ARRAYS = ("stage", "h11", "h12", "h22", "theta_true")
 
 
 def _convert(key: str, value: str):
@@ -141,127 +141,53 @@ def _atomic_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-class _MeshText:
-    """The node and cell text of one mesh, each formatted on first use.
+def _atomic_npz(path: Path, arrays: dict[str, np.ndarray]) -> None:
+    tmp = path.with_name(path.name + ".tmp")
+    # an open file, so that savez does not append `.npz` to the temp name
+    with open(tmp, "wb") as f:
+        np.savez(f, **arrays)
+    os.replace(tmp, path)
 
-    It keeps the mesh's arrays, not the mesh: `_TEXTS` holds it under a
-    weak reference to the mesh, which a reference back would keep alive.
+
+def export_field(fields: dict[str, ScalarField], path, fmt: str = "csv") -> None:
+    """The nodal fields of one mesh to one file.
+
+    CSV has a `node_id,x,y,<name>...` header and one row per node; legacy
+    VTK has the mesh once, then one SCALARS block per field.
     """
-
-    def __init__(self, mesh: Mesh):
-        self.vertices, self.triangles = mesh.vertices, mesh.triangles
-
-    @cached_property
-    def csv_prefixes(self) -> list[str]:
-        """`node_id,x,y,` of every node."""
-        return [f"{i},{x:.17g},{y:.17g},"
-                for i, (x, y) in enumerate(self.vertices.tolist())]
-
-    @cached_property
-    def vtk_geometry(self) -> str:
-        """The POINTS, CELLS and CELL_TYPES blocks, without a final newline."""
-        n_vertices, n_triangles = len(self.vertices), len(self.triangles)
-        lines = [f"POINTS {n_vertices} double"]
-        lines += [f"{x:.17g} {y:.17g} 0" for x, y in self.vertices.tolist()]
-        lines.append(f"CELLS {n_triangles} {4 * n_triangles}")
-        lines += [f"3 {i} {j} {k}" for i, j, k in self.triangles.tolist()]
-        lines.append(f"CELL_TYPES {n_triangles}")
-        lines += ["5"] * n_triangles
-        return "\n".join(lines)
-
-
-# each live mesh's text, so every field written or read on it shares one
-_TEXTS: weakref.WeakKeyDictionary[Mesh, _MeshText] = weakref.WeakKeyDictionary()
-
-
-def _text_of(mesh: Mesh) -> _MeshText:
-    if mesh not in _TEXTS:
-        _TEXTS[mesh] = _MeshText(mesh)
-    return _TEXTS[mesh]
-
-
-def _field_csv(field: ScalarField) -> str:
-    lines = ["node_id,x,y,value"]
-    lines += [f"{prefix}{v:.17g}" for prefix, v in
-              zip(_text_of(field.mesh).csv_prefixes, field.values.tolist())]
-    return "\n".join(lines) + "\n"
-
-
-def _vtk_text(field: ScalarField, name: str) -> str:
-    lines = ["# vtk DataFile Version 3.0", name, "ASCII",
-             "DATASET UNSTRUCTURED_GRID", _text_of(field.mesh).vtk_geometry,
-             f"POINT_DATA {field.mesh.n_vertices}", f"SCALARS {name} double 1",
-             "LOOKUP_TABLE default"]
-    lines += [f"{v:.17g}" for v in field.values.tolist()]
-    return "\n".join(lines) + "\n"
-
-
-def export_field(field: ScalarField, path, fmt: str = "csv", *,
-                 name: str = "value") -> None:
-    """One nodal field to disk, as `node_id,x,y,value` CSV or legacy VTK.
-
-    A mesh's nodes and cells are formatted once while it lives, however many
-    of its fields are written or read.
-    """
-    if fmt == "csv":
-        _atomic_text(Path(path), _field_csv(field))
-    elif fmt == "vtk":
-        _atomic_text(Path(path), _vtk_text(field, name))
-    else:
+    if fmt not in _FORMATS:
         raise ParameterError(f"unknown export format {fmt!r}")
-
-
-def _read_ascii(path: Path) -> str:
-    """The file's text byte for byte: no line ending is translated."""
-    try:
-        return path.read_bytes().decode("ascii")
-    except UnicodeDecodeError:
-        raise ContractError(f"{path}: not ASCII text") from None
-
-
-def read_field_csv(path, mesh: Mesh) -> ScalarField:
-    """Read a field export back onto the mesh it came from, bit exact.
-
-    Node k's row is accepted only as the `node_id,x,y,` text `export_field`
-    writes for it, followed by a finite value in the text it writes for that
-    value (`1.0`, ` 1` or `1_0` is not the text of 1). The node text is the
-    one `export_field` formats for `mesh`, shared with its writes.
-
-    Raises
-    ------
-    ContractError
-        Naming the file, and the line of the first bad row, if the text is
-        not an export of a finite field on `mesh`.
-    """
-    prefixes = _text_of(mesh).csv_prefixes
-    text = _read_ascii(Path(path))
-    if not text.endswith("\n"):
-        raise ContractError(f"{path}: no final newline")
-    header, *rows = text[:-1].split("\n")
-    if header != "node_id,x,y,value":
-        raise ContractError(f"{path}: not a field export")
-    if len(rows) != len(prefixes):
-        raise ContractError(f"{path}: {len(rows)} rows for a mesh with "
-                            f"{len(prefixes)} nodes")
-    values = []
-    for lineno, (prefix, row) in enumerate(zip(prefixes, rows), 2):
-        text = row[len(prefix):]
-        try:
-            value = float(text) if row.startswith(prefix) else math.nan
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value) or f"{value:.17g}" != text:
-            raise ContractError(f"{path}: line {lineno}: expected {prefix!r} "
-                                f"and a finite value, got {row!r}")
-        values.append(value)
-    return ScalarField(mesh, np.array(values))
+    mesh = next(iter(fields.values())).mesh
+    if any(field.mesh is not mesh for field in fields.values()):
+        raise ContractError("exported fields must live on one mesh")
+    # each block is joined as it is formatted, so that only one block's
+    # lines are alive at a time
+    n_vertices, n_triangles = mesh.n_vertices, mesh.n_triangles
+    if fmt == "csv":
+        row = "%d,%.17g,%.17g" + ",%.17g" * len(fields)
+        columns = [field.values.tolist() for field in fields.values()]
+        blocks = [",".join(["node_id,x,y", *fields]),
+                  "\n".join(row % cells for cells in zip(
+                      range(n_vertices), *mesh.vertices.T.tolist(), *columns))]
+    else:
+        blocks = ["# vtk DataFile Version 3.0", " ".join(fields), "ASCII",
+                  "DATASET UNSTRUCTURED_GRID", f"POINTS {n_vertices} double",
+                  "\n".join(f"{x:.17g} {y:.17g} 0" for x, y in mesh.vertices.tolist()),
+                  f"CELLS {n_triangles} {4 * n_triangles}",
+                  "\n".join(f"3 {i} {j} {k}" for i, j, k in mesh.triangles.tolist()),
+                  f"CELL_TYPES {n_triangles}", "\n".join(["5"] * n_triangles),
+                  f"POINT_DATA {n_vertices}"]
+        for name, field in fields.items():
+            blocks += [f"SCALARS {name} double 1", "LOOKUP_TABLE default",
+                       "\n".join(f"{v:.17g}" for v in field.values.tolist())]
+    blocks.append("")  # the final newline
+    _atomic_text(Path(path), "\n".join(blocks))
 
 
 def _write_fields(job: Job, fields: dict[str, ScalarField]) -> None:
-    """Every field, in every format of the job, as `<name>.<format>`."""
-    for name, field in fields.items():
-        for fmt in job.formats:
-            export_field(field, job.out_dir / f"{name}.{fmt}", fmt, name=name)
+    """The fields as one `fields.<format>` file for each format of the job."""
+    for fmt in job.formats:
+        export_field(fields, job.out_dir / f"fields.{fmt}", fmt)
 
 
 def _write_results(job: Job, result: PipelineResult, quiet: bool) -> None:
@@ -289,23 +215,32 @@ def _stage_text(config: RunConfig) -> str:
 
 def _cmd_forward(job: Job, quiet: bool) -> int:
     fwd = forward_stage(job.config)
-    # stage.txt goes first and comes back last, so a forward that stops
-    # part way leaves no stage for reconstruct to mix with another config's
-    stage = job.out_dir / "stage.txt"
-    stage.unlink(missing_ok=True)
-    _write_fields(replace(job, formats=("csv",)),
-                  {"h11": fwd.H.h11, "h12": fwd.H.h12, "h22": fwd.H.h22,
-                   "theta_true": fwd.theta_true})
-    _atomic_text(stage, _stage_text(job.config))
+    H = fwd.H
+    arrays = (np.array(_stage_text(job.config)), H.h11.values, H.h12.values,
+              H.h22.values, fwd.theta_true.values)
+    _atomic_npz(job.out_dir / "stage.npz", dict(zip(_STAGE_ARRAYS, arrays)))
     if not quiet:
         print(f"wrote forward data ({fwd.n_data} data nodes, "
               f"{fwd.recon_mesh.n_vertices} reconstruction nodes) to {job.out_dir}")
     return 0
 
 
-def _check_stage(path: Path, config: RunConfig) -> None:
-    """Raise ContractError unless `path` is the stage.txt `config` writes."""
-    text = _read_ascii(path)
+def _load_stage(path: Path) -> dict[str, np.ndarray]:
+    """Every array of the stage file, without running any pickled code."""
+    try:
+        # np.load leaves a file it opened open when the zip is damaged
+        with open(path, "rb") as f, np.load(f, allow_pickle=False) as npz:
+            return {name: npz[name] for name in npz.files}
+    except Exception as exc:
+        # a damaged zip or npy raises any of BadZipFile, EOFError,
+        # ValueError, RuntimeError, NotImplementedError and more
+        raise ContractError(f"{path}: not a readable stage "
+                            f"({type(exc).__name__}: {exc})") from None
+
+
+def _check_stage(path: Path, stage: np.ndarray, config: RunConfig) -> None:
+    """Raise ContractError unless `stage` is the stage text `config` gives."""
+    text = stage.item() if stage.dtype.kind == "U" and stage.ndim == 0 else ""
     want = _stage_text(config)
     if text != want:
         have = text.splitlines()
@@ -319,16 +254,27 @@ def _check_stage(path: Path, config: RunConfig) -> None:
 def _cmd_reconstruct(job: Job, quiet: bool) -> int:
     # a stage is reconstructed only with the config it was made with, which
     # gives the mesh and the true conductivity on it
-    _check_stage(job.out_dir / "stage.txt", job.config)
+    path = job.out_dir / "stage.npz"
+    arrays = _load_stage(path)
+    if sorted(arrays) != sorted(_STAGE_ARRAYS):
+        raise ContractError(f"{path}: holds arrays {sorted(arrays)}, "
+                            f"not {sorted(_STAGE_ARRAYS)}")
+    _check_stage(path, arrays.pop("stage"), job.config)
     mesh = base_mesh(job.config)
-    h11, h12, h22, theta_true = (
-        read_field_csv(job.out_dir / f"{name}.csv", mesh)
-        for name in ("h11", "h12", "h22", "theta_true"))
+    for name, values in arrays.items():
+        if values.dtype != np.float64 or values.shape != (mesh.n_vertices,):
+            raise ContractError(f"{path}: {name} is {values.dtype} of shape "
+                                f"{values.shape}, not {mesh.n_vertices} float64 values")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ContractError(f"{path}: {name} is {values[bad[0]]} at node {bad[0]}")
     # `true_theta` writes angles in (-pi, pi]; any other is not its output
-    outside = np.flatnonzero((theta_true.values <= -np.pi) | (theta_true.values > np.pi))
+    theta = arrays["theta_true"]
+    outside = np.flatnonzero((theta <= -np.pi) | (theta > np.pi))
     if outside.size:
-        raise ContractError(f"{job.out_dir / 'theta_true.csv'}: line {outside[0] + 2}: "
-                            f"angle {theta_true.values[outside[0]]!r} outside (-pi, pi]")
+        raise ContractError(f"{path}: theta_true angle {float(theta[outside[0]])!r} "
+                            f"at node {outside[0]} outside (-pi, pi]")
+    h11, h12, h22, theta_true = (ScalarField(mesh, arrays[name]) for name in _STAGE_ARRAYS[1:])
     fwd = ForwardData(sigma_true=job.config.conductivity().on_mesh(mesh),
                       theta_true=theta_true, H=PowerDensity(h11, h12, h22))
     t0 = time.perf_counter()
@@ -387,7 +333,11 @@ def _build_parser() -> _Parser:
 
 
 def _load_job(args) -> Job:
-    job = parse_config(_read_ascii(Path(args.config)))
+    try:
+        text = Path(args.config).read_bytes().decode("ascii")
+    except UnicodeDecodeError:
+        raise ContractError(f"{args.config}: not ASCII text") from None
+    job = parse_config(text)
     if args.out is not None:
         job = replace(job, out_dir=Path(args.out))
     return job

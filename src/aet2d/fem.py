@@ -55,7 +55,7 @@ from .errors import (
     NumericalError,
     SingularSystemError,
 )
-from .mesh import Mesh, basis_coefficients, basis_column
+from .mesh import Mesh, basis_coefficients, basis_column, star_sum
 
 # Conjugate-gradient iterations before a solve is reported stalled; each
 # h = 0.03 data solve takes about 1,400.
@@ -439,10 +439,6 @@ def project_to_nodes(mesh: Mesh, element_values: np.ndarray) -> np.ndarray:
     """Lumped-mass projection: area-weighted average over each vertex star.
 
     Accepts per-element scalars (T,) or vectors (T, 2); returns (N,) or (N, 2).
-
-    `np.add.at` visits the (T, 3) triangle array in C order, the order in
-    which `np.bincount` sums the raveled triangles, so each star sum is that
-    `bincount`'s bit for bit, without its 3T copy of the weights.
     """
     vals = np.asarray(element_values, dtype=np.float64)
     if vals.shape[0] != mesh.n_triangles:
@@ -450,8 +446,7 @@ def project_to_nodes(mesh: Mesh, element_values: np.ndarray) -> np.ndarray:
     areas, den = mesh.areas, mesh.star_areas
 
     def spread(column):
-        out = np.zeros(mesh.n_vertices)
-        np.add.at(out, mesh.triangles, (areas * column)[:, None])
+        out = star_sum(mesh, areas * column)
         out /= den
         return out
 

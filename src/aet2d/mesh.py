@@ -207,15 +207,28 @@ class Mesh:
 
     @cached_property
     def star_areas(self) -> np.ndarray:
-        """Total area of the triangles around each vertex.
+        """Total area of the triangles around each vertex."""
+        return _frozen(star_sum(self, self.areas))
 
-        Summed by `np.add.at` over the (T, 3) triangles in C order, the order
-        of `np.bincount` over the raveled triangles with 3T repeated areas,
-        so every sum is that one's bit for bit, without the 3T copy.
-        """
-        total = np.zeros(self.n_vertices)
-        np.add.at(total, self.triangles, self.areas[:, None])
-        return _frozen(total)
+
+# triangles per `np.add.at` call in `star_sum`
+_STAR_CHUNK = 4096
+
+
+def star_sum(mesh: Mesh, weights: np.ndarray) -> np.ndarray:
+    """Sum of a per-triangle weight over the triangles around each vertex, (N,).
+
+    Added triangle by triangle in C order of the (T, 3) triangles, the order
+    of `np.bincount` over the raveled triangles with 3T repeated weights, so
+    every sum is that one's bit for bit.  A 1-D `np.add.at` per 4096-triangle
+    chunk takes numpy's fast path and repeats only one chunk's weights.
+    """
+    tri = mesh.triangles
+    total = np.zeros(mesh.n_vertices)
+    for s in range(0, len(tri), _STAR_CHUNK):
+        np.add.at(total, tri[s:s + _STAR_CHUNK].ravel(),
+                  np.repeat(weights[s:s + _STAR_CHUNK], 3))
+    return total
 
 
 def _edge_keys(triangles: np.ndarray, n_vertices: int) -> np.ndarray:

@@ -9,8 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from .errors import ContractError, ParameterError
+from .mesh import disk_vertex_count
 from .noise import NoiseSpec
-from .pipeline import MAX_REFINE_LEVELS, PipelineResult, RunConfig, run_sweep
+from .pipeline import MAX_DATA_NODES, MAX_REFINE_LEVELS, PipelineResult, RunConfig, run_sweep
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,13 @@ def table_mesh_sweep(config: RunConfig) -> list[ExperimentRecord]:
             f"mesh.refine_levels = {config.refine_levels}: table2 refines 2 "
             f"levels further and refine_levels is at most {MAX_REFINE_LEVELS}, "
             f"so it must be at most {MAX_REFINE_LEVELS - 2}")
+    data_nodes = disk_vertex_count(config.target_h, config.refine_levels + 3)
+    if data_nodes > MAX_DATA_NODES:
+        raise ParameterError(
+            f"mesh.refine_levels = {config.refine_levels} at mesh.target_h = "
+            f"{config.target_h!r}: table2 refines 2 levels further, and its finest "
+            f"data mesh would have {data_nodes:.4g} nodes, more than "
+            f"{MAX_DATA_NODES} (2**22); lower mesh.refine_levels or raise mesh.target_h")
     return _sweep_records([
         replace(config, case="case1", gamma="medium",
                 refine_levels=config.refine_levels + step, noise=NoiseSpec())

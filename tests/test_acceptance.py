@@ -244,12 +244,11 @@ def test_criterion_10_byte_identical_outputs(tmp_path):
                    "output.formats = csv, vtk\n")
     outs = (tmp_path / "first", tmp_path / "second")
     for out in outs:
-        assert cli_main(["run", "--config", str(cfg), "--out", str(out),
-                         "--quiet"]) == 0
-        assert cli_main(["noise-sweep", "--config", str(cfg), "--out",
-                         str(out), "--quiet"]) == 0
-    for name in ("record.csv", "noise_sweep.csv", "sigma_recon.csv",
-                 "theta_recon.csv", "sigma_recon.vtk", "theta_recon.vtk"):
+        for command in ("run", "noise-sweep", "forward"):
+            assert cli_main([command, "--config", str(cfg), "--out", str(out),
+                             "--quiet"]) == 0
+    for name in ("record.csv", "noise_sweep.csv", "fields.csv", "fields.vtk",
+                 "stage.npz"):
         first = (outs[0] / name).read_bytes()
         second = (outs[1] / name).read_bytes()
         assert first == second, f"{name} differs between identical runs"

@@ -34,7 +34,7 @@ SPANS = BENCH / "spans.py"
 # change that drops them from `bench/spans.py` empties this set
 KNOWN_MISSING = {"aet2d.pipeline:transfer", "aet2d.recon:l2_relative_error",
                  "aet2d.cli:_read_meta", "aet2d.cli:read_mesh",
-                 "aet2d.cli:write_mesh"}
+                 "aet2d.cli:write_mesh", "aet2d.cli:read_field_csv"}
 
 CONFIG = RunConfig(case="case2", gamma="medium", target_h=0.3)
 
@@ -100,9 +100,10 @@ def test_cli_forward_then_reconstruct(tracer, tmp_path):
     for command in ("forward", "reconstruct"):
         argv = [command, "--config", str(cfg), "--out", str(stage), "--quiet"]
         assert aet2d.cli.main(argv) == 0
-    assert (stage / "sigma_recon.vtk").is_file()
+    assert (stage / "fields.vtk").is_file()
     assert_traced(tracer, mixed=2, poisson=2)
-    assert tracer.counts["cli.read_calls"] == 4  # the four field files
+    # the stage is read by np.load, which no site of the harness wraps
+    assert tracer.counts.get("cli.read_calls", 0) == 0
     assert tracer.counts["cli.files_written"] > 0
 
 

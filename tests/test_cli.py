@@ -1,15 +1,15 @@
 """Config parsing, exporters, subcommands, and the exit-code contract."""
-import gc
+import io
 import re
 import shutil
-import weakref
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from aet2d import cli, pipeline
-from aet2d.cli import Job, export_field, main, parse_config, read_field_csv
+from aet2d.cli import Job, export_field, main, parse_config
 from aet2d.errors import ContractError, ParameterError
 from aet2d.fem import ScalarField
 from aet2d.forward import true_theta
@@ -69,130 +69,114 @@ class TestParseConfig:
             parse_config(line + "\n")
 
 
-def _nudge_x(row, after):
-    """x one ulp off, written at 17 digits as the exporter writes it."""
-    cells = row.split(",")
-    cells[1] = "%.17g" % np.nextafter(float(cells[1]), np.inf)
-    return ",".join(cells), after
-
-
-def _swap_ids(row, after):
-    """The two rows trade node ids, keeping their coordinates and values."""
-    (a, rest_a), (b, rest_b) = row.split(",", 1), after.split(",", 1)
-    return f"{b},{rest_a}", f"{a},{rest_b}"
+def read_fields_csv(path):
+    """(header, node ids, coordinates, value columns) of a fields.csv."""
+    header = path.read_text().split("\n", 1)[0].split(",")
+    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return header, table[:, 0], table[:, 1:3], table[:, 3:]
 
 
 class TestExportField:
     def test_csv_round_trip_is_exact(self, mesh, tmp_path):
         rng = np.random.default_rng(3)
-        field = ScalarField(mesh, rng.standard_normal(mesh.n_vertices))
+        a = ScalarField(mesh, rng.standard_normal(mesh.n_vertices))
+        b = ScalarField(mesh, rng.standard_normal(mesh.n_vertices))
         path = tmp_path / "f.csv"
-        export_field(field, path)
-        back = read_field_csv(path, mesh)
-        assert np.array_equal(back.values, field.values)
+        export_field({"a": a, "b": b}, path)
+        header, ids, xy, values = read_fields_csv(path)
+        assert header == ["node_id", "x", "y", "a", "b"]
+        assert np.array_equal(ids, np.arange(mesh.n_vertices))
+        assert xy.tobytes() == mesh.vertices.tobytes()
+        assert values[:, 0].tobytes() == a.values.tobytes()
+        assert values[:, 1].tobytes() == b.values.tobytes()
 
     def test_constant_field_rows_identical(self, mesh, tmp_path):
-        export_field(ScalarField(mesh, np.full(mesh.n_vertices, 2.5)),
+        export_field({"value": ScalarField(mesh, np.full(mesh.n_vertices, 2.5))},
                      tmp_path / "c.csv")
         rows = (tmp_path / "c.csv").read_text().splitlines()[1:]
         assert {row.split(",")[3] for row in rows} == {"2.5"}
 
     def test_export_is_byte_stable(self, mesh, tmp_path):
-        field = ScalarField(mesh, np.linspace(-1.0, 1.0, mesh.n_vertices))
-        export_field(field, tmp_path / "a.csv")
-        export_field(field, tmp_path / "b.csv")
+        fields = {"value": ScalarField(mesh, np.linspace(-1.0, 1.0, mesh.n_vertices))}
+        export_field(fields, tmp_path / "a.csv")
+        export_field(fields, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_vtk_counts_match_mesh(self, mesh, tmp_path):
-        export_field(ScalarField(mesh, np.zeros(mesh.n_vertices)),
-                     tmp_path / "f.vtk", "vtk", name="zero")
+        export_field({"zero": ScalarField(mesh, np.zeros(mesh.n_vertices)),
+                      "one": ScalarField(mesh, np.ones(mesh.n_vertices))},
+                     tmp_path / "f.vtk", "vtk")
         lines = (tmp_path / "f.vtk").read_text().splitlines()
         assert lines[0] == "# vtk DataFile Version 3.0"
-        assert f"POINTS {mesh.n_vertices} double" in lines
+        assert lines.count(f"POINTS {mesh.n_vertices} double") == 1
         assert f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}" in lines
-        assert f"POINT_DATA {mesh.n_vertices}" in lines
+        assert lines.count(f"POINT_DATA {mesh.n_vertices}") == 1
         assert lines.count("5") >= mesh.n_triangles
         cells = lines.index(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}")
         tri = [int(t) for t in lines[cells + 1].split()]
         assert tri[0] == 3 and tri[1:] == list(mesh.triangles[0])
+        # one SCALARS block per field, each a value per node
+        starts = [lines.index(f"SCALARS {name} double 1") for name in ("zero", "one")]
+        assert starts[1] - starts[0] == 2 + mesh.n_vertices
+        assert len(lines) - starts[1] == 2 + mesh.n_vertices
 
     def test_wrong_mesh_rejected(self, mesh, tmp_path):
-        field = ScalarField(mesh, np.zeros(mesh.n_vertices))
-        export_field(field, tmp_path / "f.csv")
+        # one file holds the fields of one mesh
         other = build_disk_mesh(0.8)
-        with pytest.raises(ContractError, match="rows"):
-            read_field_csv(tmp_path / "f.csv", other)
-
-    @pytest.mark.parametrize("change", [
-        lambda row, after: (row.replace(",", ",x", 1), after),
-        lambda row, after: (row + ",0", after),
-        lambda row, after: ("", after),
-        _nudge_x,
-        _swap_ids,
-        lambda row, after: (row.rsplit(",", 1)[0] + ", 1_0 ", after),
-        lambda row, after: (row + ".0", after),
-    ], ids=["bad-value", "five-columns", "blank", "coordinate-nudge", "swapped-ids",
-            "underscore-value", "trailing-zero"])
-    def test_read_names_the_broken_line(self, tmp_path, change):
-        # the header is line 1, so line 4 holds node 2 of the 217
-        mesh = build_disk_mesh(0.3)
-        assert mesh.n_vertices == 217
-        path = tmp_path / "f.csv"
-        export_field(ScalarField(mesh, np.ones(mesh.n_vertices)), path)
-        lines = path.read_text().splitlines()
-        prefix = lines[3].rsplit(",", 1)[0] + ","
-        lines[3:5] = change(*lines[3:5])
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ContractError, match=re.escape(
-                f"{path}: line 4: expected {prefix!r} and a finite value, "
-                f"got {lines[3]!r}")):
-            read_field_csv(path, mesh)
+        fields = {"a": ScalarField(mesh, np.zeros(mesh.n_vertices)),
+                  "b": ScalarField(other, np.zeros(other.n_vertices))}
+        with pytest.raises(ContractError, match="one mesh"):
+            export_field(fields, tmp_path / "f.csv")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_format_rejected(self, mesh, tmp_path):
         with pytest.raises(ParameterError, match="png"):
-            export_field(ScalarField(mesh, np.zeros(mesh.n_vertices)),
+            export_field({"value": ScalarField(mesh, np.zeros(mesh.n_vertices))},
                          tmp_path / "f.png", "png")
 
 
 # The byte-stable formats, written row by row from numpy scalars: the
 # exporters must keep producing exactly this text.
-def reference_csv(mesh, values):
-    lines = ["node_id,x,y,value"]
-    lines += [f"{i},{x:.17g},{y:.17g},{v:.17g}"
-              for i, ((x, y), v) in enumerate(zip(mesh.vertices, values))]
+def reference_csv(mesh, fields):
+    lines = [",".join(["node_id", "x", "y", *fields])]
+    lines += [f"{i},{x:.17g},{y:.17g}" + "".join(f",{v:.17g}" for v in values)
+              for i, ((x, y), *values) in enumerate(zip(mesh.vertices, *fields.values()))]
     return "\n".join(lines) + "\n"
 
 
-def reference_vtk(mesh, values, name):
-    lines = ["# vtk DataFile Version 3.0", name, "ASCII",
+def reference_vtk(mesh, fields):
+    lines = ["# vtk DataFile Version 3.0", " ".join(fields), "ASCII",
              "DATASET UNSTRUCTURED_GRID", f"POINTS {mesh.n_vertices} double"]
     lines += [f"{x:.17g} {y:.17g} 0" for x, y in mesh.vertices]
     lines.append(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}")
     lines += [f"3 {i} {j} {k}" for i, j, k in mesh.triangles]
     lines.append(f"CELL_TYPES {mesh.n_triangles}")
     lines += ["5"] * mesh.n_triangles
-    lines += [f"POINT_DATA {mesh.n_vertices}", f"SCALARS {name} double 1",
-              "LOOKUP_TABLE default"]
-    lines += [f"{v:.17g}" for v in values]
+    lines.append(f"POINT_DATA {mesh.n_vertices}")
+    for name, values in fields.items():
+        lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+        lines += [f"{v:.17g}" for v in values]
     return "\n".join(lines) + "\n"
 
 
 class TestFileFormat:
     @pytest.fixture()
-    def field(self):
+    def fields(self):
         mesh = tag_boundary(build_disk_mesh(0.3), GAMMA_MEDIUM)
-        values = np.random.default_rng(5).standard_normal(mesh.n_vertices)
-        values[:6] = [-0.0, 5e-324, 1.7976931348623157e308, -1e-300, 0.1, 3.0]
-        return ScalarField(mesh, values)
+        values = np.random.default_rng(5).standard_normal((2, mesh.n_vertices))
+        values[0, :6] = [-0.0, 5e-324, 1.7976931348623157e308, -1e-300, 0.1, 3.0]
+        return {"sigma": ScalarField(mesh, values[0]), "theta": ScalarField(mesh, values[1])}
 
-    def test_exports_match_the_row_by_row_reference(self, field, tmp_path):
-        export_field(field, tmp_path / "f.csv")
-        export_field(field, tmp_path / "f.vtk", "vtk", name="sigma")
-        assert (tmp_path / "f.csv").read_text() == reference_csv(field.mesh, field.values)
-        assert ((tmp_path / "f.vtk").read_text()
-                == reference_vtk(field.mesh, field.values, "sigma"))
-        back = read_field_csv(tmp_path / "f.csv", field.mesh)
-        assert back.values.tobytes() == field.values.tobytes()
+    def test_exports_match_the_row_by_row_reference(self, fields, tmp_path):
+        export_field(fields, tmp_path / "f.csv")
+        export_field(fields, tmp_path / "f.vtk", "vtk")
+        mesh = fields["sigma"].mesh
+        values = {name: field.values for name, field in fields.items()}
+        assert (tmp_path / "f.csv").read_text() == reference_csv(mesh, values)
+        assert (tmp_path / "f.vtk").read_text() == reference_vtk(mesh, values)
+        back = read_fields_csv(tmp_path / "f.csv")[3]
+        assert back[:, 0].tobytes() == values["sigma"].tobytes()
+        assert back[:, 1].tobytes() == values["theta"].tobytes()
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -206,9 +190,9 @@ class TestExitCodes:
         cfg = write_config(tmp_path, COARSE + "gamma.preset = large\n")
         out = tmp_path / "out"
         assert run_cli("run", "--config", cfg, "--out", str(out)) == 0
-        for name in ("record.csv", "sigma_recon.csv", "theta_recon.csv",
-                     "sigma_true.csv", "theta_true.csv"):
-            assert (out / name).exists()
+        assert sorted(path.name for path in out.iterdir()) == ["fields.csv", "record.csv"]
+        header = (out / "fields.csv").read_text().split("\n", 1)[0]
+        assert header == "node_id,x,y,sigma_recon,theta_recon,sigma_true,theta_true"
         assert "sigma_err" in capsys.readouterr().out
 
     def test_unknown_key_names_it(self, tmp_path, capsys):
@@ -238,6 +222,14 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "o" / "record.csv").exists()
 
+    def test_a_config_that_is_not_ascii_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("gamma.preset = m\u00e9dium\n".encode("utf-8"))
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}: not ASCII text\n"
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert run_cli("run", "--config", str(tmp_path / "nope.cfg")) == 1
 
@@ -265,6 +257,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "mesh.refine_levels" in err and "table2" in err
         assert "2 levels" in err and "at most 4" in err
+        assert not (tmp_path / "t" / "table2.csv").exists()
+
+    def test_table2_past_the_node_cap_names_the_key(self, tmp_path, capsys, monkeypatch):
+        # the config's own data mesh (331,669 nodes) fits; table2's finest
+        # level (5,294,737) does not, and the message names the config's key
+        def no_mesh(target_h):
+            raise AssertionError("a mesh was built")
+        monkeypatch.setattr(pipeline, "build_disk_mesh", no_mesh)
+        cfg = write_config(tmp_path, "mesh.target_h = 0.03\nmesh.refine_levels = 1\n")
+        assert run_cli("table2", "--config", cfg, "--out", str(tmp_path / "t"),
+                       "--quiet") == 1
+        err = capsys.readouterr().err
+        assert "mesh.refine_levels = 1 at mesh.target_h = 0.03" in err
+        assert "table2 refines 2 levels further" in err and "2**22" in err
+        assert "refine_levels = 3" not in err and "Traceback" not in err
         assert not (tmp_path / "t" / "table2.csv").exists()
 
     @pytest.mark.parametrize("line", ["mesh.refine_levels = 6", "mesh.target_h = 1e-4"])
@@ -325,9 +332,8 @@ class TestExitCodes:
         out = tmp_path / "stage"
         shutil.copytree(source, out)
         a, b = pipeline.base_mesh(parse_config(COARSE).config).boundary_loop[3:5]
-        path = out / "theta_true.csv"
-        text = _value_at_line(a + 2, "0")(path.read_text())
-        path.write_text(_value_at_line(b + 2, f"{np.pi:.17g}")(text))
+        path = out / "stage.npz"
+        path.write_bytes(_set_values("theta_true", {a: 0.0, b: np.pi})(path.read_bytes()))
         assert run_cli("reconstruct", "--config", cfg, "--out", str(out),
                        "--quiet") == 2
         err = capsys.readouterr().err
@@ -347,43 +353,88 @@ def stage(tmp_path_factory):
     return cfg, root / "out"
 
 
-def _value_at_line(lineno, value):
-    """A corruption that sets the value on line `lineno` of a field CSV."""
-    def corrupt(text):
-        lines = text.splitlines(keepends=True)
-        lines[lineno - 1] = lines[lineno - 1].rsplit(",", 1)[0] + f",{value}\n"
-        return "".join(lines)
-    return corrupt
+def stage_arrays(data: bytes) -> dict:
+    with np.load(io.BytesIO(data)) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
+def stage_bytes(arrays: dict) -> bytes:
+    out = io.BytesIO()
+    np.savez(out, **arrays)
+    return out.getvalue()
+
+
+def _with_arrays(change):
+    """A corruption that rebuilds the stage file from `change(arrays)`."""
+    return lambda data: stage_bytes(change(stage_arrays(data)))
+
+
+def _set_values(name, values):
+    """A corruption that sets nodes of one field: {node: value}."""
+    def change(arrays):
+        for node, value in values.items():
+            arrays[name][node] = value
+        return arrays
+    return _with_arrays(change)
+
+
+def _edit_text(edit):
+    """A corruption of the stage's config text that keeps the file well formed."""
+    def change(arrays):
+        arrays["stage"] = np.array(edit(str(arrays["stage"])))
+        return arrays
+    return _with_arrays(change)
+
+
+def _flip_data_byte(data: bytes) -> bytes:
+    """The last byte of h11's stored data changed; its CRC no longer fits."""
+    info = zipfile.ZipFile(io.BytesIO(data)).getinfo("h11.npy")
+    local = info.header_offset
+    name_len, extra_len = (int.from_bytes(data[local + k:local + k + 2], "little")
+                           for k in (26, 28))
+    at = local + 30 + name_len + extra_len + info.file_size - 1
+    return data[:at] + bytes([data[at] ^ 0x40]) + data[at + 1:]
 
 
 class TestMalformedStageFiles:
-    # at h = 0.3 the mesh has 217 nodes; node 216, on line 218, is on the rim
-    @pytest.mark.parametrize("name,corrupt,where", [
-        ("stage.txt", lambda t: t[:len(t) // 3], ""),
-        ("stage.txt", lambda t: t + "noise.seed = 3\n", ""),
+    # at h = 0.3 the mesh has 217 nodes; node 216 is on the rim
+    @pytest.mark.parametrize("corrupt,where", [
+        (_edit_text(lambda t: t[:len(t) // 3]), "not the stage of this config"),
+        (_edit_text(lambda t: t + "noise.seed = 3\n"), "line 5 differs"),
         # every line is there, but not as written: the first that differs
-        ("stage.txt", lambda t: t[t.index("\n") + 1:] + t[:t.index("\n") + 1],
+        (_edit_text(lambda t: t[t.index("\n") + 1:] + t[:t.index("\n") + 1]),
          "line 1 differs"),
-        ("stage.txt", lambda t: t.replace("\n", "\r\n"), "line 1 differs"),
-        ("h11.csv", _value_at_line(4, "nan"), "line 4:"),
-        ("h11.csv", lambda t: t.replace("\n", "\r\n"), "not a field export"),
-        ("h12.csv", lambda t: t.removesuffix("\n"), "no final newline"),
-        ("theta_true.csv", _value_at_line(218, "100"), "line 218:"),
-        ("theta_true.csv", _value_at_line(2, "4"), "line 2:"),
+        (_edit_text(lambda t: t.replace("\n", "\r\n")), "line 1 differs"),
+        (_set_values("h11", {2: np.nan}), "h11 is nan at node 2"),
+        (_set_values("theta_true", {216: 100.0}), "100.0 at node 216 outside"),
+        (_set_values("theta_true", {0: 4.0}), "4.0 at node 0 outside"),
+        (_set_values("theta_true", {0: -np.pi}), "at node 0 outside (-pi, pi]"),
+        (lambda data: data[:len(data) // 2], "not a readable stage"),
+        (lambda data: b"", "EOFError"),
+        (lambda data: b"mesh.target_h = 0.3\n", "ValueError"),
+        (_flip_data_byte, "BadZipFile"),
+        (_with_arrays(lambda a: {k: v for k, v in a.items() if k != "h22"}), "holds arrays"),
+        (_with_arrays(lambda a: {**a, "sigma_true": a["h11"]}), "holds arrays"),
+        (_with_arrays(lambda a: {**a, "h12": a["h12"].astype(object)}), "Object arrays"),
+        (_with_arrays(lambda a: {**a, "h11": a["h11"].astype(np.int64)}), "h11 is int64"),
+        (_with_arrays(lambda a: {**a, "h22": a["h22"][:-1]}), "h22 is float64 of shape (216,)"),
+        (_with_arrays(lambda a: {**a, "stage": a["stage"].reshape(1)}),
+         "not the stage of this config"),
     ], ids=["stage-truncated", "stage-extra-line", "stage-reordered", "stage-crlf",
-            "field-nan", "field-crlf", "field-no-final-newline", "angle-on-the-rim",
-            "angle-at-node-0"])
-    def test_reconstruct_names_the_file(self, stage, tmp_path, capsys, name,
-                                        corrupt, where):
+            "field-nan", "angle-on-the-rim", "angle-at-node-0", "angle-at-minus-pi",
+            "file-truncated", "file-empty", "file-of-text", "file-crc-damaged",
+            "array-missing", "array-extra", "array-of-objects", "array-of-ints",
+            "array-short", "stage-not-a-string"])
+    def test_reconstruct_names_the_file(self, stage, tmp_path, capsys, corrupt, where):
         cfg, source = stage
         out = tmp_path / "stage"
         shutil.copytree(source, out)
-        path = out / name
-        path.write_text(corrupt(path.read_text()))
+        path = out / "stage.npz"
+        path.write_bytes(corrupt(path.read_bytes()))
         assert run_cli("reconstruct", "--config", cfg, "--out", str(out),
                        "--quiet") == 1
         err = capsys.readouterr().err
-        assert name in err and where in err
+        assert err.startswith(f"error: {path}: ") and where in err
         assert "Traceback" not in err
         assert not (out / "record.csv").exists()
 
@@ -393,8 +444,8 @@ class TestMalformedStageFiles:
         cfg, source = stage
         out = tmp_path / "stage"
         shutil.copytree(source, out)
-        path = out / "h11.csv"
-        path.write_text(_value_at_line(6, "1e-300")(path.read_text()))
+        path = out / "stage.npz"
+        path.write_bytes(_set_values("h11", {4: 1e-300})(path.read_bytes()))
         assert run_cli("reconstruct", "--config", cfg, "--out", str(out),
                        "--quiet") == 2
         assert "right-hand side is not finite" in capsys.readouterr().err
@@ -405,8 +456,8 @@ class TestMalformedStageFiles:
         cfg, source = stage
         out = tmp_path / "stage"
         shutil.copytree(source, out)
-        path = out / "h12.csv"
-        path.write_text(_value_at_line(6, "1.0000000000000001e+300")(path.read_text()))
+        path = out / "stage.npz"
+        path.write_bytes(_set_values("h12", {4: 1.0000000000000001e+300})(path.read_bytes()))
         assert run_cli("reconstruct", "--config", cfg, "--out", str(out),
                        "--quiet") == 2
         err = capsys.readouterr().err
@@ -429,85 +480,46 @@ class TestMalformedStageFiles:
         assert run_cli("reconstruct", "--config", cfg, "--out", str(out),
                        "--quiet") == 1
         err = capsys.readouterr().err
-        assert "stage.txt" in err and key in err
+        assert "stage.npz" in err and key in err
         assert "Traceback" not in err
         assert not (out / "record.csv").exists()
 
-    def test_a_stage_without_stage_txt_names_it(self, stage, tmp_path, capsys):
-        # a stage an older version wrote has the fields but no stage.txt
+    def test_a_stage_without_stage_npz_names_it(self, stage, tmp_path, capsys):
+        # a stage an older version wrote has field CSVs and a stage.txt
         cfg, source = stage
         out = tmp_path / "stage"
         shutil.copytree(source, out)
-        (out / "stage.txt").unlink()
+        arrays = stage_arrays((out / "stage.npz").read_bytes())
+        (out / "stage.npz").unlink()
+        (out / "stage.txt").write_text(str(arrays["stage"]))
+        mesh = pipeline.base_mesh(parse_config(COARSE).config)
+        for name in ("h11", "h12", "h22", "theta_true"):
+            export_field({"value": ScalarField(mesh, arrays[name])}, out / f"{name}.csv")
         assert run_cli("reconstruct", "--config", cfg, "--out", str(out),
                        "--quiet") == 1
         err = capsys.readouterr().err
-        assert "stage.txt" in err
+        assert "stage.npz" in err
         assert "Traceback" not in err
         assert not (out / "record.csv").exists()
 
     def test_an_interrupted_forward_leaves_no_stage(self, tmp_path, capsys):
-        # the second forward fails after writing h11.csv: the directory then
-        # holds fields of two configs, and no stage.txt vouches for them
+        # the second forward fails as it writes: the first config's stage
+        # stays whole, and it is not the second config's
         large = write_config(tmp_path, COARSE + "gamma.preset = large\n", "large.cfg")
         medium = write_config(tmp_path, COARSE + "gamma.preset = medium\n", "medium.cfg")
         out = tmp_path / "stage"
         assert run_cli("forward", "--config", large, "--out", str(out), "--quiet") == 0
-        (out / "h12.csv.tmp").mkdir()
+        first = (out / "stage.npz").read_bytes()
+        (out / "stage.npz.tmp").mkdir()
         assert run_cli("forward", "--config", medium, "--out", str(out), "--quiet") == 1
         capsys.readouterr()
+        assert (out / "stage.npz").read_bytes() == first
         assert run_cli("reconstruct", "--config", medium, "--out", str(out),
                        "--quiet") == 1
         err = capsys.readouterr().err
-        assert "stage.txt" in err
+        assert "stage.npz" in err and "gamma.preset" in err
         assert "Traceback" not in err
         assert not (out / "record.csv").exists()
-
-
-class TestMeshTextMemo:
-    # a mesh's node and cell text is formatted once while the mesh lives,
-    # however many of its fields are written or read, and dropped with it
-    @pytest.fixture()
-    def builds(self, monkeypatch):
-        """The number of `_MeshText`s built so far, in a fresh memo."""
-        count = [0]
-        init = cli._MeshText.__init__
-
-        def counting(self, mesh):
-            count[0] += 1
-            init(self, mesh)
-
-        monkeypatch.setattr(cli._MeshText, "__init__", counting)
-        monkeypatch.setattr(cli, "_TEXTS", weakref.WeakKeyDictionary())
-        return count
-
-    def test_reconstruct_formats_its_mesh_once(self, stage, tmp_path, builds):
-        out = tmp_path / "stage"
-        shutil.copytree(stage[1], out)
-        cfg = write_config(tmp_path, COARSE + "output.formats = csv, vtk\n")
-        assert run_cli("reconstruct", "--config", cfg, "--out", str(out),
-                       "--quiet") == 0
-        assert (out / "sigma_recon.vtk").exists()
-        assert builds[0] == 1
-
-    def test_fields_on_one_mesh_share_its_text(self, mesh, tmp_path, builds):
-        for name in ("a", "b"):
-            field = ScalarField(mesh, np.full(mesh.n_vertices, 1.5))
-            export_field(field, tmp_path / f"{name}.csv")
-            export_field(field, tmp_path / f"{name}.vtk", "vtk", name=name)
-        assert builds[0] == 1
-
-    def test_the_memo_lets_its_meshes_go(self, tmp_path, builds):
-        cfg = write_config(tmp_path, COARSE + "output.formats = csv, vtk\n")
-        assert run_cli("run", "--config", cfg, "--out", str(tmp_path / "o"),
-                       "--quiet") == 0
-        mesh = build_disk_mesh(0.5)
-        export_field(ScalarField(mesh, np.zeros(mesh.n_vertices)),
-                     tmp_path / "f.vtk", "vtk")
-        assert builds[0] == 2
-        del mesh
-        gc.collect()
-        assert len(cli._TEXTS) == 0
 
 
 class TestSubcommands:
@@ -519,28 +531,40 @@ class TestSubcommands:
         assert run_cli("run", "--config", cfg, "--out", str(one), "--quiet") == 0
         assert run_cli("forward", "--config", cfg, "--out", str(two), "--quiet") == 0
         assert run_cli("reconstruct", "--config", cfg, "--out", str(two), "--quiet") == 0
-        # the record, and each of the four fields in both formats; the stage
-        # flow rewrites theta_true.csv, which it also reads
+        # the record, and the four fields in both formats
         names = sorted(path.name for path in one.iterdir())
-        assert len(names) == 9
+        assert names == ["fields.csv", "fields.vtk", "record.csv"]
         for name in names:
             assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
+    def test_forward_writes_one_stage_file(self, stage):
+        # one file, and no fields.csv although the config names csv output
+        cfg, out = stage
+        assert [p.name for p in out.iterdir()] == ["stage.npz"]
+        with np.load(out / "stage.npz", allow_pickle=False) as npz:
+            assert npz.files == ["stage", "h11", "h12", "h22", "theta_true"]
+            assert str(npz["stage"]) == ("mesh.target_h = 0.3\nmesh.refine_levels = 0\n"
+                                         "gamma.preset = 'medium'\nsigma.case = 'case1'\n")
+            assert all(npz[name].dtype == np.float64 and npz[name].shape == (217,)
+                       for name in npz.files[1:])
+
     def test_stale_meta_file_is_ignored(self, tmp_path):
         # the mesh and the true conductivity come from the config; the
-        # `meta.txt`, `mesh.txt` and `sigma_true.csv` an older forward stage
-        # left do not reach the record
+        # `meta.txt`, `mesh.txt`, `stage.txt` and field CSVs older forward
+        # stages left do not reach the record
         cfg = write_config(tmp_path, COARSE)
         one, two = tmp_path / "one", tmp_path / "two"
         assert run_cli("run", "--config", cfg, "--out", str(one), "--quiet") == 0
         assert run_cli("forward", "--config", cfg, "--out", str(two), "--quiet") == 0
         (two / "meta.txt").write_text("n_data 999999\nflagged 0\n")
+        (two / "stage.txt").write_text("mesh.target_h = 0.5\n")
         other = tag_boundary(build_disk_mesh(0.5), GAMMA_MEDIUM)
         (two / "mesh.txt").write_text("vertices 0\n")
-        export_field(ScalarField(other, np.full(other.n_vertices, 7.0)),
-                     two / "sigma_true.csv")
+        for name in ("sigma_true", "h11"):
+            export_field({"value": ScalarField(other, np.full(other.n_vertices, 7.0))},
+                         two / f"{name}.csv")
         assert run_cli("reconstruct", "--config", cfg, "--out", str(two), "--quiet") == 0
-        for name in ("record.csv", "sigma_true.csv", "sigma_recon.csv"):
+        for name in ("record.csv", "fields.csv"):
             assert (one / name).read_bytes() == (two / name).read_bytes()
         assert "999999" not in (two / "record.csv").read_text()
 
@@ -562,7 +586,7 @@ class TestSubcommands:
         dirs = tmp_path / "a", tmp_path / "b"
         for d in dirs:
             assert run_cli("run", "--config", cfg, "--out", str(d), "--quiet") == 0
-        for name in ("record.csv", "sigma_recon.csv", "theta_recon.csv"):
+        for name in ("record.csv", "fields.csv"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
     def test_quiet_silences_stdout(self, tmp_path, capsys):
@@ -590,24 +614,29 @@ class TestSubcommands:
         assert run_cli("export-mesh", "--config", cfg, "--out", str(out),
                        "--quiet") == 0
         mesh = pipeline.base_mesh(parse_config(COARSE).config)
-        values = read_field_csv(out / "dirichlet.csv", mesh).values
+        header, ids, xy, values = read_fields_csv(out / "fields.csv")
+        assert header == ["node_id", "x", "y", "dirichlet"]
+        assert xy.tobytes() == mesh.vertices.tobytes()
+        values = values[:, 0]
         controlled = np.zeros(mesh.n_vertices, dtype=bool)
         controlled[mesh.dirichlet_nodes] = True
         assert controlled.any() and not controlled.all()
         assert np.all(values[controlled] == 1.0) and np.all(values[~controlled] == 0.0)
-        assert ((out / "dirichlet.vtk").read_text()
-                == reference_vtk(mesh, values, "dirichlet"))
-        assert sorted(p.name for p in out.iterdir()) == ["dirichlet.csv", "dirichlet.vtk"]
+        assert ((out / "fields.vtk").read_text()
+                == reference_vtk(mesh, {"dirichlet": values}))
+        assert sorted(p.name for p in out.iterdir()) == ["fields.csv", "fields.vtk"]
 
     def test_every_file_goes_through_the_atomic_writer(self, tmp_path, monkeypatch):
         written = set()
-        atomic_text = cli._atomic_text
 
-        def recording(path, text):
-            atomic_text(path, text)
-            written.add(path)
+        def recording(write):
+            def record(path, content):
+                write(path, content)
+                written.add(path)
+            return record
 
-        monkeypatch.setattr(cli, "_atomic_text", recording)
+        for name in ("_atomic_text", "_atomic_npz"):
+            monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
         cfg = write_config(tmp_path, COARSE + "output.formats = csv, vtk\n")
         commands = {"run": ["run"], "stage": ["forward", "reconstruct"],
                     "t1": ["table1"], "t2": ["table2"], "ns": ["noise-sweep"],
@@ -623,9 +652,7 @@ class TestSubcommands:
         cfg = write_config(tmp_path, COARSE + "output.formats = vtk\n")
         out = tmp_path / "v"
         assert run_cli("run", "--config", cfg, "--out", str(out), "--quiet") == 0
-        assert (out / "sigma_recon.vtk").exists()
-        assert not (out / "sigma_recon.csv").exists()
-        assert (out / "record.csv").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["fields.vtk", "record.csv"]
 
 
 class TestJobDefaults:

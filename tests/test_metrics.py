@@ -100,7 +100,8 @@ class TestMeshSweep:
         def no_mesh(target_h):
             raise AssertionError("a mesh was built")
         monkeypatch.setattr(aet2d.pipeline, "build_disk_mesh", no_mesh)
-        with pytest.raises(ParameterError, match="refine_levels = 3"):
+        with pytest.raises(ParameterError, match=r"mesh\.refine_levels = 1 at mesh\.target_h "
+                           r"= 0\.03: table2 refines 2 levels further.* 5\.295e\+06 nodes"):
             table_mesh_sweep(RunConfig(target_h=0.03, refine_levels=1))
 
 

@@ -135,92 +135,105 @@ def test_boundary_theta_moves_angles_by_whole_turns(h, level, data):
     assert np.abs(np.diff(full[loop])).max() <= math.pi + 1e-12
 
 
-STAGE_FILES = ("stage.txt", "h11.csv", "h12.csv", "h22.csv", "theta_true.csv")
+OUTPUTS = ("record.csv", "fields.csv")
 
 
 @pytest.fixture(scope="module")
 def stage(tmp_path_factory):
-    """Config and file contents of one small `aet2d forward` run."""
+    """Config, stage.npz bytes and reconstructed outputs of one small
+    `aet2d forward` and `aet2d reconstruct` run."""
     root = tmp_path_factory.mktemp("stage")
     cfg = root / "run.cfg"
     cfg.write_text("mesh.target_h = 0.5\n", encoding="ascii")
-    assert main(["forward", "--config", str(cfg), "--out", str(root), "--quiet"]) == 0
-    return cfg, {name: (root / name).read_bytes() for name in STAGE_FILES}
+    for command in ("forward", "reconstruct"):
+        assert main([command, "--config", str(cfg), "--out", str(root), "--quiet"]) == 0
+    return cfg, (root / "stage.npz").read_bytes(), {
+        name: (root / name).read_bytes() for name in OUTPUTS}
 
 
-@given(name=st.sampled_from(STAGE_FILES), truncate=st.booleans(), data=st.data())
-def test_a_broken_stage_file_is_named(stage, name, truncate, data):
-    cfg, files = stage
-    text = files[name]
-    if truncate:
-        # whole lines off the end
-        lines = text.splitlines(keepends=True)
-        keep = data.draw(st.integers(0, len(lines) - 1), label="lines kept")
-        broken = b"".join(lines[:keep])
-    else:
-        # one byte that no number, name or separator of the format contains
-        at = data.draw(st.integers(0, len(text) - 1), label="offset")
-        byte = data.draw(st.sampled_from([b"#", b"x", b"\xff", b"\x00"])
-                         .filter(lambda b: b != text[at:at + 1]), label="byte")
-        broken = text[:at] + byte + text[at + 1:]
+def reconstruct(cfg, stage_npz: bytes) -> tuple[int, str, dict]:
+    """Exit code, stderr and outputs of `aet2d reconstruct` on that stage file."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        for other, content in files.items():
-            Path(tmp, other).write_bytes(broken if other == name else content)
+        Path(tmp, "stage.npz").write_bytes(stage_npz)
         with contextlib.redirect_stderr(err):
             code = main(["reconstruct", "--config", str(cfg), "--out", tmp, "--quiet"])
-    assert code == 1
-    assert name in err.getvalue()
-    assert "Traceback" not in err.getvalue()
+        outputs = {name: Path(tmp, name).read_bytes() for name in OUTPUTS
+                   if Path(tmp, name).exists()}
+    return code, err.getvalue(), outputs
 
 
-FIELD_FILES = STAGE_FILES[1:]
+@given(truncate=st.booleans(), data=st.data())
+def test_a_broken_stage_file_is_named(stage, truncate, data):
+    # a flipped bit in the zip headers that no CRC covers (a time stamp, a
+    # version) can leave the arrays as written; anything else is named
+    cfg, npz, outputs = stage
+    if truncate:
+        keep = data.draw(st.integers(0, len(npz) - 1), label="bytes kept")
+        broken = npz[:keep]
+    else:
+        at = data.draw(st.integers(0, len(npz) - 1), label="offset")
+        bit = data.draw(st.integers(0, 7), label="bit")
+        broken = npz[:at] + bytes([npz[at] ^ (1 << bit)]) + npz[at + 1:]
+    code, err, written = reconstruct(cfg, broken)
+    assert "Traceback" not in err
+    if code == 0:
+        assert written == outputs
+    else:
+        assert code == 1 and "stage.npz" in err
+        assert written == {}
 
 
-def nudged(cell: bytes, way: float) -> bytes:
-    """A number of the stage files, moved by one ulp and written at 17 digits."""
-    return b"%.17g" % np.nextafter(float(cell), way)
+def stage_arrays(npz: bytes) -> dict:
+    with np.load(io.BytesIO(npz)) as arrays:
+        return {name: arrays[name] for name in arrays.files}
 
 
-@given(change=st.sampled_from(["nudge", "swap", "mesh nudge"]),
+def nudged(text: str, way: float) -> str:
+    """A number of the stage text, moved by one ulp."""
+    return repr(float(np.nextafter(float(text), way)))
+
+
+@given(change=st.sampled_from(["mesh nudge", "not finite", "angle", "length", "dtype"]),
        data=st.data())
 def test_a_wrong_stage_value_is_named(stage, change, data):
-    # each file stays well formed; one value in it is wrong
-    cfg, files = stage
-    n = files["h11.csv"].count(b"\n") - 1  # a header, then one line per node
-    way = data.draw(st.sampled_from([-math.inf, math.inf]), label="direction")
+    # the file stays well formed; one value in it is wrong
+    cfg, npz, _ = stage
+    arrays = stage_arrays(npz)
+    n = arrays["h11"].size
     if change == "mesh nudge":
         # the mesh size one ulp off; the stage then is another config's
-        name = "stage.txt"
-        key = b"mesh.target_h = "
-        lines = files[name].split(b"\n")
+        way = data.draw(st.sampled_from([-math.inf, math.inf]), label="direction")
+        key = "mesh.target_h = "
+        lines = str(arrays["stage"]).split("\n")
         row = next(i for i, line in enumerate(lines) if line.startswith(key))
         lines[row] = key + nudged(lines[row][len(key):], way)
-        broken = b"\n".join(lines)
+        arrays["stage"] = np.array("\n".join(lines))
+        named = "mesh.target_h"
     else:
-        name = data.draw(st.sampled_from(FIELD_FILES), label="field file")
-        lines = files[name].split(b"\n")  # header, n rows, a final empty line
-        if change == "nudge":
-            # one coordinate off in its last digit
-            row = data.draw(st.integers(1, n), label="row")
-            col = data.draw(st.sampled_from([1, 2]), label="column")
-            cells = lines[row].split(b",")
-            cells[col] = nudged(cells[col], way)
-            lines[row] = b",".join(cells)
+        named = data.draw(st.sampled_from(["h11", "h12", "h22", "theta_true"]
+                                          if change != "angle" else ["theta_true"]),
+                          label="field")
+        values = arrays[named]
+        if change == "not finite":
+            node = data.draw(st.integers(0, n - 1), label="node")
+            values[node] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]),
+                                     label="value")
+        elif change == "angle":
+            node = data.draw(st.integers(0, n - 1), label="node")
+            values[node] = data.draw(st.floats(math.pi, 1e300, exclude_min=True)
+                                     | st.floats(-1e300, -math.pi), label="angle")
+        elif change == "length":
+            size = data.draw(st.integers(0, 2 * n).filter(lambda k: k != n), label="length")
+            values = np.resize(values, size)
         else:
-            # two rows trade node ids, keeping their coordinates and values
-            i, j = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2,
-                                      unique=True), label="rows")
-            (a, rest_a), (b, rest_b) = (lines[k].split(b",", 1) for k in (i, j))
-            lines[i], lines[j] = b + b"," + rest_a, a + b"," + rest_b
-        broken = b"\n".join(lines)
-    assert broken != files[name]
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        for other, content in files.items():
-            Path(tmp, other).write_bytes(broken if other == name else content)
-        with contextlib.redirect_stderr(err):
-            code = main(["reconstruct", "--config", str(cfg), "--out", tmp, "--quiet"])
+            values = values.astype(data.draw(st.sampled_from(
+                [np.float32, np.int64, np.complex128, ">f8"]), label="dtype"))
+        arrays[named] = values
+    out = io.BytesIO()
+    np.savez(out, **arrays)
+    code, err, written = reconstruct(cfg, out.getvalue())
     assert code == 1
-    assert name in err.getvalue()
-    assert "Traceback" not in err.getvalue()
+    assert "stage.npz" in err and named in err
+    assert "Traceback" not in err
+    assert written == {}
